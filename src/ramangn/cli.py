@@ -8,7 +8,8 @@ fit      Fit the semi-analytical tilted-exponential profile to the ODE
          solution; write the per-channel parameters as JSON.
 nli      Closed-form per-channel NLI and SNR; write CSV and JSON reports.
 compare  Closed form vs the 2D quadrature oracle; write the per-channel
-         comparison CSV and verdict against ``--gate-db``.
+         comparison CSV and verdict against ``--gate-db``, which also fails
+         when any oracle row did not converge.
 sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
          The amplification profile is fitted once at the nominal powers and
          held fixed across offsets, so the sweep isolates the launch-power
@@ -104,9 +105,16 @@ def cmd_compare(scenario: Scenario, args) -> int:
     path = os.path.join(_out_dir(scenario, args), "comparison.csv")
     report.to_csv(path)
     worst = report.max_abs_delta_db
+    unconverged = np.flatnonzero(~report.converged).tolist()
     print(f"closed form vs oracle: max |delta| {_FMT(worst)} dB over "
           f"{report.frequencies.size} channels ({elapsed:.1f} s) -> {path}")
-    if args.gate_db is not None:
+    if args.gate_db is None:
+        print(f"{len(unconverged)} unconverged rows")
+    else:
+        if unconverged:
+            raise GateFailure(
+                f"oracle did not converge on channel(s) {unconverged}; "
+                f"the --gate-db gate needs converged rows")
         if worst > args.gate_db:
             raise GateFailure(
                 f"max |delta| {_FMT(worst)} dB exceeds the "
@@ -189,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "or current directory)")
     parser.add_argument("--gate-db", type=float, default=None,
                         help="compare: fail (exit 5) if max |delta| exceeds "
-                             "this many dB")
+                             "this many dB or an oracle row did not converge")
     parser.add_argument("--steps", type=int, default=None,
                         help="override the ODE step count")
     parser.add_argument("--sweep", default=None,

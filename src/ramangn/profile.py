@@ -12,9 +12,11 @@ bandwidth with a sinh factor.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
 by damped least squares on the dB-domain residual.  The objective has many
-local minima once the pump gain is strong, so the fitter combines the
-physical initial guess with a deterministic variable-projection seed grid
-and seeded random restarts, and polishes the best candidates.
+local minima once the pump gain is strong, so the fitter scores the physical
+initial guess and a deterministic variable-projection seed grid in batched
+passes.  It then polishes the best-scored seed and the neighbouring
+channel's solution.  Seeded random restarts and further polishes of the
+next-best seeds are opt-in.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .domain import LinkConfig
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .raman import PowerEvolution, normalized_profile
 
 _LN10 = math.log(10.0)
 _K_DB = 10.0 / _LN10  # nepers -> dB
+_SCORE_BLOCK = 32  # seeds per batched scoring pass
 
 
 @dataclass(frozen=True)
@@ -237,57 +240,65 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, fixed):
 
 def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
                   with_backward):
-    """Variable-projection seed grid.
+    """Variable-projection seed grid, one row (alpha, c_f, c_b, alpha_f,
+    alpha_b) per candidate rate triple.
 
     For each candidate (alpha, alpha_f, alpha_b) the two slope coefficients
     enter the pre-log model linearly, so they are obtained by a tiny linear
-    least-squares solve against the de-trended target.
+    least-squares solve against the de-trended target.  The 2x2 normal
+    equations of the whole grid are built from the per-rate effective-length
+    rows and solved at once.  Rows run alpha-major, then alpha_f, then
+    alpha_b; singular systems (det <= 0) are dropped.
     """
-    seeds = []
-    leff_grid = [(-np.expm1(-r * alpha_phys * z) / (r * alpha_phys)) * p_f
-                 for r in ratios]
-    if with_backward:
-        lbeff_grid = [((np.exp(-r * alpha_phys * (length - z))
-                        - np.exp(-r * alpha_phys * length))
-                       / (r * alpha_phys)) * p_b
-                      for r in ratios]
-    for ra in ratios:
-        a = ra * alpha_phys
-        u_target = 10.0 ** ((target_db + _K_DB * a * z) / 10.0)
-        y = (1.0 - u_target) / delta
-        for i_f, rf in enumerate(ratios):
-            col_f = leff_grid[i_f]
-            if with_backward:
-                for i_b, rb in enumerate(ratios):
-                    col_b = lbeff_grid[i_b]
-                    g11 = col_f @ col_f
-                    g12 = col_f @ col_b
-                    g22 = col_b @ col_b
-                    det = g11 * g22 - g12 * g12
-                    if det <= 0:
-                        continue
-                    b1 = col_f @ y
-                    b2 = col_b @ y
-                    cf = (g22 * b1 - g12 * b2) / det
-                    cb = (g11 * b2 - g12 * b1) / det
-                    seeds.append((a, cf, cb, rf * alpha_phys, rb * alpha_phys))
-            else:
-                g11 = col_f @ col_f
-                if g11 <= 0:
-                    continue
-                cf = (col_f @ y) / g11
-                seeds.append((a, cf, 0.0, rf * alpha_phys, alpha_phys))
-    return seeds
+    rates = ratios * alpha_phys
+    col_f = p_f * (-np.expm1(-np.outer(rates, z)) / rates[:, None])
+    u_target = 10.0 ** ((target_db + _K_DB * np.outer(rates, z)) / 10.0)
+    y = (1.0 - u_target) / delta  # one de-trended target per alpha
+    g_ff = np.einsum("ij,ij->i", col_f, col_f)
+    b_f = y @ col_f.T  # (alpha, alpha_f)
+    if not with_backward:
+        keep = np.broadcast_to(g_ff > 0, b_f.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_f = b_f / g_ff
+        a, a_f = np.meshgrid(rates, rates, indexing="ij")
+        rows = (a, c_f, np.zeros_like(c_f), a_f, np.full_like(c_f, alpha_phys))
+        return np.stack(rows, axis=-1)[keep]
+    col_b = p_b * ((np.exp(-np.outer(rates, length - z))
+                    - np.exp(-rates * length)[:, None]) / rates[:, None])
+    g_bb = np.einsum("ij,ij->i", col_b, col_b)
+    g_fb = col_f @ col_b.T  # (alpha_f, alpha_b)
+    b_b = y @ col_b.T  # (alpha, alpha_b)
+    det = g_ff[:, None] * g_bb[None, :] - g_fb * g_fb
+    b_f = b_f[:, :, None]
+    b_b = b_b[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_f = (g_bb[None, None, :] * b_f - g_fb * b_b) / det
+        c_b = (g_ff[None, :, None] * b_b - g_fb * b_f) / det
+    keep = np.broadcast_to(det > 0, c_f.shape)
+    a, a_f, a_b = np.meshgrid(rates, rates, rates, indexing="ij")
+    return np.stack((a, c_f, c_b, a_f, a_b), axis=-1)[keep]
 
 
-def _fit_exponential(z, target_db, alpha_phys):
+def _seed_scores(residual, seeds):
+    """sum(residual(s)**2) for every row s of ``seeds``, in blocks.
+
+    ``residual`` broadcasts over trailing axes, so a (n_free, m, 1) stack of
+    seeds yields an (m, n_z) block of residual rows in one pass.  Blocks of
+    at most ``_SCORE_BLOCK`` seeds bound the size of the temporaries.
+    """
+    scores = np.empty(len(seeds))
+    for start in range(0, len(seeds), _SCORE_BLOCK):
+        block = seeds[start:start + _SCORE_BLOCK]
+        r = residual(block.T[:, :, None])
+        scores[start:start + len(block)] = np.sum(r * r, axis=1)
+    return scores
+
+
+def _fit_exponential(z, target_db):
     """Closed-form fit when there is no Raman coupling at all."""
-    slope = np.polyfit(z, target_db, 1)[0]  # dB per metre
-    alpha = -slope / _K_DB
-    rms = float(np.sqrt(np.mean((target_db - slope * z - np.polyval(
-        np.polyfit(z, target_db, 1), 0.0) + 0.0) ** 2))) if False else None
-    fitted_db = np.polyval(np.polyfit(z, target_db, 1), z)
-    rms = float(np.sqrt(np.mean((target_db - fitted_db) ** 2)))
+    coeffs = np.polyfit(z, target_db, 1)  # dB per metre, dB
+    alpha = -coeffs[0] / _K_DB
+    rms = float(np.sqrt(np.mean((target_db - np.polyval(coeffs, z)) ** 2)))
     return alpha, rms
 
 
@@ -295,9 +306,9 @@ def fit_profile(
     evolution: PowerEvolution,
     config: LinkConfig,
     *,
-    n_random_starts: int = 24,
+    n_random_starts: int = 0,
     n_grid: int = 12,
-    n_polish: int = 12,
+    n_polish: int = 0,
     rng_seed: int = 20260823,
     max_iterations: int = 200,
     xtol: float = 1e-10,
@@ -311,11 +322,21 @@ def fit_profile(
     configuration and are held fixed.  When there is no backward pump, c_b
     is unidentifiable and is pinned to zero.
 
+    Each channel scores the nominal guess and an ``n_grid``^3 (``n_grid``^2
+    without a backward pump) variable-projection seed grid, then polishes
+    the best-scored seed and the previous channel's solution.  With the
+    defaults that is two polishes per channel (one on the first).  An
+    exhaustive multistart is opt-in: ``n_polish`` further polishes of the
+    next-best seeds and ``n_random_starts`` uniform random starts drawn with
+    ``rng_seed`` (for example 12 and 24).
+
     Raises
     ------
     ValidationError
         If the evolution has fewer than 50 z samples or a channel's profile
         is not strictly positive.
+    NumericalError
+        If a polish fails; the message names the channel.
     """
     z = evolution.z_grid
     if z.size < 50:
@@ -346,7 +367,7 @@ def fit_profile(
         alpha_phys = span.alpha_at(f_i)
 
         if c_r == 0.0:
-            alpha_fit, rms = _fit_exponential(z, target_db, alpha_phys)
+            alpha_fit, rms = _fit_exponential(z, target_db)
             params = ProfileParams(alpha_fit, 0.0, 0.0, alpha_phys, alpha_phys,
                                    p_f, p_b, f_hat)
             fits.append(ChannelFit(params, rms, 1, True))
@@ -355,7 +376,7 @@ def fit_profile(
         delta = f_i - f_hat
         if delta == 0.0:
             # Center-frequency channel sees no tilt in this model.
-            alpha_fit, rms = _fit_exponential(z, target_db, alpha_phys)
+            alpha_fit, rms = _fit_exponential(z, target_db)
             params = ProfileParams(alpha_fit, c_r, c_r if p_b > 0 else 0.0,
                                    alpha_phys, alpha_phys, p_f, p_b, f_hat)
             fits.append(ChannelFit(params, rms, 1, True))
@@ -390,23 +411,25 @@ def fit_profile(
 
         nominal_full = {"alpha": alpha_phys, "c_f": c_r, "c_b": c_r,
                         "alpha_f": alpha_phys, "alpha_b": alpha_phys}
-        seeds = [np.array([nominal_full[n] for n in free])]
+        name_order = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
         ratios = np.geomspace(0.2, 5.0, n_grid)
         grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
                                    ratios, alpha_phys, with_backward)
-        name_order = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
-        for full in grid_seeds:
-            as_map = dict(zip(name_order, full))
-            seeds.append(np.array([as_map[n] for n in free]))
+        seeds = np.vstack([
+            [nominal_full[n] for n in free],
+            grid_seeds[:, [name_order.index(n) for n in free]],
+        ])
         random_seeds = [lo + rng.random(len(free)) * (hi - lo)
                         for _ in range(n_random_starts)]
         if prev_best is not None and prev_best.size == len(free):
             random_seeds.append(prev_best.copy())
 
-        clip = lambda s: np.clip(s, lo * (1 + 1e-9) + 0.0, hi * (1 - 1e-9))
-        seeds = [clip(s) for s in seeds]
-        scores = np.array([float(np.sum(residual(s) ** 2)) for s in seeds])
-        order = np.argsort(scores)[: 1 + n_polish]
+        # Strictly inside the bounds, whatever their signs: least_squares
+        # rejects a start on (or beyond) a bound.
+        margin = 1e-9 * (hi - lo)
+        clip = lambda s: np.clip(s, lo + margin, hi - margin)
+        seeds = clip(seeds)
+        order = np.argsort(_seed_scores(residual, seeds))[: 1 + n_polish]
         to_polish = [seeds[k] for k in order] + [clip(s) for s in random_seeds]
 
         best = None
@@ -418,15 +441,13 @@ def fit_profile(
                     xtol=xtol, ftol=ftol, gtol=1e-14,
                     max_nfev=max_iterations,
                 )
-            except Exception:
-                continue
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise NumericalError(
+                    f"channel {ch_idx}: profile fit failed: {exc}"
+                ) from exc
             rms = float(np.sqrt(np.mean(res.fun ** 2)))
             if best is None or rms < best[0]:
                 best = (rms, res)
-        if best is None:  # pragma: no cover - least_squares very rarely raises
-            raise ValidationError(
-                f"channel {ch_idx}: every fit attempt failed"
-            )
         rms, res = best
         prev_best = res.x.copy()
         a, cf, cb, af, ab = unpack(res.x)

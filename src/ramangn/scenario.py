@@ -34,7 +34,7 @@ Top-level structure::
       "budget": {"snr_ase_db": 20.0, "snr_trx_db": "infinite"},
       "coherence_epsilon": 0.0,
       "solver": {"steps": 1000},
-      "fit": {"n_random_starts": 24, "rng_seed": 1},
+      "fit": {"n_random_starts": 24, "n_polish": 12},  # opt-in multistart
       "quadrature": {"rel_tol_eta": 1e-6},
       "output": {"directory": "results"}
     }
@@ -114,9 +114,10 @@ def _quantity(value: Any, path: str) -> float:
         raise ScenarioError(f"{path}.unit: {exc}") from exc
 
 
-def _positive_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ScenarioError(f"{path}: expected a positive integer, got {value!r}")
+def _int_at_least(value: Any, path: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(
+            f"{path}: expected an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -166,7 +167,7 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
             _reject_unknown(cnode, cpath)
             channels.append(Channel(center, bandwidth, powers))
         return WdmGrid(tuple(channels))
-    count = _positive_int(_take(node, "count", path), f"{path}.count")
+    count = _int_at_least(_take(node, "count", path), f"{path}.count")
     first = _quantity(_take(node, "first_center", path), f"{path}.first_center")
     spacing = _quantity(_take(node, "spacing", path), f"{path}.spacing")
     bandwidth = _quantity(_take(node, "bandwidth", path), f"{path}.bandwidth")
@@ -222,15 +223,17 @@ def _parse_budget(node: Any, path: str) -> SnrBudget:
     return SnrBudget(snr_ase=ase, snr_trx=trx)
 
 
-_FIT_KEYS = {"n_random_starts", "n_grid", "n_polish", "rng_seed",
-             "max_iterations"}
+# Smallest accepted value per fit key: 0 extra starts is the fitter's default.
+_FIT_KEYS = {"n_random_starts": 0, "n_grid": 1, "n_polish": 0, "rng_seed": 1,
+             "max_iterations": 1}
 
 
 def _parse_fit(node: Any, path: str) -> dict:
     node = dict(_require_mapping(node, path))
     out = {}
-    for key in sorted(_FIT_KEYS & node.keys()):
-        out[key] = _positive_int(node.pop(key), f"{path}.{key}")
+    for key in sorted(_FIT_KEYS.keys() & node.keys()):
+        out[key] = _int_at_least(node.pop(key), f"{path}.{key}",
+                                 _FIT_KEYS[key])
     _reject_unknown(node, path)
     return out
 
@@ -242,7 +245,7 @@ def _parse_quadrature(node: Any, path: str) -> QuadratureSpec:
         if key in node:
             kwargs[key] = _number(node.pop(key), f"{path}.{key}")
     if "max_refinements" in node:
-        kwargs["max_refinements"] = _positive_int(
+        kwargs["max_refinements"] = _int_at_least(
             node.pop("max_refinements"), f"{path}.max_refinements")
     if "include_window" in node:
         v = node.pop("include_window")
@@ -272,7 +275,7 @@ def parse_scenario(path) -> Scenario:
     root = dict(_require_mapping(root, "<root>"))
 
     span_count = _take(root, "span_count", "<root>", 1)
-    span_count = _positive_int(span_count, "span_count")
+    span_count = _int_at_least(span_count, "span_count")
     span = _parse_span(_take(root, "span", "<root>"), "span")
     grid = _parse_grid(_take(root, "grid", "<root>"), "grid", span_count)
     pumps = _parse_pumps(_take(root, "pumps", "<root>", []), "pumps")
@@ -283,7 +286,7 @@ def parse_scenario(path) -> Scenario:
 
     solver = dict(_require_mapping(_take(root, "solver", "<root>", {}),
                                    "solver"))
-    steps = _positive_int(_take(solver, "steps", "solver", 1000),
+    steps = _int_at_least(_take(solver, "steps", "solver", 1000),
                           "solver.steps")
     _reject_unknown(solver, "solver")
 

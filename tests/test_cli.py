@@ -108,10 +108,9 @@ def test_validation_failure_exits_3(data_dir, tmp_path):
     assert _run(["solve", "--scenario", str(path)]) == 3
 
 
-@pytest.fixture(scope="module")
-def tiny_compare_scenario(tmp_path_factory):
+def _tiny_compare_payload():
     """A 2-channel pump-free scenario small enough to run the oracle."""
-    payload = {
+    return {
         "span": {
             "length_km": 80.0,
             "attenuation": {"value": 0.2, "unit": "dB/km"},
@@ -125,9 +124,22 @@ def tiny_compare_scenario(tmp_path_factory):
             "bandwidth": {"value": 0.1, "unit": "THz"},
             "launch_power": {"value": 0.0, "unit": "dBm"},
         },
-        "quadrature": {"max_refinements": 1},
     }
+
+
+@pytest.fixture(scope="module")
+def tiny_compare_scenario(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "tiny.json"
+    path.write_text(json.dumps(_tiny_compare_payload()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def unconverged_compare_scenario(tmp_path_factory):
+    """The tiny scenario with one refinement: both oracle rows stop short."""
+    payload = _tiny_compare_payload()
+    payload["quadrature"] = {"max_refinements": 1}
+    path = tmp_path_factory.mktemp("cli") / "unconverged.json"
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -145,13 +157,25 @@ def test_compare_gate_pass_and_fail(tiny_compare_scenario, tmp_path):
     assert rc == 5
 
 
-def test_compare_non_finite_oracle_exits_4(tiny_compare_scenario, tmp_path,
-                                           monkeypatch):
+def test_compare_gate_fails_on_unconverged_rows(unconverged_compare_scenario,
+                                                tmp_path, capsys):
+    rc = _run(["compare", "--scenario", unconverged_compare_scenario,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "2 unconverged rows" in capsys.readouterr().out
+    rc = _run(["compare", "--scenario", unconverged_compare_scenario,
+               "--out", str(tmp_path), "--gate-db", "1.0"])
+    assert rc == 5
+    assert "channel(s) [0, 1]" in capsys.readouterr().err
+
+
+def test_compare_non_finite_oracle_exits_4(unconverged_compare_scenario,
+                                           tmp_path, monkeypatch):
     from ramangn import oracle
 
     monkeypatch.setattr(oracle, "eta_spm_numeric", lambda *a, **kw:
                         oracle.EtaEstimate(float("nan"), 0.0, True))
-    rc = _run(["compare", "--scenario", tiny_compare_scenario,
+    rc = _run(["compare", "--scenario", unconverged_compare_scenario,
                "--out", str(tmp_path), "--gate-db", "1.0"])
     assert rc == 4
 

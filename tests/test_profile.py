@@ -21,9 +21,11 @@ from ramangn import (
     fit_profile,
     tilt_integral,
 )
-from ramangn.profile import ProfileParams
-from ramangn.raman import PowerEvolution
-from ramangn.errors import ValidationError
+from ramangn import profile
+from ramangn.profile import (ProfileParams, _residual_and_jac, _seed_scores,
+                             _varpro_seeds, shared_fit_context)
+from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
+from ramangn.errors import NumericalError, ValidationError
 
 from conftest import ALPHA_02_DB_KM
 
@@ -163,3 +165,158 @@ def test_fit_report_json_round_trip():
     assert payload["channels"][0]["params"]["alpha"] == pytest.approx(
         report.channel_fits[0].params.alpha
     )
+
+
+def test_pump_free_fit_is_exact_on_exponential_data():
+    alpha = 1.3 * ALPHA_02_DB_KM
+    span = FiberSpan(length=_L, beta2=-21.7e-27, beta3=0.0, gamma=1.2e-3,
+                     attenuation=alpha, raman_slope=0.0)
+    grid = WdmGrid((Channel(193.0e12, 100e9, (1e-3,)),))
+    cfg = LinkConfig(span=span, span_count=1, grid=grid, pumps=())
+    z = np.linspace(0.0, _L, 501)
+    evo = PowerEvolution(z_grid=z, powers=1e-3 * np.exp(-alpha * z)[None, :],
+                         frequencies=grid.frequencies, n_channels=1,
+                         span_index=0)
+    (cf,) = fit_profile(evo, cfg).channel_fits
+    assert cf.params.alpha == pytest.approx(alpha, rel=1e-12)
+    assert cf.rms_db <= 1e-12
+
+
+def test_least_squares_failure_names_the_channel(monkeypatch):
+    cfg, evo = _synthetic_setup(_params())
+
+    def failing(*args, **kwargs):
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setattr(profile, "least_squares", failing)
+    with pytest.raises(NumericalError, match="channel 0"):
+        fit_profile(evo, cfg)
+
+
+# Channels 0 and 39 of the reference grid: the band edges, where the tilt is
+# strongest, with its 0.6 W backward pump or a 0.3 W forward pump instead.
+@pytest.fixture(scope="module", params=["backward", "forward"])
+def edge_pair(request, reference_scenario):
+    link = reference_scenario.link
+    pumps = link.pumps
+    if request.param == "forward":
+        pumps = tuple(Pump(p.frequency, 0.3, Direction.FORWARD, p.attenuation)
+                      for p in pumps)
+    grid = WdmGrid((link.grid.channels[0], link.grid.channels[39]))
+    cfg = LinkConfig(span=link.span, span_count=1, grid=grid, pumps=pumps)
+    return cfg, solve_power_evolution(cfg, steps=1000)
+
+
+def _fit_inputs(cfg, evo, ch):
+    """The per-channel quantities fit_profile hands to its helpers."""
+    p_f, p_b, f_hat = shared_fit_context(evo, cfg)
+    f_i = cfg.grid.channels[ch].center_frequency
+    target_db = 10.0 * np.log10(normalized_profile(evo, ch))
+    alpha_phys = cfg.span.alpha_at(f_i)
+    if p_b > 0:
+        free = ["alpha", "c_f", "c_b", "alpha_f", "alpha_b"]
+        fixed = {}
+    else:
+        free = ["alpha", "c_f", "alpha_f"]
+        fixed = {"c_b": 0.0, "alpha_b": alpha_phys}
+    return dict(length=cfg.span.length, z=evo.z_grid, target_db=target_db,
+                delta=f_i - f_hat, f_hat=f_hat, p_f=p_f, p_b=p_b,
+                alpha_phys=alpha_phys,
+                free=free, fixed=fixed)
+
+
+def _grid_seeds(inp, ratios):
+    return _varpro_seeds(inp["length"], inp["z"], inp["target_db"],
+                         inp["delta"], inp["p_f"], inp["p_b"], ratios,
+                         inp["alpha_phys"], inp["p_b"] > 0)
+
+
+def test_batched_seed_scores_match_residual(edge_pair):
+    cfg, evo = edge_pair
+    inp = _fit_inputs(cfg, evo, 1)
+    residual, _, _ = _residual_and_jac(
+        inp["length"], inp["z"], inp["target_db"], inp["delta"], inp["p_f"],
+        inp["p_b"], inp["free"], inp["fixed"])
+    names = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
+    cols = [names.index(n) for n in inp["free"]]
+    seeds = _grid_seeds(inp, np.geomspace(0.2, 5.0, 6))[:, cols]
+    # A strongly negative slope on the pumped term drives the linearized
+    # profile below the clamp, so the 1e3 penalty is part of the score.
+    slope = "c_b" if inp["p_b"] > 0 else "c_f"
+    penalty = seeds[0].copy()
+    penalty[inp["free"].index(slope)] = -10.0 * cfg.span.raman_slope
+    full = dict(zip(inp["free"], penalty), **inp["fixed"])
+    tilted = eval_profile_taylor(
+        ProfileParams(**full, p_f=inp["p_f"], p_b=inp["p_b"],
+                      f_hat=inp["f_hat"]),
+        inp["z"], inp["f_hat"] + inp["delta"], inp["length"])
+    assert np.min(tilted) < 0.0
+    seeds = np.vstack([seeds, penalty])
+    assert len(seeds) > 32  # more than one scoring block
+
+    batched = _seed_scores(residual, seeds)
+    looped = np.array([np.sum(residual(s) ** 2) for s in seeds])
+    assert np.allclose(batched, looped, rtol=1e-12, atol=0.0)
+    assert batched[-1] > 1e3 * batched[0]
+
+
+def test_seed_grid_solves_the_linear_slopes(edge_pair):
+    cfg, evo = edge_pair
+    inp = _fit_inputs(cfg, evo, 0)
+    ratios = np.geomspace(0.2, 5.0, 5)
+    seeds = _grid_seeds(inp, ratios)
+    z, n = inp["z"], ratios.size
+    with_backward = inp["p_b"] > 0
+    assert seeds.shape == ((n ** 3 if with_backward else n ** 2), 5)
+    rates = ratios * inp["alpha_phys"]
+    for i_a, i_f, i_b in [(0, 0, 0), (1, 4, 2), (2, 2, 2), (4, 1, 3),
+                          (3, 0, 4)]:
+        if not with_backward:
+            i_b = 0
+        row = seeds[(i_a * n + i_f) * n + i_b if with_backward
+                    else i_a * n + i_f]
+        a, a_f = rates[i_a], rates[i_f]
+        a_b = rates[i_b] if with_backward else inp["alpha_phys"]
+        assert row[[0, 3, 4]] == pytest.approx([a, a_f, a_b], rel=1e-15)
+        u_target = 10.0 ** ((inp["target_db"] + 10.0 / math.log(10.0)
+                             * a * z) / 10.0)
+        y = (1.0 - u_target) / inp["delta"]
+        cols = [inp["p_f"] * effective_length(z, a_f)]
+        if with_backward:
+            cols.append(inp["p_b"]
+                        * backward_effective_length(z, inp["length"], a_b))
+        coef = np.linalg.lstsq(np.column_stack(cols), y, rcond=None)[0]
+        expected = [coef[0], coef[1] if with_backward else 0.0]
+        assert row[1:3] == pytest.approx(expected, rel=1e-9)
+
+
+def test_default_fit_matches_exhaustive_multistart(edge_pair):
+    cfg, evo = edge_pair
+    default = fit_profile(evo, cfg)
+    exhaustive = fit_profile(evo, cfg, n_random_starts=24, n_polish=12)
+    for got, ref in zip(default.channel_fits, exhaustive.channel_fits):
+        assert got.rms_db == pytest.approx(ref.rms_db, abs=1e-9)
+        assert got.converged
+
+
+def test_every_start_lies_strictly_inside_the_bounds(edge_pair, monkeypatch):
+    cfg, evo = edge_pair
+    real = profile.least_squares
+    calls = []
+
+    def spy(fun, x0, *args, bounds, **kwargs):
+        lo, hi = bounds
+        inside = bool(np.all(lo < x0) and np.all(x0 < hi))
+        try:
+            result = real(fun, x0, *args, bounds=bounds, **kwargs)
+        except Exception as exc:  # recorded, then re-raised
+            calls.append((inside, exc))
+            raise
+        calls.append((inside, None))
+        return result
+
+    monkeypatch.setattr(profile, "least_squares", spy)
+    fit_profile(evo, cfg, n_random_starts=24, n_polish=12)
+    assert len(calls) == 2 * (1 + 12 + 24) + 1
+    assert all(inside for inside, _ in calls)
+    assert [exc for _, exc in calls if exc is not None] == []

@@ -154,6 +154,21 @@ def test_solver_fit_quadrature_sections(tmp_path):
     assert sc.quadrature.include_window is False
 
 
+def test_fit_start_counts_accept_zero(tmp_path):
+    payload = _base_payload()
+    payload["fit"] = {"n_random_starts": 0, "n_polish": 0}
+    sc = parse_scenario(_write(tmp_path, payload))
+    assert sc.fit_overrides == {"n_polish": 0, "n_random_starts": 0}
+    for key in ("n_random_starts", "n_polish"):
+        payload["fit"] = {key: -1}
+        with pytest.raises(ScenarioError, match=f"fit.{key}"):
+            parse_scenario(_write(tmp_path, payload))
+    for key in ("n_grid", "max_iterations"):
+        payload["fit"] = {key: 0}
+        with pytest.raises(ScenarioError, match=f"fit.{key}"):
+            parse_scenario(_write(tmp_path, payload))
+
+
 def test_unknown_fit_key_rejected(tmp_path):
     payload = _base_payload()
     payload["fit"] = {"optimizer": "lm"}
