@@ -4,6 +4,15 @@ Builds the per-channel tilt decomposition of the linearized power profile,
 evaluates the closed-form link function and the XPM/SPM contributions, and
 assembles per-channel eta and SNR.
 
+The SPM and XPM brackets are double sums over the three tilt terms (l, l').
+The rate weights Upsilon_l Upsilon_l' / (alpha_l + alpha_l') and the
+endpoint products are symmetric in (l, l') (the kappa_f kappa_b difference
+antisymmetric), so the double sum contracts, per channel, to three weights
+on the arctan/arcsinh terms plus one tail constant (``_contract``) before
+any channel pair is formed.  The whole-grid kernel is then launch-power
+free; ``eta_total`` evaluates it once and applies the per-span powers as
+sum_j P_{k,j}^2.
+
 Sign note: the sin-weighted tail term appears in several published variants
 with an inconsistent sign.  The implementation below uses the sign that
 reproduces the unambiguous complex-modulus form of the link function
@@ -15,12 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import Channel, FiberSpan, LinkConfig, SnrBudget, WdmGrid
+from .domain import (Channel, FiberSpan, LinkConfig, SnrBudget, WdmGrid,
+                     write_text)
 from .errors import (DegenerateDispersionError, DegenerateTiltError,
                      NumericalError, ValidationError)
 from .profile import ProfileParams
@@ -32,11 +43,6 @@ _TILT_EPS = 1e-12
 _PHI_EPS = 1e-30
 _XPM_PREF = 32.0 / 27.0
 _SPM_PREF = 16.0 / 27.0
-
-
-def _sign(x: float) -> float:
-    """sign with sign(0) := 0."""
-    return 0.0 if x == 0.0 else math.copysign(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,57 @@ class PhaseMismatch:
     phi_ik: Optional[float] = None
 
 
+_PARAM_COLUMNS = attrgetter(*(f.name for f in fields(ProfileParams)))
+
+
+def _terms_arrays(params: Sequence[ProfileParams], f, length: float):
+    """Tilt decomposition of every channel at once.
+
+    ``params[i]`` is channel i's fit and ``f[i]`` its absolute frequency.
+    Returns a dict of per-channel arrays: ``t_f``, ``t_b``, ``t_total``,
+    ``alpha``, ``alpha_f``, ``alpha_b`` of shape (n,) and ``upsilon``,
+    ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one column per
+    ``INDEX_PAIRS`` entry.
+
+    Raises
+    ------
+    DegenerateTiltError
+        If a channel's total tilt factor T is numerically zero (its
+        linearized profile crosses zero inside the span).
+    """
+    (alpha, c_f, c_b, alpha_f, alpha_b, p_f, p_b,
+     f_hat) = np.array([_PARAM_COLUMNS(p) for p in params], dtype=float).T
+    f = np.asarray(f, dtype=float)
+    delta = f - f_hat
+    t_f = -p_f * c_f * delta / alpha_f
+    t_b = -p_b * c_b * delta / alpha_b
+    e_b = np.exp(-alpha_b * length)
+    t_total = 1.0 + t_f - t_b * e_b
+    bad = np.flatnonzero(np.abs(t_total) < _TILT_EPS)
+    if bad.size:
+        raise DegenerateTiltError(
+            f"total tilt factor T = {t_total[bad[0]]:.3e} is numerically "
+            f"zero for channel(s) {bad.tolist()} (f = {f[bad[0]]:.6e} Hz); "
+            "the linearized profile crosses zero inside the span"
+        )
+    e_a = np.exp(-alpha * length)
+    ones = np.ones_like(alpha)
+    return dict(
+        t_f=t_f, t_b=t_b, t_total=t_total,
+        upsilon=np.stack([t_total, -t_f, t_b], axis=-1),
+        alpha_l=np.stack([alpha, alpha + alpha_f, alpha - alpha_b], axis=-1),
+        kappa_f=np.stack([e_a, np.exp(-(alpha + alpha_f) * length), e_a],
+                         axis=-1),
+        kappa_b=np.stack([ones, ones, e_b], axis=-1),
+        alpha=alpha, alpha_f=alpha_f, alpha_b=alpha_b,
+    )
+
+
 def closed_form_terms(params: ProfileParams, f_i: float, length: float
                       ) -> ClosedFormTerms:
     """Tilt decomposition for a channel at absolute frequency ``f_i``.
+
+    The one-channel view of ``_terms_arrays``.
 
     Raises
     ------
@@ -91,33 +145,10 @@ def closed_form_terms(params: ProfileParams, f_i: float, length: float
         If the total tilt factor T is numerically zero (the linearized
         profile crosses zero inside the span).
     """
-    delta = f_i - params.f_hat
-    t_f = -params.p_f * params.c_f * delta / params.alpha_f
-    t_b = -params.p_b * params.c_b * delta / params.alpha_b
-    t_total = 1.0 + t_f - t_b * math.exp(-params.alpha_b * length)
-    if abs(t_total) < _TILT_EPS:
-        raise DegenerateTiltError(
-            f"total tilt factor T = {t_total:.3e} is numerically zero; "
-            "the linearized profile crosses zero inside the span"
-        )
-    upsilon = np.array([t_total, -t_f, t_b])
-    alpha_l = np.array([
-        params.alpha,
-        params.alpha + params.alpha_f,
-        params.alpha - params.alpha_b,
-    ])
-    kappa_f = np.array([
-        math.exp(-params.alpha * length),
-        math.exp(-(params.alpha + params.alpha_f) * length),
-        math.exp(-params.alpha * length),
-    ])
-    kappa_b = np.array([1.0, 1.0, math.exp(-params.alpha_b * length)])
-    return ClosedFormTerms(
-        t_f=t_f, t_b=t_b, t_total=t_total,
-        upsilon=upsilon, alpha_l=alpha_l, kappa_f=kappa_f, kappa_b=kappa_b,
-        alpha=params.alpha, alpha_f=params.alpha_f, alpha_b=params.alpha_b,
-        length=length,
-    )
+    t = _terms_arrays((params,), (f_i,), length)
+    return ClosedFormTerms(length=length,
+                           **{k: v[0] if v.ndim == 2 else float(v[0])
+                              for k, v in t.items()})
 
 
 def tilt_reconstruction(terms: ClosedFormTerms, zeta):
@@ -135,6 +166,18 @@ def tilt_reconstruction(terms: ClosedFormTerms, zeta):
     return out if out.ndim else float(out)
 
 
+def _phi_self(span: FiberSpan, f_i):
+    """Self-channel phase factor phi_i at offset(s) ``f_i``."""
+    return -4.0 * math.pi ** 2 * (span.beta2
+                                  + 2.0 * math.pi * span.beta3 * f_i)
+
+
+def _phi_pair(span: FiberSpan, f_i, f_k):
+    """Pair phase factor phi_ik at offsets ``f_i``, ``f_k`` (broadcasting)."""
+    return (-4.0 * math.pi ** 2 * (f_k - f_i)
+            * (span.beta2 + math.pi * span.beta3 * (f_i + f_k)))
+
+
 def phase_mismatch(span: FiberSpan, f_i: float, f_k: Optional[float] = None
                    ) -> PhaseMismatch:
     """Dispersion phase factors; ``f_i``/``f_k`` are offsets (Hz) from the
@@ -145,12 +188,10 @@ def phase_mismatch(span: FiberSpan, f_i: float, f_k: Optional[float] = None
     DegenerateDispersionError
         If an interferer is given and the pair factor vanishes.
     """
-    b2, b3 = span.beta2, span.beta3
-    phi_i = -4.0 * math.pi ** 2 * (b2 + 2.0 * math.pi * b3 * f_i)
+    phi_i = _phi_self(span, f_i)
     phi_ik = None
     if f_k is not None:
-        phi_ik = (-4.0 * math.pi ** 2 * (f_k - f_i)
-                  * (b2 + math.pi * b3 * (f_i + f_k)))
+        phi_ik = _phi_pair(span, f_i, f_k)
         if abs(phi_ik) < _PHI_EPS:
             raise DegenerateDispersionError(
                 f"pair phase factor vanishes for offsets "
@@ -159,20 +200,27 @@ def phase_mismatch(span: FiberSpan, f_i: float, f_k: Optional[float] = None
     return PhaseMismatch(phi_i=phi_i, phi_ik=phi_ik)
 
 
-def _check_rate_sums(terms: ClosedFormTerms) -> np.ndarray:
-    """Pairwise alpha_l + alpha_l' matrix; rejects near-cancellation.
+def _check_rate_sums(upsilon, alpha_l, alpha) -> np.ndarray:
+    """Pairwise alpha_l + alpha_l' matrices; rejects near-cancellation.
 
-    Index pairs whose Upsilon weight is exactly zero do not contribute and
-    are exempt from the check (their rate sum may legitimately vanish,
-    e.g. alpha_l = alpha - alpha_b = 0 in the pump-free reduction).
+    ``upsilon`` and ``alpha_l`` hold the three terms on their last axis,
+    with optional leading channel axes that ``alpha`` (each channel's own
+    rate) matches.  A rate sum is rejected below 1e-6 of its channel's
+    alpha.  Index pairs whose Upsilon weight is exactly zero do not
+    contribute and are exempt from the check (their rate sum may
+    legitimately vanish, e.g. alpha_l = alpha - alpha_b = 0 in the
+    pump-free reduction).
     """
-    a = terms.alpha_l
-    ab = a[:, None] + a[None, :]
-    up = terms.upsilon
-    active = (up[:, None] * up[None, :]) != 0.0
-    if np.any(active & (np.abs(ab) < 1e-6 * terms.alpha)):
+    ab = alpha_l[..., :, None] + alpha_l[..., None, :]
+    active = (upsilon[..., :, None] * upsilon[..., None, :]) != 0.0
+    bad = active & (np.abs(ab) < 1e-6 * np.asarray(alpha)[..., None, None])
+    if np.any(bad):
+        where = ""
+        if bad.ndim > 2:
+            channels = np.flatnonzero(bad.any(axis=(-2, -1))).tolist()
+            where = f" for channel(s) {channels}"
         raise NumericalError(
-            "a pairwise rate sum alpha_l + alpha_l' nearly vanishes; "
+            f"a pairwise rate sum alpha_l + alpha_l' nearly vanishes{where}; "
             "the closed form is numerically undefined for these parameters"
         )
     return np.where(active, ab, 1.0)
@@ -184,7 +232,7 @@ def mu_closed(phi, terms: ClosedFormTerms):
     ``phi`` (1/m) may be a scalar or an array.  All tilt factors are
     evaluated at the channel under test (single-profile substitution).
     """
-    _check_rate_sums(terms)
+    _check_rate_sums(terms.upsilon, terms.alpha_l, terms.alpha)
     phi_arr = np.asarray(phi, dtype=float)
     p = phi_arr[..., None, None]
     a = terms.alpha_l
@@ -212,7 +260,7 @@ def mu_closed(phi, terms: ClosedFormTerms):
 
 def mu_closed_complex(phi, terms: ClosedFormTerms):
     """Link function via the complex-modulus form (cross-check path)."""
-    _check_rate_sums(terms)
+    _check_rate_sums(terms.upsilon, terms.alpha_l, terms.alpha)
     phi_arr = np.asarray(phi, dtype=float)
     p = phi_arr[..., None]
     active = terms.upsilon != 0.0
@@ -231,20 +279,67 @@ def mu_closed_complex(phi, terms: ClosedFormTerms):
     return out if out.ndim else float(out)
 
 
-def _pair_factors(terms: ClosedFormTerms):
-    a = terms.alpha_l
-    up = terms.upsilon
-    kf, kb = terms.kappa_f, terms.kappa_b
-    uu = up[:, None] * up[None, :]
-    ab = _check_rate_sums(terms)
-    kff = kf[:, None] * kf[None, :] + kb[:, None] * kb[None, :]
-    kfb_p = kf[:, None] * kb[None, :] + kb[:, None] * kf[None, :]
-    kfb_m = kf[:, None] * kb[None, :] - kb[:, None] * kf[None, :]
-    e_al = np.exp(-np.abs(a * terms.length))
+def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
+    """Contract the SPM/XPM bracket's (l, l') double sum, per channel.
+
+    Arguments carry the three terms on their last axis, with optional
+    leading channel axes (``alpha`` and the returned ``tail`` have only
+    the channel axes).  With w = Upsilon_l Upsilon_l' / (alpha_l +
+    alpha_l'), the bracket sum_{l,l'} w [...] equals
+
+        sum_l g_l weight_l - c sign(phi) tail,
+
+    where g_l is the arcsinh (SPM) or arctan (XPM) term of rate alpha_l
+    and c is 4 log_w (SPM) or pi (XPM).  Returns (weight, tail, rate);
+    ``rate`` is alpha_l with a subnormal stand-in for zero rates.
+    """
+    ab = _check_rate_sums(upsilon, alpha_l, alpha)
+    w = upsilon[..., :, None] * upsilon[..., None, :] / ab
+    kf, kf_t = kappa_f[..., :, None], kappa_f[..., None, :]
+    kb, kb_t = kappa_b[..., :, None], kappa_b[..., None, :]
+    e_al = np.exp(-np.abs(alpha_l * length))
+    # w (kf kf' + kb kb') and w (kf kb' + kb kf') are symmetric in (l, l'),
+    # w (kf kb' - kb kf') antisymmetric: each pairwise sum folds onto l.
+    weight = 4.0 * np.sum(w * (kf * kf_t + kb * kb_t), axis=-1)
+    sym = np.sum(w * (kf * kb_t + kb * kf_t), axis=-1)
+    anti = np.sum(w * (kf * kb_t - kb * kf_t), axis=-1)
+    tail = 2.0 * np.sum(e_al * (np.sign(alpha_l) * sym - anti), axis=-1)
     # A vanishing rate only occurs in zero-weight terms or at the atan/asinh
-    # limit points; a tiny stand-in keeps the arguments finite either way.
-    a_div = np.where(a == 0.0, 1e-300, a)
-    return a_div, uu, ab, kff, kfb_p, kfb_m, e_al
+    # limit points; a subnormal stand-in saturates those arguments to +-inf,
+    # their limiting value (the overflow in the divide is intended).
+    rate = np.where(alpha_l == 0.0, 1e-300, alpha_l)
+    return weight, tail, rate
+
+
+def _terms_contracted(terms: ClosedFormTerms):
+    return _contract(terms.upsilon, terms.alpha_l, terms.kappa_f,
+                     terms.kappa_b, terms.alpha, terms.length)
+
+
+def _xpm_sum(phi_ik, b_i, contracted):
+    """XPM bracket sum from the interferer's contraction.
+
+    ``phi_ik`` and ``b_i`` broadcast against the contraction's channel
+    axes (the interferer k).
+    """
+    weight, tail, rate = contracted
+    phi_ik = np.asarray(phi_ik)
+    with np.errstate(over="ignore"):
+        at = np.arctan(phi_ik[..., None] * np.asarray(b_i)[..., None]
+                       / (2.0 * rate))
+    return np.sum(at * weight, axis=-1) - math.pi * np.sign(phi_ik) * tail
+
+
+def _spm_sum(phi_i, b_i, length, contracted):
+    """SPM bracket sum from the channel's own contraction."""
+    weight, tail, rate = contracted
+    phi_i = np.asarray(phi_i)
+    b_i = np.asarray(b_i)
+    with np.errstate(over="ignore"):
+        ash = np.arcsinh(3.0 * phi_i[..., None] * b_i[..., None] ** 2
+                         / (8.0 * math.pi * rate))
+    log_w = np.log(np.sqrt(np.abs(phi_i) * length / (2.0 * math.pi)) * b_i)
+    return np.sum(ash * weight, axis=-1) - 4.0 * log_w * np.sign(phi_i) * tail
 
 
 def eta_xpm_pair(
@@ -269,24 +364,12 @@ def eta_xpm_pair(
     if phase.phi_ik is None:
         raise ValidationError("phase mismatch lacks the pair factor phi_ik")
     phi_ik = phase.phi_ik
-    b_i = channel_i.bandwidth
-    b_k = channel_k.bandwidth
     p_i = channel_i.launch_power_per_span[span_index]
     p_k = channel_k.launch_power_per_span[span_index]
-
-    a, uu, ab, kff, kfb_p, kfb_m, e_al = _pair_factors(terms)
-    at = np.arctan(phi_ik * b_i / (2.0 * a))
-    main = at[:, None] + at[None, :]
-    sgn_a = np.sign(terms.alpha_l) * _sign(phi_ik)
-    ca = sgn_a * e_al
-    cos_tail = ca[:, None] + ca[None, :]
-    sin_tail = (_sign(-phi_ik) * e_al[:, None]
-                + _sign(phi_ik) * e_al[None, :])
-    bracket = (2.0 * kff * main
-               - math.pi * (kfb_p * cos_tail + kfb_m * sin_tail))
-    total = float(np.sum(uu * bracket / ab))
+    total = float(_xpm_sum(phi_ik, channel_i.bandwidth,
+                           _terms_contracted(terms)))
     return (n * _XPM_PREF * span.gamma ** 2 * (p_k / p_i) ** 2
-            / (phi_ik * b_k) * total)
+            / (phi_ik * channel_k.bandwidth) * total)
 
 
 def eta_spm(
@@ -311,20 +394,8 @@ def eta_spm(
     b_i = channel_i.bandwidth
     if b_i <= 0 or terms.length <= 0:
         raise ValidationError("SPM needs positive bandwidth and span length")
-
-    a, uu, ab, kff, kfb_p, kfb_m, e_al = _pair_factors(terms)
-    ash = np.arcsinh(3.0 * phi_i * b_i ** 2 / (8.0 * math.pi * a))
-    main = ash[:, None] + ash[None, :]
-    log_w = math.log(math.sqrt(abs(phi_i) * terms.length / (2.0 * math.pi))
-                     * b_i)
-    sgn_a = np.sign(terms.alpha_l) * _sign(phi_i)
-    ca = sgn_a * e_al
-    cos_tail = ca[:, None] + ca[None, :]
-    sin_tail = (_sign(-phi_i) * e_al[:, None]
-                + _sign(phi_i) * e_al[None, :])
-    bracket = (2.0 * kff * main
-               - 4.0 * log_w * (kfb_p * cos_tail + kfb_m * sin_tail))
-    total = float(np.sum(uu * bracket / ab))
+    total = float(_spm_sum(phi_i, b_i, terms.length,
+                           _terms_contracted(terms)))
     return (n ** (1.0 + epsilon) * _SPM_PREF * math.pi * span.gamma ** 2
             / (b_i ** 2 * phi_i) * total)
 
@@ -376,7 +447,7 @@ class NliReport:
                  "snr_nli_db,snr_db"
         text = header + "\n" + "\n".join(",".join(r) for r in self._rows()) \
             + "\n"
-        return _emit(text, path_or_buf)
+        return write_text(text, path_or_buf)
 
     def to_json(self, path_or_buf=None) -> str:
         payload = {
@@ -398,168 +469,62 @@ class NliReport:
             ],
             "degenerate_pairs": [list(p) for p in self.degenerate_pairs],
         }
-        return _emit(json.dumps(payload, indent=2) + "\n", path_or_buf)
+        return write_text(json.dumps(payload, indent=2) + "\n", path_or_buf)
 
 
-def _emit(text, path_or_buf):
-    if path_or_buf is None:
-        return text
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_buf.write(text)
-    return text
+def _kernel(config: LinkConfig, fit):
+    """Launch-power-free single-span eta of the whole grid.
 
-
-def _terms_arrays(fit, grid: WdmGrid, length: float):
-    ups = np.empty((grid.n_channels, 3))
-    al = np.empty_like(ups)
-    kf = np.empty_like(ups)
-    kb = np.empty_like(ups)
-    for i, ch in enumerate(grid.channels):
-        t = closed_form_terms(fit.channel_fits[i].params,
-                              ch.center_frequency, length)
-        ups[i] = t.upsilon
-        al[i] = t.alpha_l
-        kf[i] = t.kappa_f
-        kb[i] = t.kappa_b
-    return ups, al, kf, kb
-
-
-def _eta_arrays_vectorized(config: LinkConfig, fit, span_powers: np.ndarray):
-    """Per-span SPM and pairwise-XPM eta arrays, fully vectorized.
-
-    Returns (eta_spm_unit, eta_xpm_matrix, degenerate_pairs) for a single
-    span with launch powers ``span_powers``; no n or epsilon factors.
+    Returns (spm, xpm, degenerate_pairs): ``spm[i]`` is channel i's SPM
+    eta and ``xpm[i, k]`` interferer k's XPM eta onto channel i, both for
+    one span and equal powers P_k = P_i; degenerate pairs hold 0.
     """
     span = config.span
     grid = config.grid
-    n_ch = grid.n_channels
     length = span.length
-    f_ref = grid.band_center
-    f_off = grid.frequencies - f_ref
+    f_off = grid.frequencies - grid.band_center
     b = grid.bandwidths
-    p = span_powers
+    t = _terms_arrays([cf.params for cf in fit.channel_fits],
+                      grid.frequencies, length)
+    contracted = _contract(t["upsilon"], t["alpha_l"], t["kappa_f"],
+                           t["kappa_b"], t["alpha"], length)
 
-    ups, al, kf, kb = _terms_arrays(fit, grid, length)
-    ab = al[:, :, None] + al[:, None, :]
-    uu = ups[:, :, None] * ups[:, None, :]
-    active = uu != 0.0
-    alpha_min = min(fit.channel_fits[i].params.alpha for i in range(n_ch))
-    if np.any(active & (np.abs(ab) < 1e-6 * alpha_min)):
-        raise NumericalError(
-            "a pairwise rate sum alpha_l + alpha_l' nearly vanishes"
-        )
-    ab = np.where(active, ab, 1.0)
-    kff = kf[:, :, None] * kf[:, None, :] + kb[:, :, None] * kb[:, None, :]
-    kfb_p = kf[:, :, None] * kb[:, None, :] + kb[:, :, None] * kf[:, None, :]
-    kfb_m = kf[:, :, None] * kb[:, None, :] - kb[:, :, None] * kf[:, None, :]
-    e_al = np.exp(-np.abs(al * length))
-    w = np.where(active, uu / ab, 0.0)
-    sgn_al = np.sign(al)
-    # zero-rate terms get a subnormal placeholder so the arctan/arcsinh
-    # arguments below saturate to +-inf (their correct limiting value);
-    # the resulting overflow in the divide is intended
-    al_div = np.where(al == 0.0, 1e-300, al)
-
-    # SPM (per channel)
-    phi_i = -4.0 * math.pi ** 2 * (span.beta2
-                                   + 2.0 * math.pi * span.beta3 * f_off)
+    phi_i = _phi_self(span, f_off)
     if np.any(phi_i == 0.0):
         raise DegenerateDispersionError(
             "phi_i vanishes for at least one channel"
         )
-    with np.errstate(over="ignore"):
-        ash = np.arcsinh(3.0 * phi_i[:, None] * b[:, None] ** 2
-                         / (8.0 * math.pi * al_div))
-    main = ash[:, :, None] + ash[:, None, :]
-    log_w = np.log(np.sqrt(np.abs(phi_i) * length / (2.0 * math.pi)) * b)
-    ca = sgn_al * np.sign(phi_i)[:, None] * e_al
-    cos_tail = ca[:, :, None] + ca[:, None, :]
-    sin_tail = (np.sign(-phi_i)[:, None, None] * e_al[:, :, None]
-                + np.sign(phi_i)[:, None, None] * e_al[:, None, :])
-    bracket = 2.0 * kff * main - 4.0 * log_w[:, None, None] * (
-        kfb_p * cos_tail + kfb_m * sin_tail)
-    eta_spm_unit = (_SPM_PREF * math.pi * span.gamma ** 2
-                    / (b ** 2 * phi_i) * np.sum(w * bracket, axis=(1, 2)))
+    spm = (_SPM_PREF * math.pi * span.gamma ** 2 / (b ** 2 * phi_i)
+           * _spm_sum(phi_i, b, length, contracted))
 
-    # XPM (per ordered pair (i, k))
-    df = f_off[None, :] - f_off[:, None]  # f_k - f_i
-    phi_ik = (-4.0 * math.pi ** 2 * df
-              * (span.beta2 + math.pi * span.beta3
-                 * (f_off[None, :] + f_off[:, None])))
-    off_diag = ~np.eye(n_ch, dtype=bool)
+    # pair (i, k) on axes (0, 1): the tilt decomposition is the
+    # interferer's, since the spectral integrand collapses to channel k's
+    # power profile
+    phi_ik = _phi_pair(span, f_off[:, None], f_off[None, :])
+    off_diag = ~np.eye(grid.n_channels, dtype=bool)
     degenerate = off_diag & (np.abs(phi_ik) < _PHI_EPS)
     valid = off_diag & ~degenerate
     phi_safe = np.where(valid, phi_ik, 1.0)
-
-    # The tilt decomposition for pair (i, k) is the interferer's (axis 1):
-    # the spectral integrand collapses to channel k's power profile.
-    with np.errstate(over="ignore"):
-        at = np.arctan(phi_safe[:, :, None] * b[:, None, None]
-                       / (2.0 * al_div[None, :, :]))
-    main_x = at[:, :, :, None] + at[:, :, None, :]
-    ca_x = (sgn_al[None, :, :] * np.sign(phi_safe)[:, :, None]
-            * e_al[None, :, :])
-    cos_tail_x = ca_x[:, :, :, None] + ca_x[:, :, None, :]
-    sin_tail_x = (np.sign(-phi_safe)[:, :, None, None]
-                  * e_al[None, :, :, None]
-                  + np.sign(phi_safe)[:, :, None, None]
-                  * e_al[None, :, None, :])
-    bracket_x = 2.0 * kff[None, :] * main_x - math.pi * (
-        kfb_p[None, :] * cos_tail_x + kfb_m[None, :] * sin_tail_x)
-    s = np.sum(w[None, :] * bracket_x, axis=(2, 3))
-    ratio2 = (p[None, :] / p[:, None]) ** 2
-    eta_xpm_mat = (_XPM_PREF * span.gamma ** 2 * ratio2
-                   / (phi_safe * b[None, :]) * s)
-    eta_xpm_mat = np.where(valid, eta_xpm_mat, 0.0)
+    xpm = (_XPM_PREF * span.gamma ** 2 / (phi_safe * b[None, :])
+           * _xpm_sum(phi_safe, b[:, None], contracted))
+    xpm = np.where(valid, xpm, 0.0)
     pairs = tuple((int(i), int(k)) for i, k in zip(*np.nonzero(degenerate)))
-    return eta_spm_unit, eta_xpm_mat, pairs
+    return spm, xpm, pairs
 
 
-def _eta_arrays_scalar(config: LinkConfig, fit, span_powers: np.ndarray):
-    """Scalar-loop reference path producing the same arrays."""
-    span = config.span
-    grid = config.grid
-    n_ch = grid.n_channels
-    f_ref = grid.band_center
-    eta_spm_unit = np.empty(n_ch)
-    eta_xpm_mat = np.zeros((n_ch, n_ch))
-    pairs = []
-    all_terms = [
-        closed_form_terms(fit.channel_fits[j].params,
-                          ch.center_frequency, span.length)
-        for j, ch in enumerate(grid.channels)
-    ]
-    for i, ch_i in enumerate(grid.channels):
-        fi_off = ch_i.center_frequency - f_ref
-        pm_i = phase_mismatch(span, fi_off)
-        ch_i_unit = Channel(ch_i.center_frequency, ch_i.bandwidth,
-                            (span_powers[i],))
-        eta_spm_unit[i] = eta_spm(ch_i_unit, all_terms[i], pm_i, span, 1, 0.0)
-        for k, ch_k in enumerate(grid.channels):
-            if k == i:
-                continue
-            fk_off = ch_k.center_frequency - f_ref
-            try:
-                pm = phase_mismatch(span, fi_off, fk_off)
-            except DegenerateDispersionError:
-                pairs.append((i, k))
-                continue
-            ch_k_unit = Channel(ch_k.center_frequency, ch_k.bandwidth,
-                                (span_powers[k],))
-            eta_xpm_mat[i, k] = eta_xpm_pair(ch_i_unit, ch_k_unit,
-                                             all_terms[k], pm, span, 1)
-    return eta_spm_unit, eta_xpm_mat, tuple(pairs)
-
-
-def eta_total(config: LinkConfig, fit, vectorized: bool = True) -> NliReport:
+def eta_total(config: LinkConfig, fit) -> NliReport:
     """Accumulate per-channel eta over all spans (1/W^2).
 
-    eta_n(f_i) = sum_j (P_{i,j}/P_i)^2 [eta_SPM,j n^epsilon + eta_XPM,j];
-    identical launch powers across spans take the fast path (one per-span
-    evaluation scaled by the span count).
+    eta_n(f_i) = sum_j (P_{i,j}/P_{i,0})^2 [eta_SPM,j n^epsilon
+    + eta_XPM,j], where span j's XPM terms carry (P_{k,j}/P_{i,j})^2.  With
+    the power-free single-span kernels S_i (SPM) and K_ik (XPM) this is
+
+        eta_SPM = n^epsilon S_i sum_j P_{i,j}^2 / P_{i,0}^2,
+        eta_XPM = sum_k K_ik sum_j P_{k,j}^2 / P_{i,0}^2,
+
+    so the kernels are evaluated once whatever the per-span powers.  Equal
+    powers in every span give n^{1+epsilon} S_i and n sum_k K_ik
+    (P_k/P_i)^2.
     """
     if fit.n_channels != config.grid.n_channels:
         raise ValidationError(
@@ -568,26 +533,12 @@ def eta_total(config: LinkConfig, fit, vectorized: bool = True) -> NliReport:
         )
     grid = config.grid
     n = config.span_count
-    eps = config.coherence_epsilon
-    p_ref = grid.launch_powers(0)
-    per_span = _eta_arrays_vectorized if vectorized else _eta_arrays_scalar
-
-    all_powers = [grid.launch_powers(j) for j in range(n)]
-    uniform = all(np.array_equal(all_powers[0], pj) for pj in all_powers)
-    if uniform:
-        spm_unit, xpm_mat, pairs = per_span(config, fit, all_powers[0])
-        e_spm = spm_unit * n ** (1.0 + eps)
-        e_xpm = n * np.sum(xpm_mat, axis=1)
-    else:
-        e_spm = np.zeros(grid.n_channels)
-        e_xpm = np.zeros(grid.n_channels)
-        pairs = ()
-        for j in range(n):
-            spm_unit, xpm_mat, pairs_j = per_span(config, fit, all_powers[j])
-            scale = (all_powers[j] / p_ref) ** 2
-            e_spm += scale * spm_unit * n ** eps
-            e_xpm += scale * np.sum(xpm_mat, axis=1)
-            pairs = pairs_j
+    spm, xpm, pairs = _kernel(config, fit)
+    powers = np.array([grid.launch_powers(j) for j in range(n)])
+    p2 = np.sum(powers ** 2, axis=0)
+    p_ref = powers[0]
+    e_spm = spm * n ** config.coherence_epsilon * p2 / p_ref ** 2
+    e_xpm = xpm @ p2 / p_ref ** 2
     return NliReport(
         frequencies=grid.frequencies,
         launch_powers=p_ref,

@@ -1,4 +1,4 @@
-"""Domain types and link validation.
+"""Domain types, link validation and the shared text writer.
 
 All quantities are SI (Hz, W, m, Np/m ...).  Objects are immutable after
 construction and safe to share across threads; ``validate_link`` is a pure
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -293,3 +294,19 @@ def validate_link(config: LinkConfig) -> LinkConfig:
     if diags:
         raise ValidationError(diags)
     return config
+
+
+def write_text(text: str, path_or_buf=None) -> str:
+    """Return ``text``, first writing it to ``path_or_buf`` if one is given.
+
+    A str, bytes or path-like target is opened as a UTF-8 file and
+    overwritten; anything else is taken to be a writable text buffer.
+    """
+    if path_or_buf is None:
+        return text
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        path_or_buf.write(text)
+    return text

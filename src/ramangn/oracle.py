@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .domain import Channel, FiberSpan
+from .domain import Channel, FiberSpan, write_text
 from .errors import NumericalError, ProfileDomainError, ValidationError
 from .profile import ProfileParams, tilt_integral
 
@@ -1228,16 +1228,7 @@ class ComparisonReport:
                 fmt(self.eta_numeric[i]), fmt(self.delta_db[i]),
                 fmt(self.error_estimates[i]),
             ]))
-        text = "\n".join(lines) + "\n"
-        if path_or_buf is None:
-            return text
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf,
-                                                            "__fspath__"):
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-        return text
+        return write_text("\n".join(lines) + "\n", path_or_buf)
 
 
 def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import least_squares
 
-from .domain import LinkConfig
+from .domain import LinkConfig, write_text
 from .errors import NumericalError, ValidationError
 from .raman import PowerEvolution, normalized_profile
 
@@ -145,15 +145,7 @@ class FitReport:
                 for cf in self.channel_fits
             ]
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        if path_or_buf is None:
-            return text
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-        return text
+        return write_text(json.dumps(payload, indent=2) + "\n", path_or_buf)
 
 
 def shared_fit_context(evolution: PowerEvolution, config: LinkConfig):

@@ -15,13 +15,12 @@ exactly (used by conservation tests).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import Direction, LinkConfig, validate_link
+from .domain import Direction, LinkConfig, validate_link, write_text
 from .errors import DivergenceError, ValidationError
 
 _MAX_RETRIES = 3
@@ -206,9 +205,4 @@ def evolution_to_csv(evolution: PowerEvolution, path_or_buf) -> None:
         cells = [_FLOAT_FMT.format(z)]
         cells += [_FLOAT_FMT.format(v) for v in evolution.powers[:, j]]
         rows.append(",".join(cells))
-    text = ",".join(header) + "\n" + "\n".join(rows) + "\n"
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_buf.write(text)
+    write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", path_or_buf)

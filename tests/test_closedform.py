@@ -25,10 +25,9 @@ from ramangn import (
     phase_mismatch,
     tilt_reconstruction,
 )
-from ramangn.closedform import mu_closed_complex, _eta_arrays_scalar, \
-    _eta_arrays_vectorized
+from ramangn.closedform import mu_closed_complex
 from ramangn.errors import (DegenerateDispersionError, DegenerateTiltError,
-                            ValidationError)
+                            NumericalError, ValidationError)
 from ramangn.profile import ProfileParams, tilt_integral
 
 from conftest import ALPHA_02_DB_KM
@@ -233,23 +232,187 @@ def _per_channel_params(n_ch):
                     c_b=1.2e-18 * (1 - 0.03 * i)) for i in range(n_ch)]
 
 
-def test_vectorized_matches_scalar_path():
-    cfg = _pumped_link(5)
-    fit = _fit_report(_per_channel_params(5))
-    p = cfg.grid.launch_powers(0)
-    spm_v, xpm_v, pairs_v = _eta_arrays_vectorized(cfg, fit, p)
-    spm_s, xpm_s, pairs_s = _eta_arrays_scalar(cfg, fit, p)
-    assert pairs_v == pairs_s == ()
-    assert np.allclose(spm_v, spm_s, rtol=1e-12)
-    assert np.allclose(xpm_v, xpm_s, rtol=1e-12)
+def _relinked(cfg, powers, span=None, epsilon=0.0):
+    """``cfg`` with launch powers ``powers[j, i]`` (span j, channel i)."""
+    powers = np.asarray(powers, dtype=float)
+    grid = WdmGrid(tuple(
+        Channel(c.center_frequency, c.bandwidth, tuple(powers[:, i]))
+        for i, c in enumerate(cfg.grid.channels)))
+    return LinkConfig(span=span or cfg.span, span_count=powers.shape[0],
+                      grid=grid, coherence_epsilon=epsilon)
 
 
-def test_eta_total_public_paths_agree():
+def _per_pair_reference(cfg, fit):
+    """eta per channel from the public per-pair functions, span by span.
+
+    Span j contributes (P_ij/P_i0)^2 [eta_spm n^eps + sum_k eta_xpm_pair],
+    each evaluated on one span at span j's powers; degenerate pairs are
+    skipped and collected.
+    """
+    span, grid = cfg.span, cfg.grid
+    n, f_ref = cfg.span_count, grid.band_center
+    terms = [closed_form_terms(fit.channel_fits[i].params,
+                               ch.center_frequency, span.length)
+             for i, ch in enumerate(grid.channels)]
+    eta = np.zeros(grid.n_channels)
+    pairs = set()
+    for j in range(n):
+        chans = [Channel(c.center_frequency, c.bandwidth,
+                         (c.launch_power_per_span[j],))
+                 for c in grid.channels]
+        for i, ch_i in enumerate(chans):
+            fi = ch_i.center_frequency - f_ref
+            total = eta_spm(ch_i, terms[i], phase_mismatch(span, fi), span,
+                            1, 0.0) * n ** cfg.coherence_epsilon
+            for k, ch_k in enumerate(chans):
+                if k == i:
+                    continue
+                try:
+                    pm = phase_mismatch(span, fi,
+                                        ch_k.center_frequency - f_ref)
+                except DegenerateDispersionError:
+                    pairs.add((i, k))
+                    continue
+                total += eta_xpm_pair(ch_i, ch_k, terms[k], pm, span, 1)
+            ratio = (grid.channels[i].launch_power_per_span[j]
+                     / grid.channels[i].launch_power_per_span[0])
+            eta[i] += ratio ** 2 * total
+    return eta, pairs
+
+
+def _reference_case(name):
+    """(link, fit) of one reference case; powers differ by up to +-3 dB."""
+    # four channels: offsets -0.75, -0.25, 0.25, 0.75 THz from the center
+    cfg = _pumped_link(4)
+    fit = _fit_report(_per_channel_params(4))
+    rng = np.random.default_rng(11)
+    p0 = cfg.grid.launch_powers(0)
+    powers = p0 * 10.0 ** (rng.uniform(-0.3, 0.3, (3, 4)))
+    powers[0] = p0
+    if name == "uniform":
+        return _relinked(cfg, np.tile(p0, (3, 1)), epsilon=0.05), fit
+    if name == "per_span":
+        return _relinked(cfg, powers, epsilon=0.05), fit
+    if name == "degenerate":
+        # beta2 = 0: the pairs whose offsets sum to zero are degenerate
+        return _relinked(cfg, powers[:2], span=_span(beta2=0.0)), fit
+    # pump-free fit: zero-weight terms with alpha_l = alpha - alpha_b = 0
+    a = ALPHA_02_DB_KM
+    pump_free = _fit_report([_params(c_f=0.0, c_b=0.0, alpha_f=a, alpha_b=a,
+                                     p_b=0.0)] * 4)
+    return _relinked(cfg, powers[:2]), pump_free
+
+
+@pytest.mark.parametrize("case", ["uniform", "per_span", "degenerate",
+                                  "pump_free"])
+def test_eta_total_matches_per_pair_reference(case):
+    cfg, fit = _reference_case(case)
+    report = eta_total(cfg, fit)
+    expected, pairs = _per_pair_reference(cfg, fit)
+    assert set(report.degenerate_pairs) == pairs
+    if case == "degenerate":
+        assert pairs == {(0, 3), (3, 0), (1, 2), (2, 1)}
+    else:
+        assert not pairs
+    assert np.allclose(report.eta_total, expected, rtol=1e-12, atol=0.0)
+    assert np.all(report.eta_spm > 0.0)
+
+
+@given(
+    n_spans=st.integers(min_value=2, max_value=4),
+    db=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=20,
+                max_size=20),
+    epsilon=st.sampled_from([0.0, 0.05]),
+)
+@settings(max_examples=40, deadline=None)
+def test_per_span_powers_sum_incoherently(n_spans, db, epsilon):
+    """eta = (1/n) sum_j (P_j/P_0)^2 eta_j, with eta_j the eta of the same
+    link with every span at span j's powers."""
     cfg = _pumped_link(5)
     fit = _fit_report(_per_channel_params(5))
-    fast = eta_total(cfg, fit, vectorized=True)
-    slow = eta_total(cfg, fit, vectorized=False)
-    assert np.allclose(fast.eta_total, slow.eta_total, rtol=1e-12)
+    powers = (cfg.grid.launch_powers(0)
+              * 10.0 ** (np.array(db[:5 * n_spans]).reshape(n_spans, 5) / 10))
+    report = eta_total(_relinked(cfg, powers, epsilon=epsilon), fit)
+    expected = sum(
+        (powers[j] / powers[0]) ** 2
+        * eta_total(_relinked(cfg, np.tile(powers[j], (n_spans, 1)),
+                              epsilon=epsilon), fit).eta_total
+        for j in range(n_spans)) / n_spans
+    assert np.allclose(report.eta_total, expected, rtol=1e-12, atol=0.0)
+
+
+def _double_sum_bracket(terms, phi, b_i, spm):
+    """The (l, l') double sum of the SPM/XPM bracket, term by term."""
+    a, up = terms.alpha_l, terms.upsilon
+    kf, kb = terms.kappa_f, terms.kappa_b
+    uu = np.outer(up, up)
+    active = uu != 0.0
+    w = np.where(active, uu / np.where(active, np.add.outer(a, a), 1.0), 0.0)
+    kff = np.outer(kf, kf) + np.outer(kb, kb)
+    kfb_p = np.outer(kf, kb) + np.outer(kb, kf)
+    kfb_m = np.outer(kf, kb) - np.outer(kb, kf)
+    e = np.exp(-np.abs(a * terms.length))
+    a_div = np.where(a == 0.0, 1e-300, a)
+    if spm:
+        g = np.arcsinh(3.0 * phi * b_i ** 2 / (8.0 * math.pi * a_div))
+        c = 4.0 * math.log(math.sqrt(abs(phi) * terms.length
+                                     / (2.0 * math.pi)) * b_i)
+    else:
+        g = np.arctan(phi * b_i / (2.0 * a_div))
+        c = math.pi
+    s = math.copysign(1.0, phi)
+    ca = np.sign(a) * s * e
+    bracket = (2.0 * kff * np.add.outer(g, g)
+               - c * (kfb_p * np.add.outer(ca, ca)
+                      + kfb_m * (-s * e[:, None] + s * e[None, :])))
+    return float(np.sum(w * bracket))
+
+
+@pytest.mark.parametrize("pumped", [True, False], ids=["pumped", "pump_free"])
+def test_contracted_bracket_matches_double_sum(pumped):
+    span = _span()
+    a = ALPHA_02_DB_KM
+    params = (_params() if pumped else
+              _params(c_f=0.0, c_b=0.0, alpha_f=a, alpha_b=a, p_b=0.0))
+    f_ref = 193.4e12
+    chans = (Channel(192.5e12, 100e9, (1e-3,)),
+             Channel(194.0e12, 50e9, (2e-3,)))
+    for ch_i, ch_k in (chans, chans[::-1]):
+        fi = ch_i.center_frequency - f_ref
+        pm = phase_mismatch(span, fi, ch_k.center_frequency - f_ref)
+        terms_k = closed_form_terms(params, ch_k.center_frequency, _L)
+        ratio = ch_k.launch_power_per_span[0] / ch_i.launch_power_per_span[0]
+        expected = (32.0 / 27.0 * span.gamma ** 2 * ratio ** 2
+                    / (pm.phi_ik * ch_k.bandwidth)
+                    * _double_sum_bracket(terms_k, pm.phi_ik, ch_i.bandwidth,
+                                          spm=False))
+        assert eta_xpm_pair(ch_i, ch_k, terms_k, pm, span, 1) == \
+            pytest.approx(expected, rel=1e-12)
+
+        terms_i = closed_form_terms(params, ch_i.center_frequency, _L)
+        pm_i = phase_mismatch(span, fi)
+        expected = (16.0 / 27.0 * math.pi * span.gamma ** 2
+                    / (ch_i.bandwidth ** 2 * pm_i.phi_i)
+                    * _double_sum_bracket(terms_i, pm_i.phi_i, ch_i.bandwidth,
+                                          spm=True))
+        assert eta_spm(ch_i, terms_i, pm_i, span, 1) == pytest.approx(
+            expected, rel=1e-12)
+
+
+def test_rate_sum_guard_uses_each_channels_alpha():
+    """A rate sum of 5e-7 of a channel's own alpha is rejected, even when
+    another channel's alpha is ten times smaller."""
+    a = 10.0 * ALPHA_02_DB_KM
+    params = _per_channel_params(3)
+    params[1] = _params(alpha=a, alpha_b=a * (1.0 - 2.5e-7))
+    cfg = _pumped_link(3)
+    with pytest.raises(NumericalError, match=r"channel\(s\) \[1\]"):
+        eta_total(cfg, _fit_report(params))
+    ch = cfg.grid.channels[1]
+    terms = closed_form_terms(params[1], ch.center_frequency, _L)
+    assert 2.0 * terms.alpha_l[2] == pytest.approx(5e-7 * a, rel=1e-6)
+    with pytest.raises(NumericalError):
+        eta_spm(ch, terms, phase_mismatch(cfg.span, 0.0), cfg.span, 1)
 
 
 def test_eta_total_uniform_fast_path_matches_general():
@@ -283,11 +446,10 @@ def test_degenerate_pair_bookkeeping():
                     Channel(194.0e12, 100e9, (1e-3,))))
     cfg = LinkConfig(span=span, span_count=1, grid=grid)
     fit = _fit_report(_per_channel_params(2))
-    for vectorized in (True, False):
-        report = eta_total(cfg, fit, vectorized=vectorized)
-        assert set(report.degenerate_pairs) == {(0, 1), (1, 0)}
-        assert np.all(report.eta_xpm == 0.0)
-        assert np.all(report.eta_spm > 0.0)
+    report = eta_total(cfg, fit)
+    assert set(report.degenerate_pairs) == {(0, 1), (1, 0)}
+    assert np.all(report.eta_xpm == 0.0)
+    assert np.all(report.eta_spm > 0.0)
 
 
 # ---------------------------------------------------------------------------
