@@ -5,7 +5,8 @@ Commands
 solve    Integrate the Raman power-evolution ODEs; write the z-sampled
          per-line powers as CSV.
 fit      Fit the semi-analytical tilted-exponential profile to the ODE
-         solution; write the per-channel parameters as JSON.
+         solution; write the per-channel parameters as JSON and print the
+         count of channels whose fit did not converge.
 nli      Closed-form per-channel NLI and SNR; write CSV and JSON reports.
 compare  Closed form vs the 2D quadrature oracle; write the per-channel
          comparison CSV and verdict against ``--gate-db``, which also fails
@@ -15,6 +16,9 @@ sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
          held fixed across offsets, so the sweep isolates the launch-power
          dependence of the SNR arithmetic (SNR_NLI falls exactly 2 dB per
          +1 dB of launch power).
+
+``nli``, ``compare`` and ``sweep`` refuse an unconverged profile fit: they
+exit 4 and name every channel whose fit did not converge.
 
 Exit codes: 0 success, 2 scenario/parse error, 3 validation error,
 4 numerical failure, 5 gate failure.
@@ -57,8 +61,17 @@ def _solve(scenario: Scenario, args):
 
 def _fit(scenario: Scenario, args):
     evolution = _solve(scenario, args)
-    report = fit_profile(evolution, scenario.link, **scenario.fit_overrides)
-    return evolution, report
+    return fit_profile(evolution, scenario.link, **scenario.fit_overrides)
+
+
+def _converged_fit(scenario: Scenario, args):
+    """The profile fit, or NumericalError naming every unconverged channel."""
+    report = _fit(scenario, args)
+    unconverged = list(report.unconverged_channels)
+    if unconverged:
+        raise NumericalError(
+            f"profile fit did not converge on channel(s) {unconverged}")
+    return report
 
 
 def cmd_solve(scenario: Scenario, args) -> int:
@@ -71,17 +84,18 @@ def cmd_solve(scenario: Scenario, args) -> int:
 
 
 def cmd_fit(scenario: Scenario, args) -> int:
-    _, report = _fit(scenario, args)
+    report = _fit(scenario, args)
     path = os.path.join(_out_dir(scenario, args), "fit_report.json")
     report.to_json(path)
     rms = [cf.rms_db for cf in report.channel_fits]
     print(f"fitted {len(rms)} channels: worst RMS {_FMT(max(rms))} dB, "
-          f"mean RMS {_FMT(sum(rms) / len(rms))} dB -> {path}")
+          f"mean RMS {_FMT(sum(rms) / len(rms))} dB, "
+          f"{len(report.unconverged_channels)} unconverged -> {path}")
     return 0
 
 
 def cmd_nli(scenario: Scenario, args) -> int:
-    _, fit = _fit(scenario, args)
+    fit = _converged_fit(scenario, args)
     report = eta_total(scenario.link, fit)
     report = assemble_snr(report, scenario.budget, scenario.link.grid)
     directory = _out_dir(scenario, args)
@@ -97,7 +111,7 @@ def cmd_nli(scenario: Scenario, args) -> int:
 
 
 def cmd_compare(scenario: Scenario, args) -> int:
-    _, fit = _fit(scenario, args)
+    fit = _converged_fit(scenario, args)
     t0 = time.perf_counter()
     report = compare_closed_vs_oracle(scenario.link, fit,
                                       spec=scenario.quadrature)
@@ -154,7 +168,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     if not args.sweep:
         raise ScenarioError("sweep requires --sweep lo:hi:step (dB offsets)")
     offsets = _parse_sweep(args.sweep)
-    _, fit = _fit(scenario, args)
+    fit = _converged_fit(scenario, args)
     lines = ["offset_db,channel,f_i_hz,launch_power_w,snr_nli_db,snr_db"]
     for off in offsets:
         link = _scaled_link(scenario.link, 10.0 ** (off / 10.0))

@@ -12,11 +12,14 @@ bandwidth with a sinh factor.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
 by damped least squares on the dB-domain residual.  The objective has many
-local minima once the pump gain is strong, so the fitter scores the physical
-initial guess and a deterministic variable-projection seed grid in batched
-passes.  It then polishes the best-scored seed and the neighbouring
-channel's solution.  Seeded random restarts and further polishes of the
-next-best seeds are opt-in.
+local minima once the pump gain is strong, so the fitter ranks the physical
+initial guess and a deterministic variable-projection seed grid by their
+scores (sums of squared residuals).  The ranking is exact but prunes: every
+seed is first scored on every ``_BOUND_STRIDE``-th z sample, a lower bound
+of its score, and only seeds whose bound can still reach the best scores are
+scored in full.  The fitter then polishes the best-scored seed and the
+neighbouring channel's solution.  Seeded random restarts and further
+polishes of the next-best seeds are opt-in.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .raman import PowerEvolution, normalized_profile
 _LN10 = math.log(10.0)
 _K_DB = 10.0 / _LN10  # nepers -> dB
 _SCORE_BLOCK = 32  # seeds per batched scoring pass
+_BOUND_STRIDE = 16  # z samples per sample of the seed-score lower bound
+_BOUND_MARGIN = 1e-9  # relative slack of the pruning test, far above rounding
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,12 @@ class FitReport:
     @property
     def max_rms_db(self) -> float:
         return max(cf.rms_db for cf in self.channel_fits)
+
+    @property
+    def unconverged_channels(self) -> Tuple[int, ...]:
+        """Indices of the channels whose fit did not converge."""
+        return tuple(i for i, cf in enumerate(self.channel_fits)
+                     if not cf.converged)
 
     def to_json(self, path_or_buf=None) -> str:
         payload = {
@@ -271,19 +282,54 @@ def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
     return np.stack((a, c_f, c_b, a_f, a_b), axis=-1)[keep]
 
 
-def _seed_scores(residual, seeds):
+def _seed_scores(residual, seeds, block=_SCORE_BLOCK):
     """sum(residual(s)**2) for every row s of ``seeds``, in blocks.
 
     ``residual`` broadcasts over trailing axes, so a (n_free, m, 1) stack of
     seeds yields an (m, n_z) block of residual rows in one pass.  Blocks of
-    at most ``_SCORE_BLOCK`` seeds bound the size of the temporaries.
+    at most ``block`` seeds bound the size of the temporaries.
     """
     scores = np.empty(len(seeds))
-    for start in range(0, len(seeds), _SCORE_BLOCK):
-        block = seeds[start:start + _SCORE_BLOCK]
-        r = residual(block.T[:, :, None])
-        scores[start:start + len(block)] = np.sum(r * r, axis=1)
+    for start in range(0, len(seeds), block):
+        rows = seeds[start:start + block]
+        r = residual(rows.T[:, :, None])
+        scores[start:start + len(rows)] = np.sum(r * r, axis=1)
     return scores
+
+
+def _best_seeds(residual, bound_residual, seeds, count):
+    """Indices of the ``count`` lowest-scored rows of ``seeds``, best first.
+
+    The result equals ``np.argsort(_seed_scores(residual, seeds),
+    kind="stable")[:count]``, but most seeds are never fully scored.  A
+    score is a sum of squares, so its partial sum over the z samples that
+    ``bound_residual`` sees is a lower bound.  Pass 1 bounds every seed;
+    pass 2 fully scores the seeds with the lowest bounds, whose
+    ``count``-th best score U caps the answer; pass 3 fully scores every
+    other seed whose bound is at most U * (1 + ``_BOUND_MARGIN``).  Seeds
+    above that are strictly worse than U and are pruned.  A NaN score sorts
+    after every finite one; without ``count`` finite scores in pass 2 the
+    selection scores every seed.
+    """
+    n = len(seeds)
+    if count < n:
+        # Bounding rows are _BOUND_STRIDE times shorter, so their blocks
+        # can hold that many more seeds for the same temporaries.
+        bounds = _seed_scores(bound_residual, seeds,
+                              block=_SCORE_BLOCK * _BOUND_STRIDE)
+        first = np.argsort(bounds, kind="stable")[:max(count, _SCORE_BLOCK)]
+        scores = np.empty(n)
+        scores[first] = _seed_scores(residual, seeds[first])
+        cap = np.sort(scores[first])[count - 1]
+        if np.isfinite(cap):
+            scored = np.zeros(n, dtype=bool)
+            scored[first] = True
+            keep = bounds <= cap * (1.0 + _BOUND_MARGIN)
+            rest = np.flatnonzero(keep & ~scored)
+            scores[rest] = _seed_scores(residual, seeds[rest])
+            kept = np.flatnonzero(keep)
+            return kept[np.argsort(scores[kept], kind="stable")[:count]]
+    return np.argsort(_seed_scores(residual, seeds), kind="stable")[:count]
 
 
 def _fit_exponential(z, target_db):
@@ -314,9 +360,12 @@ def fit_profile(
     configuration and are held fixed.  When there is no backward pump, c_b
     is unidentifiable and is pinned to zero.
 
-    Each channel scores the nominal guess and an ``n_grid``^3 (``n_grid``^2
-    without a backward pump) variable-projection seed grid, then polishes
-    the best-scored seed and the previous channel's solution.  With the
+    Each channel ranks the nominal guess and an ``n_grid``^3 (``n_grid``^2
+    without a backward pump) variable-projection seed grid by score, then
+    polishes the best-scored seed and the previous channel's solution.  The
+    ranking bounds each score by its partial sum over a strided subset of
+    the z grid and fully scores only the seeds that bound cannot rule out,
+    so it picks the same seeds as a full scan (``_best_seeds``).  With the
     defaults that is two polishes per channel (one on the first).  An
     exhaustive multistart is opt-in: ``n_polish`` further polishes of the
     next-best seeds and ``n_random_starts`` uniform random starts drawn with
@@ -400,6 +449,10 @@ def fit_profile(
         residual, jacobian, unpack = _residual_and_jac(
             length, z, target_db, delta, p_f, p_b, free, fixed
         )
+        bound_residual = _residual_and_jac(
+            length, z[::_BOUND_STRIDE], target_db[::_BOUND_STRIDE], delta,
+            p_f, p_b, free, fixed
+        )[0]
 
         nominal_full = {"alpha": alpha_phys, "c_f": c_r, "c_b": c_r,
                         "alpha_f": alpha_phys, "alpha_b": alpha_phys}
@@ -421,7 +474,7 @@ def fit_profile(
         margin = 1e-9 * (hi - lo)
         clip = lambda s: np.clip(s, lo + margin, hi - margin)
         seeds = clip(seeds)
-        order = np.argsort(_seed_scores(residual, seeds))[: 1 + n_polish]
+        order = _best_seeds(residual, bound_residual, seeds, 1 + n_polish)
         to_polish = [seeds[k] for k in order] + [clip(s) for s in random_seeds]
 
         best = None

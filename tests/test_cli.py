@@ -180,6 +180,55 @@ def test_compare_non_finite_oracle_exits_4(unconverged_compare_scenario,
     assert rc == 4
 
 
+def test_nli_output_is_byte_identical_to_the_stored_report(data_dir,
+                                                           tmp_path):
+    rc = _run(["nli", "--scenario",
+               os.path.join(data_dir, "reference_pumped.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    golden = os.path.join(data_dir, "reference_pumped_nli_report.csv")
+    with open(golden, "rb") as fh:
+        assert (tmp_path / "nli_report.csv").read_bytes() == fh.read()
+
+
+@pytest.fixture(scope="module")
+def unconverged_fit_scenario(data_dir, tmp_path_factory):
+    """Channels 0 and 39 of the reference grid and its backward pump, with
+    one fit iteration: neither channel's fit converges."""
+    with open(os.path.join(data_dir, "reference_pumped.json")) as fh:
+        payload = json.load(fh)
+    grid = payload.pop("grid")
+    channel = {key: grid[key] for key in ("bandwidth", "launch_power")}
+    payload["grid"] = {"channels": [
+        dict(channel, center={"value": center, "unit": "THz"})
+        for center in (191.45, 195.35)]}
+    payload["fit"] = {"max_iterations": 1}
+    path = tmp_path_factory.mktemp("cli") / "unconverged_fit.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["nli"], ["sweep", "--sweep=0:0:1"], ["compare", "--gate-db", "1.0"]])
+def test_unconverged_fit_exits_4_naming_the_channels(
+        unconverged_fit_scenario, tmp_path, capsys, command):
+    rc = _run([command[0], "--scenario", unconverged_fit_scenario,
+               "--out", str(tmp_path)] + command[1:])
+    assert rc == 4
+    assert "did not converge on channel(s) [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_reports_unconverged_channels(unconverged_fit_scenario, tmp_path,
+                                          capsys):
+    rc = _run(["fit", "--scenario", unconverged_fit_scenario,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "2 unconverged" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "fit_report.json").read_text())
+    assert [ch["converged"] for ch in payload["channels"]] == [False, False]
+
+
 def test_console_script_entry_point(minimal_scenario_path, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ramangn.cli", "solve",

@@ -1,6 +1,7 @@
 """Semi-analytical profile model and the nonlinear least-squares fit."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from ramangn import (
     eval_profile_exact,
     eval_profile_taylor,
     fit_profile,
+    parse_scenario,
     tilt_integral,
 )
 from ramangn import profile
-from ramangn.profile import (ProfileParams, _residual_and_jac, _seed_scores,
-                             _varpro_seeds, shared_fit_context)
+from ramangn.profile import (ProfileParams, _best_seeds, _residual_and_jac,
+                             _seed_scores, _varpro_seeds, shared_fit_context)
 from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
 from ramangn.errors import NumericalError, ValidationError
 
@@ -207,13 +209,19 @@ def edge_pair(request, reference_scenario):
     return cfg, solve_power_evolution(cfg, steps=1000)
 
 
-def _fit_inputs(cfg, evo, ch):
-    """The per-channel quantities fit_profile hands to its helpers."""
+def _fit_inputs(cfg, evo, ch, with_backward=None):
+    """The per-channel quantities fit_profile hands to its helpers.
+
+    ``with_backward=False`` builds the forward-only problem (c_b pinned to
+    zero) even when the link has a backward pump.
+    """
     p_f, p_b, f_hat = shared_fit_context(evo, cfg)
     f_i = cfg.grid.channels[ch].center_frequency
     target_db = 10.0 * np.log10(normalized_profile(evo, ch))
     alpha_phys = cfg.span.alpha_at(f_i)
-    if p_b > 0:
+    if with_backward is None:
+        with_backward = p_b > 0
+    if with_backward:
         free = ["alpha", "c_f", "c_b", "alpha_f", "alpha_b"]
         fixed = {}
     else:
@@ -221,14 +229,14 @@ def _fit_inputs(cfg, evo, ch):
         fixed = {"c_b": 0.0, "alpha_b": alpha_phys}
     return dict(length=cfg.span.length, z=evo.z_grid, target_db=target_db,
                 delta=f_i - f_hat, f_hat=f_hat, p_f=p_f, p_b=p_b,
-                alpha_phys=alpha_phys,
+                alpha_phys=alpha_phys, with_backward=with_backward,
                 free=free, fixed=fixed)
 
 
 def _grid_seeds(inp, ratios):
     return _varpro_seeds(inp["length"], inp["z"], inp["target_db"],
                          inp["delta"], inp["p_f"], inp["p_b"], ratios,
-                         inp["alpha_phys"], inp["p_b"] > 0)
+                         inp["alpha_phys"], inp["with_backward"])
 
 
 def test_batched_seed_scores_match_residual(edge_pair):
@@ -320,3 +328,110 @@ def test_every_start_lies_strictly_inside_the_bounds(edge_pair, monkeypatch):
     assert len(calls) == 2 * (1 + 12 + 24) + 1
     assert all(inside for inside, _ in calls)
     assert [exc for _, exc in calls if exc is not None] == []
+
+
+# Links the two-start default was not tuned on: three backward pumps (a fit
+# far from the ODE profile), a forward plus a backward pump, one 0.9 W pump.
+_STRESS = ("stress_three_backward_pumps.json",
+           "stress_forward_and_backward.json", "stress_strong_pump.json")
+
+
+@pytest.fixture(scope="module", params=_STRESS)
+def stress_link(request, data_dir):
+    scenario = parse_scenario(os.path.join(data_dir, request.param))
+    return scenario.link, solve_power_evolution(
+        scenario.link, steps=scenario.solver_steps)
+
+
+def _selection_problem(cfg, evo, ch, with_backward):
+    """(residual, bound residual, clipped seeds) as fit_profile builds them."""
+    inp = _fit_inputs(cfg, evo, ch, with_backward)
+    free, a, c_r = inp["free"], inp["alpha_phys"], cfg.span.raman_slope
+    lo = np.array([-10.0 * c_r if n.startswith("c_") else a / 5.0
+                   for n in free])
+    hi = np.array([10.0 * c_r if n.startswith("c_") else 5.0 * a
+                   for n in free])
+    names = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
+    nominal = [c_r if n.startswith("c_") else a for n in free]
+    grid = _grid_seeds(inp, np.geomspace(0.2, 5.0, 12))
+    seeds = np.vstack([nominal, grid[:, [names.index(n) for n in free]]])
+    margin = 1e-9 * (hi - lo)
+    seeds = np.clip(seeds, lo + margin, hi - margin)
+
+    def build(step):
+        return _residual_and_jac(
+            inp["length"], inp["z"][::step], inp["target_db"][::step],
+            inp["delta"], inp["p_f"], inp["p_b"], free, inp["fixed"])[0]
+
+    return build(1), build(profile._BOUND_STRIDE), seeds
+
+
+@pytest.mark.parametrize("with_backward", [True, False],
+                         ids=["backward", "forward_only"])
+def test_pruned_seed_selection_matches_full_scan(stress_link, with_backward):
+    cfg, evo = stress_link
+    for ch in (0, 13, 26, 39):
+        residual, bound_residual, seeds = _selection_problem(
+            cfg, evo, ch, with_backward)
+        full = _seed_scores(residual, seeds)
+        for count in (1, 13):
+            got = _best_seeds(residual, bound_residual, seeds, count)
+            np.testing.assert_array_equal(got, np.argsort(full)[:count])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    n_seeds=st.integers(min_value=1, max_value=120),
+    n_z=st.integers(min_value=1, max_value=80),
+    count=st.integers(min_value=1, max_value=40),
+    penalty=st.floats(min_value=0.0, max_value=0.3),
+    n_nan=st.integers(min_value=0, max_value=40),
+    n_dup=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_pruned_seed_selection_property(seed, n_seeds, n_z, count, penalty,
+                                        n_nan, n_dup):
+    """Synthetic residual rows: the pruned selection is the stable argsort
+    of the full scores, ties, clamp-penalty values and NaN rows included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_seeds, n_z)) * rng.uniform(
+        0.01, 1.0, size=(n_seeds, 1))
+    hit = rng.random(rows.shape) < penalty
+    rows[hit] = 1e3 * (1e-12 + rng.exponential(size=hit.sum()))
+    rows[rng.integers(n_seeds, size=n_nan), rng.integers(n_z, size=n_nan)] = (
+        np.nan)
+    rows[rng.integers(n_seeds, size=n_dup)] = rows[
+        rng.integers(n_seeds, size=n_dup)]
+    seeds = np.arange(n_seeds, dtype=float)[:, None]
+
+    def residual(p):
+        return rows[p[0, :, 0].astype(int)]
+
+    def bound_residual(p):
+        return residual(p)[:, ::profile._BOUND_STRIDE]
+
+    full = _seed_scores(residual, seeds)
+    got = _best_seeds(residual, bound_residual, seeds, count)
+    expected = np.argsort(full, kind="stable")[:count]
+    np.testing.assert_array_equal(got, expected)
+    if np.isnan(full[got]).any():
+        assert np.isfinite(full).sum() < min(count, n_seeds)
+
+
+def test_seed_whose_bound_only_rounds_above_the_cap_is_kept():
+    """Seed 0 ties the pass-2 seeds on the full score and wins the tie by
+    index, but its bound exceeds that score by a rounding error."""
+    rows = np.zeros((34, 2 * profile._BOUND_STRIDE))
+    rows[0, 0] = 1.0  # all of its score lies on the strided samples
+    rows[1:, 1] = 1.0  # none of theirs does: bound 0, full score 1
+    seeds = np.arange(34, dtype=float)[:, None]
+
+    def residual(p):
+        return rows[p[0, :, 0].astype(int)]
+
+    def bound_residual(p):
+        return (1.0 + 1e-15) * residual(p)[:, ::profile._BOUND_STRIDE]
+
+    assert _seed_scores(bound_residual, seeds)[0] > 1.0
+    np.testing.assert_array_equal(
+        _best_seeds(residual, bound_residual, seeds, 1), [0])
