@@ -33,7 +33,7 @@ from .oracle import (ComparisonReport, EtaEstimate, IdentityReport,
 from .profile import (ChannelFit, FitReport, ProfileParams,
                       backward_effective_length, effective_length,
                       eval_profile_exact, eval_profile_taylor, fit_profile,
-                      tilt_integral)
+                      tilt_derivative, tilt_integral)
 from .raman import (PowerEvolution, evolution_to_csv, normalized_profile,
                     solve_power_evolution)
 from .scenario import Scenario, parse_scenario

@@ -37,16 +37,13 @@ import time
 import numpy as np
 
 from .closedform import assemble_snr, eta_total
-from .domain import Channel, LinkConfig, WdmGrid
+from .domain import Channel, LinkConfig, WdmGrid, format_float, write_text
 from .errors import (GateFailure, NumericalError, RamanGnError, ScenarioError,
                      UnitError, ValidationError)
 from .oracle import compare_closed_vs_oracle
 from .profile import fit_profile
 from .raman import evolution_to_csv, solve_power_evolution
 from .scenario import Scenario, parse_scenario
-
-_FMT = "{:.8e}".format
-
 
 def _out_dir(scenario: Scenario, args) -> str:
     directory = args.out or scenario.output_directory or "."
@@ -88,8 +85,9 @@ def cmd_fit(scenario: Scenario, args) -> int:
     path = os.path.join(_out_dir(scenario, args), "fit_report.json")
     report.to_json(path)
     rms = [cf.rms_db for cf in report.channel_fits]
-    print(f"fitted {len(rms)} channels: worst RMS {_FMT(max(rms))} dB, "
-          f"mean RMS {_FMT(sum(rms) / len(rms))} dB, "
+    print(f"fitted {len(rms)} channels: "
+          f"worst RMS {format_float(max(rms))} dB, "
+          f"mean RMS {format_float(sum(rms) / len(rms))} dB, "
           f"{len(report.unconverged_channels)} unconverged -> {path}")
     return 0
 
@@ -105,8 +103,8 @@ def cmd_nli(scenario: Scenario, args) -> int:
     report.to_json(json_path)
     snr_db = report.snr_total_db
     print(f"NLI for {report.n_channels} channels: total SNR "
-          f"{_FMT(float(np.min(snr_db)))} .. {_FMT(float(np.max(snr_db)))} dB "
-          f"-> {csv_path}")
+          f"{format_float(float(np.min(snr_db)))} .. "
+          f"{format_float(float(np.max(snr_db)))} dB -> {csv_path}")
     return 0
 
 
@@ -120,7 +118,7 @@ def cmd_compare(scenario: Scenario, args) -> int:
     report.to_csv(path)
     worst = report.max_abs_delta_db
     unconverged = np.flatnonzero(~report.converged).tolist()
-    print(f"closed form vs oracle: max |delta| {_FMT(worst)} dB over "
+    print(f"closed form vs oracle: max |delta| {format_float(worst)} dB over "
           f"{report.frequencies.size} channels ({elapsed:.1f} s) -> {path}")
     if args.gate_db is None:
         print(f"{len(unconverged)} unconverged rows")
@@ -131,9 +129,10 @@ def cmd_compare(scenario: Scenario, args) -> int:
                 f"the --gate-db gate needs converged rows")
         if worst > args.gate_db:
             raise GateFailure(
-                f"max |delta| {_FMT(worst)} dB exceeds the "
-                f"--gate-db {_FMT(args.gate_db)} dB gate")
-        print(f"gate passed: {_FMT(worst)} <= {_FMT(args.gate_db)} dB")
+                f"max |delta| {format_float(worst)} dB exceeds the "
+                f"--gate-db {format_float(args.gate_db)} dB gate")
+        print(f"gate passed: {format_float(worst)} <= "
+              f"{format_float(args.gate_db)} dB")
     return 0
 
 
@@ -176,14 +175,12 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         report = assemble_snr(report, scenario.budget, link.grid)
         snr_nli_db = 10.0 * np.log10(report.snr_nli)
         for i in range(report.n_channels):
-            lines.append(",".join([
-                _FMT(off), str(i), _FMT(report.frequencies[i]),
-                _FMT(report.launch_powers[i]),
-                _FMT(snr_nli_db[i]), _FMT(report.snr_total_db[i]),
-            ]))
+            lines.append(",".join([format_float(off), str(i)] + [
+                format_float(v) for v in (
+                    report.frequencies[i], report.launch_powers[i],
+                    snr_nli_db[i], report.snr_total_db[i])]))
     path = os.path.join(_out_dir(scenario, args), "sweep.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text("\n".join(lines) + "\n", path)
     print(f"swept {len(offsets)} offsets x "
           f"{scenario.link.grid.n_channels} channels -> {path}")
     return 0

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .domain import (Channel, FiberSpan, LinkConfig, SnrBudget, WdmGrid,
-                     write_text)
+                     format_float, write_text)
 from .errors import (DegenerateDispersionError, DegenerateTiltError,
                      NumericalError, ValidationError)
 from .profile import ProfileParams
@@ -431,16 +431,15 @@ class NliReport:
         return self.frequencies.size
 
     def _rows(self):
-        fmt = "{:.8e}".format
         n = self.n_channels
         snr_nli_db = (10.0 * np.log10(self.snr_nli)
                       if self.snr_nli is not None else np.full(n, np.nan))
         snr_db = (self.snr_total_db if self.snr_total_db is not None
                   else np.full(n, np.nan))
         for i in range(n):
-            yield (fmt(self.frequencies[i]), fmt(self.eta_spm[i]),
-                   fmt(self.eta_xpm[i]), fmt(self.eta_total[i]),
-                   fmt(snr_nli_db[i]), fmt(snr_db[i]))
+            yield tuple(map(format_float, (
+                self.frequencies[i], self.eta_spm[i], self.eta_xpm[i],
+                self.eta_total[i], snr_nli_db[i], snr_db[i])))
 
     def to_csv(self, path_or_buf=None) -> str:
         header = "f_i_hz,eta_spm_per_w2,eta_xpm_per_w2,eta_total_per_w2," \

@@ -1,4 +1,4 @@
-"""Domain types, link validation and the shared text writer.
+"""Domain types, link validation and the shared text format and writer.
 
 All quantities are SI (Hz, W, m, Np/m ...).  Objects are immutable after
 construction and safe to share across threads; ``validate_link`` is a pure
@@ -10,8 +10,8 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class Pump:
 
 
 AttenuationLike = Union[float, Callable[[float], float]]
-GainTable = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,9 @@ class FiberSpan:
         Intrinsic loss (Np/m): either a constant or a callable of absolute
         frequency.
     raman_slope:
-        Normalized triangular Raman gain slope C_r (1/(W*m*Hz)).
-    gain_table:
-        Optional sampled gain curve g_r(df)/A_eff as
-        ``(offsets_hz, values_per_w_per_m)`` on [0, df_max]; linear
-        interpolation, clamped to zero outside the table.  When present it
-        replaces the triangular slope in the ODE solver (opt-in there).
+        Normalized triangular Raman gain slope C_r (1/(W*m*Hz)): a line
+        gains C_r * (f_donor - f) per watt of donor power and metre.  The
+        ODE solver and the profile fit both use this one gain model.
     """
 
     length: float
@@ -132,14 +128,6 @@ class FiberSpan:
     gamma: float
     attenuation: AttenuationLike
     raman_slope: float
-    gain_table: Optional[GainTable] = None
-
-    def __post_init__(self):
-        if self.gain_table is not None:
-            offsets, values = self.gain_table
-            object.__setattr__(
-                self, "gain_table", (tuple(offsets), tuple(values))
-            )
 
     def alpha_at(self, frequency) -> float:
         """Intrinsic loss (Np/m) at an absolute frequency."""
@@ -148,20 +136,12 @@ class FiberSpan:
         return self.attenuation * np.ones_like(np.asarray(frequency, dtype=float)) \
             if np.ndim(frequency) else float(self.attenuation)
 
-    def gain_at(self, delta_f, tabulated: bool = False):
+    def gain_at(self, delta_f):
         """Signed Raman gain for a frequency offset ``delta_f = f_donor - f``.
 
         Positive ``delta_f`` (donor above) means gain; negative means loss.
         """
-        delta_f = np.asarray(delta_f, dtype=float)
-        if tabulated and self.gain_table is not None:
-            offsets = np.asarray(self.gain_table[0])
-            values = np.asarray(self.gain_table[1])
-            mag = np.interp(np.abs(delta_f), offsets, values)
-            mag = np.where(np.abs(delta_f) > offsets[-1], 0.0, mag)
-            out = np.sign(delta_f) * mag
-        else:
-            out = self.raman_slope * delta_f
+        out = self.raman_slope * np.asarray(delta_f, dtype=float)
         return out if out.ndim else float(out)
 
 
@@ -272,13 +252,6 @@ def link_diagnostics(config: LinkConfig) -> list:
                 f"pump {p_idx}: frequency inside or below the signal band"
             )
 
-    if span.gain_table is not None:
-        offsets, values = span.gain_table
-        if any(v < 0 for v in values):
-            diags.append("gain table contains negative entries")
-        if list(offsets) != sorted(offsets) or (offsets and offsets[0] < 0):
-            diags.append("gain table offsets must be ascending and start at >= 0")
-
     return diags
 
 
@@ -294,6 +267,13 @@ def validate_link(config: LinkConfig) -> LinkConfig:
     if diags:
         raise ValidationError(diags)
     return config
+
+
+def format_float(value) -> str:
+    """``value`` in scientific notation with 9 significant digits, the
+    float format of every text output, so identical inputs give identical
+    bytes."""
+    return f"{value:.8e}"
 
 
 def write_text(text: str, path_or_buf=None) -> str:

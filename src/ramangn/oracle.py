@@ -28,9 +28,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .domain import Channel, FiberSpan, write_text
+from .domain import Channel, FiberSpan, format_float, write_text
 from .errors import NumericalError, ProfileDomainError, ValidationError
-from .profile import ProfileParams, tilt_integral
+from .profile import (ProfileParams, eval_profile_taylor, tilt_derivative,
+                      tilt_integral)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -93,9 +94,7 @@ class TaylorProfile:
         self.length = length
 
     def __call__(self, zeta, f):
-        x = tilt_integral(self.params, zeta, self.length)
-        return (np.exp(-self.params.alpha * np.asarray(zeta, dtype=float))
-                * (1.0 - x * (np.asarray(f) - self.params.f_hat)))
+        return eval_profile_taylor(self.params, zeta, f, self.length)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +310,6 @@ class _PairEngine:
     def _x_of(self, zeta):
         return tilt_integral(self.p, zeta, self.length)
 
-    def _xprime_of(self, zeta):
-        p = self.p
-        return (p.c_f * p.p_f * np.exp(-p.alpha_f * zeta)
-                + p.c_b * p.p_b * np.exp(-p.alpha_b * (self.length - zeta)))
-
     def _delta_extremes(self):
         d1 = self.fi_abs - self.p.f_hat
         lo1, hi1 = d1 - self.b_i / 2, d1 + self.b_i / 2
@@ -341,7 +335,7 @@ class _PairEngine:
     def _phase_rate_bound(self):
         z = np.linspace(0.0, self.length, 2049)
         x = self._x_of(z)
-        xp = self._xprime_of(z)
+        xp = tilt_derivative(self.p, z, self.length)
         lo, hi = self._delta_extremes()
         terms = []
         for d in (lo, hi):
@@ -466,20 +460,12 @@ class _PairEngine:
     # -- endpoint expansion (outer region) -----------------------------------
 
     def _x_series(self, zeta0: float):
-        # x'(z) = cf pf e^{-af z} + cb pb e^{-ab (L - z)}; the m-th series
-        # coefficient of x is x^{(m)}(z0)/m!.
-        p = self.p
-        out = np.empty(_K_SERIES + 1)
-        out[0] = float(self._x_of(zeta0))
+        # The m-th series coefficient of x at zeta0 is x^{(m)}(zeta0) / m!.
         mm = np.arange(1, _K_SERIES + 1)
         fct = np.array([math.factorial(int(v)) for v in mm])
-        out[1:] = (
-            p.c_f * p.p_f * math.exp(-p.alpha_f * zeta0)
-            * (-p.alpha_f) ** (mm - 1)
-            + p.c_b * p.p_b * math.exp(-p.alpha_b * (self.length - zeta0))
-            * p.alpha_b ** (mm - 1)
-        ) / fct
-        return out
+        return np.concatenate([
+            [self._x_of(zeta0)],
+            tilt_derivative(self.p, zeta0, self.length, mm) / fct])
 
     def _uv_series(self):
         """(zeta0, x(zeta0), Y) per endpoint, L first, then 0.
@@ -891,8 +877,7 @@ class _PairEngine:
         return total
 
 
-def _eta_once(engine: _PairEngine, spec: QuadratureSpec, level: int,
-              spm: bool) -> float:
+def _eta_once(engine: _PairEngine, level: int, spm: bool) -> float:
     """One full (f1, f2) integration pass at a given refinement level.
 
     The zeta panelling and f1 node counts are sized analytically (arc
@@ -957,7 +942,7 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
     for level in range(spec.max_refinements + 1):
         j2d = engine.eta_swapped(level)
         if j2d is None:
-            j2d = _eta_once(engine, spec, level, spm)
+            j2d = _eta_once(engine, level, spm)
         value = pref * j2d
         if prev is not None:
             err = abs(value - prev)
@@ -1219,15 +1204,12 @@ class ComparisonReport:
         return float(np.max(np.abs(self.delta_db)))
 
     def to_csv(self, path_or_buf=None) -> str:
-        fmt = "{:.8e}".format
         lines = ["channel,f_i_hz,eta_closed_per_w2,eta_numeric_per_w2,"
                  "delta_db,quadrature_error_estimate"]
         for i in range(self.frequencies.size):
-            lines.append(",".join([
-                str(i), fmt(self.frequencies[i]), fmt(self.eta_closed[i]),
-                fmt(self.eta_numeric[i]), fmt(self.delta_db[i]),
-                fmt(self.error_estimates[i]),
-            ]))
+            lines.append(",".join([str(i)] + [format_float(v) for v in (
+                self.frequencies[i], self.eta_closed[i], self.eta_numeric[i],
+                self.delta_db[i], self.error_estimates[i])]))
         return write_text("\n".join(lines) + "\n", path_or_buf)
 
 

@@ -2,21 +2,27 @@
 
 The linearized profile used by the closed form is
 
-    rho(z, f) = exp(-alpha z) * [1 - (C_f P_f L_eff(z) + C_b P_b Lb_eff(z))
-                                     * (f - f_hat)]
+    rho(z, f) = exp(-alpha z) * [1 - x(z) (f - f_hat)],
+    x(z) = C_f P_f L_eff(z) + C_b P_b Lb_eff(z),
 
 with L_eff(z) = (1 - exp(-alpha_f z)) / alpha_f and
 Lb_eff(z) = (exp(-alpha_b (L - z)) - exp(-alpha_b L)) / alpha_b.  Its exact
 precursor keeps the tilt in the exponent and normalizes over the total
-bandwidth with a sinh factor.
+bandwidth with a sinh factor.  ``effective_length``,
+``backward_effective_length``, ``tilt_integral`` and ``tilt_derivative``
+are the one implementation of these pieces; the fitter and the oracle
+build on them.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
-by damped least squares on the dB-domain residual.  The objective has many
-local minima once the pump gain is strong, so the fitter ranks the physical
-initial guess and a deterministic variable-projection seed grid by their
-scores (sums of squared residuals).  The ranking is exact but prunes: every
-seed is first scored on every ``_BOUND_STRIDE``-th z sample, a lower bound
-of its score, and only seeds whose bound can still reach the best scores are
+by damped least squares on the dB-domain residual.  A channel's parameters
+are one vector (alpha, c_f, c_b, alpha_f, alpha_b) addressed by position;
+without a backward pump only the subset (alpha, c_f, alpha_f) is free and
+c_b, alpha_b keep their fixed values.  The objective has many local minima
+once the pump gain is strong, so the fitter ranks the physical initial
+guess and a deterministic variable-projection seed grid by their scores
+(sums of squared residuals).  The ranking is exact but prunes: every seed
+is first scored on every ``_BOUND_STRIDE``-th z sample, a lower bound of
+its score, and only seeds whose bound can still reach the best scores are
 scored in full.  The fitter then polishes the best-scored seed and the
 neighbouring channel's solution.  Seeded random restarts and further
 polishes of the next-best seeds are opt-in.
@@ -82,6 +88,21 @@ def tilt_integral(params: ProfileParams, z, length: float):
     return (params.c_f * params.p_f * effective_length(z, params.alpha_f)
             + params.c_b * params.p_b
             * backward_effective_length(z, length, params.alpha_b))
+
+
+def tilt_derivative(params: ProfileParams, z, length: float, order=1):
+    """The ``order``-th z-derivative of x(z), ``order`` >= 1:
+
+    C_f P_f (-alpha_f)^(m-1) exp(-alpha_f z)
+        + C_b P_b alpha_b^(m-1) exp(-alpha_b (L - z)).
+
+    ``z`` and ``order`` broadcast against each other.
+    """
+    m = np.asarray(order) - 1
+    return (params.c_f * params.p_f * np.exp(-params.alpha_f * z)
+            * (-params.alpha_f) ** m
+            + params.c_b * params.p_b * np.exp(-params.alpha_b * (length - z))
+            * params.alpha_b ** m)
 
 
 def eval_profile_taylor(params: ProfileParams, z, f_i: float, length: float):
@@ -179,23 +200,44 @@ def shared_fit_context(evolution: PowerEvolution, config: LinkConfig):
     return p_f, p_b, f_hat
 
 
-def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, fixed):
-    """Build residual/jacobian callables over the free-parameter subset.
+# Parameter vector (alpha, c_f, c_b, alpha_f, alpha_b): which entries are
+# rates (Np/m) rather than slopes, and the free subset without a backward
+# pump, where c_b and alpha_b are pinned.
+_IS_RATE = np.array([True, False, False, True, True])
+_ALL_FREE = np.arange(5)
+_FORWARD_FREE = np.array([0, 1, 3])
 
-    ``free`` is a list of names among (alpha, c_f, c_b, alpha_f, alpha_b);
-    ``fixed`` maps the remaining names to values.
+
+def _parameter_space(alpha_phys, c_r, with_backward):
+    """(free, base, lo, hi, x_scale) of one channel's fit.
+
+    ``free`` indexes the fitted entries of the 5-vector.  ``base`` is that
+    vector at its nominal values, alpha_phys for the rates and c_r for the
+    slopes, with c_b pinned to zero without a backward pump; it is both the
+    nominal seed and the source of the pinned values.  The bounds and
+    scales cover the free entries only.
     """
-    idx = {name: k for k, name in enumerate(free)}
+    scale = np.where(_IS_RATE, alpha_phys, c_r)
+    base = scale * np.array([1.0, 1.0, float(with_backward), 1.0, 1.0])
+    hi = np.where(_IS_RATE, 5.0, 10.0) * scale
+    lo = np.where(_IS_RATE, scale / 5.0, -hi)
+    free = _ALL_FREE if with_backward else _FORWARD_FREE
+    return free, base, lo[free], hi[free], scale[free]
 
-    def unpack(pvec):
-        get = lambda name: pvec[idx[name]] if name in idx else fixed[name]
-        return (get("alpha"), get("c_f"), get("c_b"),
-                get("alpha_f"), get("alpha_b"))
 
+def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
+    """Residual and Jacobian callables over the ``free`` entries of the
+    parameter vector; the other entries keep their ``base`` values.
+
+    The residual broadcasts over trailing axes of its argument.
+    """
     def model_parts(pvec):
-        a, cf, cb, af, ab = unpack(pvec)
-        leff = -np.expm1(-af * z) / af
-        lbeff = (np.exp(-ab * (length - z)) - np.exp(-ab * length)) / ab
+        full = list(base)
+        for j, k in enumerate(free):
+            full[k] = pvec[j]
+        a, cf, cb, af, ab = full
+        leff = effective_length(z, af)
+        lbeff = backward_effective_length(z, length, ab)
         x = cf * p_f * leff + cb * p_b * lbeff
         u = 1.0 - x * delta
         return a, cf, cb, af, ab, leff, lbeff, u
@@ -216,29 +258,19 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, fixed):
         u_safe = np.maximum(u, floor)
         bad = u < floor
         inv_u = np.where(bad, 0.0, 1.0 / u_safe)
-        jac = np.empty((z.size, len(free)))
-        # d u / d param = -delta * d x / d param
-        for k, name in enumerate(free):
-            if name == "alpha":
-                jac[:, k] = -_K_DB * z
-                continue
-            if name == "c_f":
-                dx = p_f * leff
-            elif name == "c_b":
-                dx = p_b * lbeff
-            elif name == "alpha_f":
-                dx = cf * p_f * (z * np.exp(-af * z) - leff) / af
-            elif name == "alpha_b":
-                dlb = (-(length - z) * np.exp(-ab * (length - z))
-                       + length * np.exp(-ab * length) - lbeff) / ab
-                dx = cb * p_b * dlb
-            else:  # pragma: no cover
-                raise KeyError(name)
-            du = -delta * dx
-            jac[:, k] = _K_DB * du * inv_u + np.where(bad, -1e3 * du, 0.0)
-        return jac
+        # d x / d (c_f, c_b, alpha_f, alpha_b); d u / d param = -delta d x
+        dlb = (-(length - z) * np.exp(-ab * (length - z))
+               + length * np.exp(-ab * length) - lbeff) / ab
+        dx = np.array([p_f * leff, p_b * lbeff,
+                       cf * p_f * (z * np.exp(-af * z) - leff) / af,
+                       cb * p_b * dlb])
+        du = -delta * dx
+        jac = np.vstack([-_K_DB * z,
+                         _K_DB * du * inv_u + np.where(bad, -1e3 * du, 0.0)])
+        # Row-major: the trust-region SVD's last bits depend on the layout.
+        return np.ascontiguousarray(jac[free].T)
 
-    return residual, jacobian, unpack
+    return residual, jacobian
 
 
 def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
@@ -254,7 +286,7 @@ def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
     alpha_b; singular systems (det <= 0) are dropped.
     """
     rates = ratios * alpha_phys
-    col_f = p_f * (-np.expm1(-np.outer(rates, z)) / rates[:, None])
+    col_f = p_f * effective_length(z, rates[:, None])
     u_target = 10.0 ** ((target_db + _K_DB * np.outer(rates, z)) / 10.0)
     y = (1.0 - u_target) / delta  # one de-trended target per alpha
     g_ff = np.einsum("ij,ij->i", col_f, col_f)
@@ -266,8 +298,7 @@ def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
         a, a_f = np.meshgrid(rates, rates, indexing="ij")
         rows = (a, c_f, np.zeros_like(c_f), a_f, np.full_like(c_f, alpha_phys))
         return np.stack(rows, axis=-1)[keep]
-    col_b = p_b * ((np.exp(-np.outer(rates, length - z))
-                    - np.exp(-rates * length)[:, None]) / rates[:, None])
+    col_b = p_b * backward_effective_length(z, length, rates[:, None])
     g_bb = np.einsum("ij,ij->i", col_b, col_b)
     g_fb = col_f @ col_b.T  # (alpha_f, alpha_b)
     b_b = y @ col_b.T  # (alpha, alpha_b)
@@ -349,16 +380,18 @@ def fit_profile(
     n_polish: int = 0,
     rng_seed: int = 20260823,
     max_iterations: int = 200,
-    xtol: float = 1e-10,
-    ftol: float = 1e-12,
 ) -> FitReport:
     """Fit the linearized profile to an ODE solution, channel by channel.
 
     The per-channel objective is the sum of squared dB-domain residuals over
-    the evolution's z grid.  Free parameters are (alpha, c_f, c_b, alpha_f,
-    alpha_b) within physical bounds; (P_f, P_b, f_hat) come from the link
-    configuration and are held fixed.  When there is no backward pump, c_b
-    is unidentifiable and is pinned to zero.
+    the evolution's z grid.  The parameters are the vector (alpha, c_f, c_b,
+    alpha_f, alpha_b): rates within a factor 5 of the intrinsic loss,
+    slopes within 10 C_r in magnitude.  (P_f, P_b, f_hat) come from the link
+    configuration and are held fixed.  Without a backward pump c_b is
+    unidentifiable: only (alpha, c_f, alpha_f) are fitted, c_b is pinned to
+    zero and alpha_b to the intrinsic loss.  Without Raman coupling (C_r =
+    0) and on a channel at f_hat, which sees no tilt, only alpha is fitted,
+    in closed form.
 
     Each channel ranks the nominal guess and an ``n_grid``^3 (``n_grid``^2
     without a backward pump) variable-projection seed grid by score, then
@@ -369,7 +402,8 @@ def fit_profile(
     defaults that is two polishes per channel (one on the first).  An
     exhaustive multistart is opt-in: ``n_polish`` further polishes of the
     next-best seeds and ``n_random_starts`` uniform random starts drawn with
-    ``rng_seed`` (for example 12 and 24).
+    ``rng_seed`` (for example 12 and 24).  A polish stops after
+    ``max_iterations`` residual evaluations.
 
     Raises
     ------
@@ -384,15 +418,11 @@ def fit_profile(
         raise ValidationError(
             f"profile fit needs >= 50 z samples, got {z.size}"
         )
-    length = config.span.length
-    p_f, p_b, f_hat = shared_fit_context(evolution, config)
-
     span = config.span
+    length = span.length
     c_r = span.raman_slope
-    if c_r == 0.0 and span.gain_table is not None:
-        offsets, values = span.gain_table
-        if offsets[-1] > 0:
-            c_r = max(values) / offsets[-1]
+    p_f, p_b, f_hat = shared_fit_context(evolution, config)
+    with_backward = p_b > 0.0
 
     rng = np.random.default_rng(rng_seed)
     fits = []
@@ -406,68 +436,31 @@ def fit_profile(
             )
         target_db = 10.0 * np.log10(rho)
         alpha_phys = span.alpha_at(f_i)
-
-        if c_r == 0.0:
-            alpha_fit, rms = _fit_exponential(z, target_db)
-            params = ProfileParams(alpha_fit, 0.0, 0.0, alpha_phys, alpha_phys,
-                                   p_f, p_b, f_hat)
-            fits.append(ChannelFit(params, rms, 1, True))
-            continue
-
+        free, base, lo, hi, x_scale = _parameter_space(alpha_phys, c_r,
+                                                       with_backward)
         delta = f_i - f_hat
-        if delta == 0.0:
-            # Center-frequency channel sees no tilt in this model.
-            alpha_fit, rms = _fit_exponential(z, target_db)
-            params = ProfileParams(alpha_fit, c_r, c_r if p_b > 0 else 0.0,
-                                   alpha_phys, alpha_phys, p_f, p_b, f_hat)
+        if c_r == 0.0 or delta == 0.0:
+            base[0], rms = _fit_exponential(z, target_db)
+            params = ProfileParams(*base.tolist(), p_f, p_b, f_hat)
             fits.append(ChannelFit(params, rms, 1, True))
             continue
 
-        with_backward = p_b > 0.0
-        if with_backward:
-            free = ["alpha", "c_f", "c_b", "alpha_f", "alpha_b"]
-            fixed = {}
-        else:
-            free = ["alpha", "c_f", "alpha_f"]
-            fixed = {"c_b": 0.0, "alpha_b": alpha_phys}
-
-        bound_map = {
-            "alpha": (alpha_phys / 5.0, 5.0 * alpha_phys),
-            "c_f": (-10.0 * c_r, 10.0 * c_r),
-            "c_b": (-10.0 * c_r, 10.0 * c_r),
-            "alpha_f": (alpha_phys / 5.0, 5.0 * alpha_phys),
-            "alpha_b": (alpha_phys / 5.0, 5.0 * alpha_phys),
-        }
-        scale_map = {
-            "alpha": alpha_phys, "c_f": c_r, "c_b": c_r,
-            "alpha_f": alpha_phys, "alpha_b": alpha_phys,
-        }
-        lo = np.array([bound_map[n][0] for n in free])
-        hi = np.array([bound_map[n][1] for n in free])
-        x_scale = np.array([scale_map[n] for n in free])
-
-        residual, jacobian, unpack = _residual_and_jac(
-            length, z, target_db, delta, p_f, p_b, free, fixed
+        residual, jacobian = _residual_and_jac(
+            length, z, target_db, delta, p_f, p_b, free, base
         )
         bound_residual = _residual_and_jac(
             length, z[::_BOUND_STRIDE], target_db[::_BOUND_STRIDE], delta,
-            p_f, p_b, free, fixed
+            p_f, p_b, free, base
         )[0]
 
-        nominal_full = {"alpha": alpha_phys, "c_f": c_r, "c_b": c_r,
-                        "alpha_f": alpha_phys, "alpha_b": alpha_phys}
-        name_order = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
         ratios = np.geomspace(0.2, 5.0, n_grid)
         grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
                                    ratios, alpha_phys, with_backward)
-        seeds = np.vstack([
-            [nominal_full[n] for n in free],
-            grid_seeds[:, [name_order.index(n) for n in free]],
-        ])
+        seeds = np.vstack([base[free], grid_seeds[:, free]])
         random_seeds = [lo + rng.random(len(free)) * (hi - lo)
                         for _ in range(n_random_starts)]
-        if prev_best is not None and prev_best.size == len(free):
-            random_seeds.append(prev_best.copy())
+        if prev_best is not None:
+            random_seeds.append(prev_best)
 
         # Strictly inside the bounds, whatever their signs: least_squares
         # rejects a start on (or beyond) a bound.
@@ -483,7 +476,7 @@ def fit_profile(
                 res = least_squares(
                     residual, s0, jac=jacobian, bounds=(lo, hi),
                     method="trf", x_scale=x_scale,
-                    xtol=xtol, ftol=ftol, gtol=1e-14,
+                    xtol=1e-10, ftol=1e-12, gtol=1e-14,
                     max_nfev=max_iterations,
                 )
             except (ValueError, np.linalg.LinAlgError) as exc:
@@ -494,9 +487,9 @@ def fit_profile(
             if best is None or rms < best[0]:
                 best = (rms, res)
         rms, res = best
-        prev_best = res.x.copy()
-        a, cf, cb, af, ab = unpack(res.x)
-        params = ProfileParams(a, cf, cb, af, ab, p_f, p_b, f_hat)
+        prev_best = res.x
+        base[free] = res.x
+        params = ProfileParams(*base.tolist(), p_f, p_b, f_hat)
         fits.append(ChannelFit(params, rms, int(res.nfev), res.status > 0))
 
     return FitReport(tuple(fits))

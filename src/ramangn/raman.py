@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import Direction, LinkConfig, validate_link, write_text
+from .domain import (Direction, LinkConfig, format_float, validate_link,
+                     write_text)
 from .errors import DivergenceError, ValidationError
 
 _MAX_RETRIES = 3
-_FLOAT_FMT = "{:.8e}"
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ class PowerEvolution:
         return self.powers.shape[0]
 
 
-def _coupling_matrix(span, freqs, photon_factors, tabulated):
+def _coupling_matrix(span, freqs, photon_factors):
     """Pairwise gain matrix M[i, j]: contribution of line j to d ln P_i/dz."""
     f = np.asarray(freqs, dtype=float)
-    gains = span.gain_at(f[None, :] - f[:, None], tabulated=tabulated)
+    gains = span.gain_at(f[None, :] - f[:, None])
     if photon_factors:
         # Line i loses power to every lower-frequency line j; only the
         # fraction f_j/f_i of the transferred photon flux leaves line i as
@@ -68,7 +68,6 @@ def solve_power_evolution(
     span_index: int = 0,
     steps: int = 1000,
     photon_factors: bool = True,
-    tabulated_gain: bool = False,
 ) -> PowerEvolution:
     """Integrate one span of ``config`` and return the sampled powers.
 
@@ -86,8 +85,10 @@ def solve_power_evolution(
         Apply the f_other/f_self photon-energy factors on the loss side of
         each pairwise transfer.  ``False`` is the derivation-mode switch
         that makes pairwise transfer exactly power-conserving.
-    tabulated_gain:
-        Use the span's sampled gain curve instead of the triangular slope.
+
+    Every pairwise gain is the span's triangular slope,
+    ``FiberSpan.gain_at``, the same C_r that ``fit_profile`` bounds its
+    slopes by.
     """
     validate_link(config)
     if steps < 100:
@@ -118,13 +119,12 @@ def solve_power_evolution(
         np.array([p.attenuation for p in fw_pumps]),
     ])
 
-    coupling = _coupling_matrix(span, freqs, photon_factors, tabulated_gain)
+    coupling = _coupling_matrix(span, freqs, photon_factors)
 
     # Backward pumps enter the integrated lines only through their analytic
     # (undepleted) power profile.
     if bw_pumps:
-        bw_gain = span.gain_at(bw_freqs[None, :] - freqs[:, None],
-                               tabulated=tabulated_gain)
+        bw_gain = span.gain_at(bw_freqs[None, :] - freqs[:, None])
         if photon_factors:
             w = np.where(bw_freqs[None, :] < freqs[:, None],
                          bw_freqs[None, :] / freqs[:, None], 1.0)
@@ -202,7 +202,7 @@ def evolution_to_csv(evolution: PowerEvolution, path_or_buf) -> None:
     header = ["z_m"] + [f"P_{f:.6e}Hz_W" for f in evolution.frequencies]
     rows = []
     for j, z in enumerate(evolution.z_grid):
-        cells = [_FLOAT_FMT.format(z)]
-        cells += [_FLOAT_FMT.format(v) for v in evolution.powers[:, j]]
+        cells = [format_float(z)]
+        cells += [format_float(v) for v in evolution.powers[:, j]]
         rows.append(",".join(cells))
     write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", path_or_buf)

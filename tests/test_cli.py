@@ -180,13 +180,15 @@ def test_compare_non_finite_oracle_exits_4(unconverged_compare_scenario,
     assert rc == 4
 
 
+# The backward-pumped reference fits all five profile parameters; the
+# forward-pumped variant fits the three-parameter subset.
+@pytest.mark.parametrize("name", ["reference_pumped", "forward_pumped"])
 def test_nli_output_is_byte_identical_to_the_stored_report(data_dir,
-                                                           tmp_path):
-    rc = _run(["nli", "--scenario",
-               os.path.join(data_dir, "reference_pumped.json"),
+                                                           tmp_path, name):
+    rc = _run(["nli", "--scenario", os.path.join(data_dir, f"{name}.json"),
                "--out", str(tmp_path)])
     assert rc == 0
-    golden = os.path.join(data_dir, "reference_pumped_nli_report.csv")
+    golden = os.path.join(data_dir, f"{name}_nli_report.csv")
     with open(golden, "rb") as fh:
         assert (tmp_path / "nli_report.csv").read_bytes() == fh.read()
 

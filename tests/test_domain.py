@@ -100,14 +100,6 @@ def test_gain_at_triangular_sign():
     assert span.gain_at(0.0) == 0.0
 
 
-def test_gain_at_tabulated_clamps_outside_table():
-    table = ((0.0, 1e12, 2e12), (0.0, 3e-5, 1e-5))
-    span = _span(gain_table=table)
-    assert span.gain_at(0.5e12, tabulated=True) == pytest.approx(1.5e-5)
-    assert span.gain_at(-0.5e12, tabulated=True) == pytest.approx(-1.5e-5)
-    assert span.gain_at(5e12, tabulated=True) == 0.0
-
-
 def test_alpha_at_callable_and_scalar():
     span = _span()
     assert span.alpha_at(193e12) == pytest.approx(ALPHA_02_DB_KM)

@@ -21,11 +21,13 @@ from ramangn import (
     eval_profile_taylor,
     fit_profile,
     parse_scenario,
+    tilt_derivative,
     tilt_integral,
 )
 from ramangn import profile
-from ramangn.profile import (ProfileParams, _best_seeds, _residual_and_jac,
-                             _seed_scores, _varpro_seeds, shared_fit_context)
+from ramangn.profile import (ProfileParams, _best_seeds, _parameter_space,
+                             _residual_and_jac, _seed_scores, _varpro_seeds,
+                             shared_fit_context)
 from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
 from ramangn.errors import NumericalError, ValidationError
 
@@ -66,6 +68,28 @@ def test_tilt_integral_matches_numeric_quadrature():
     )
     analytic = tilt_integral(p, z_grid, _L)
     assert np.allclose(analytic, numeric, rtol=1e-7, atol=1e-20)
+    assert np.allclose(tilt_derivative(p, z_grid, _L), rate, rtol=1e-15,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_tilt_derivative_orders_match_central_differences(order):
+    """x^(m) against a central difference of x^(m-1) (of x for m = 1),
+    at both span ends and inside, one call for all orders."""
+    p = _params()
+    z = np.array([0.0, 30e3, _L])
+    h = 5.0
+
+    def lower(zz):
+        if order == 1:
+            return tilt_integral(p, zz, _L)
+        return tilt_derivative(p, zz, _L, order - 1)
+
+    numeric = (lower(z + h) - lower(z - h)) / (2.0 * h)
+    assert np.allclose(tilt_derivative(p, z, _L, order), numeric,
+                       rtol=1e-7, atol=0.0)
+    stacked = tilt_derivative(p, 30e3, _L, np.arange(1, 6))
+    assert stacked[order - 1] == tilt_derivative(p, 30e3, _L, order)
 
 
 @given(
@@ -141,8 +165,10 @@ def test_fit_pins_backward_coefficient_without_pump():
     cfg, evo = _synthetic_setup(params_true)
     cfg = LinkConfig(span=cfg.span, span_count=1, grid=cfg.grid, pumps=())
     report = fit_profile(evo, cfg, n_random_starts=4, n_grid=6, n_polish=2)
-    for cf in report.channel_fits:
+    for channel, cf in zip(cfg.grid.channels, report.channel_fits):
+        alpha_phys = cfg.span.alpha_at(channel.center_frequency)
         assert cf.params.c_b == 0.0
+        assert cf.params.alpha_b == alpha_phys
         assert cf.params.p_b == 0.0
 
 
@@ -221,16 +247,12 @@ def _fit_inputs(cfg, evo, ch, with_backward=None):
     alpha_phys = cfg.span.alpha_at(f_i)
     if with_backward is None:
         with_backward = p_b > 0
-    if with_backward:
-        free = ["alpha", "c_f", "c_b", "alpha_f", "alpha_b"]
-        fixed = {}
-    else:
-        free = ["alpha", "c_f", "alpha_f"]
-        fixed = {"c_b": 0.0, "alpha_b": alpha_phys}
+    free, base, lo, hi, _ = _parameter_space(
+        alpha_phys, cfg.span.raman_slope, with_backward)
     return dict(length=cfg.span.length, z=evo.z_grid, target_db=target_db,
                 delta=f_i - f_hat, f_hat=f_hat, p_f=p_f, p_b=p_b,
                 alpha_phys=alpha_phys, with_backward=with_backward,
-                free=free, fixed=fixed)
+                free=free, base=base, lo=lo, hi=hi)
 
 
 def _grid_seeds(inp, ratios):
@@ -242,20 +264,21 @@ def _grid_seeds(inp, ratios):
 def test_batched_seed_scores_match_residual(edge_pair):
     cfg, evo = edge_pair
     inp = _fit_inputs(cfg, evo, 1)
-    residual, _, _ = _residual_and_jac(
+    free = inp["free"]
+    residual, _ = _residual_and_jac(
         inp["length"], inp["z"], inp["target_db"], inp["delta"], inp["p_f"],
-        inp["p_b"], inp["free"], inp["fixed"])
-    names = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
-    cols = [names.index(n) for n in inp["free"]]
-    seeds = _grid_seeds(inp, np.geomspace(0.2, 5.0, 6))[:, cols]
-    # A strongly negative slope on the pumped term drives the linearized
-    # profile below the clamp, so the 1e3 penalty is part of the score.
-    slope = "c_b" if inp["p_b"] > 0 else "c_f"
+        inp["p_b"], free, inp["base"])
+    seeds = _grid_seeds(inp, np.geomspace(0.2, 5.0, 6))[:, free]
+    # A strongly negative slope on the pumped term (c_b, else c_f) drives
+    # the linearized profile below the clamp, so the 1e3 penalty is part
+    # of the score.
+    slope = 2 if inp["p_b"] > 0 else 1
     penalty = seeds[0].copy()
-    penalty[inp["free"].index(slope)] = -10.0 * cfg.span.raman_slope
-    full = dict(zip(inp["free"], penalty), **inp["fixed"])
+    penalty[list(free).index(slope)] = -10.0 * cfg.span.raman_slope
+    full = inp["base"].copy()
+    full[free] = penalty
     tilted = eval_profile_taylor(
-        ProfileParams(**full, p_f=inp["p_f"], p_b=inp["p_b"],
+        ProfileParams(*full, p_f=inp["p_f"], p_b=inp["p_b"],
                       f_hat=inp["f_hat"]),
         inp["z"], inp["f_hat"] + inp["delta"], inp["length"])
     assert np.min(tilted) < 0.0
@@ -346,22 +369,16 @@ def stress_link(request, data_dir):
 def _selection_problem(cfg, evo, ch, with_backward):
     """(residual, bound residual, clipped seeds) as fit_profile builds them."""
     inp = _fit_inputs(cfg, evo, ch, with_backward)
-    free, a, c_r = inp["free"], inp["alpha_phys"], cfg.span.raman_slope
-    lo = np.array([-10.0 * c_r if n.startswith("c_") else a / 5.0
-                   for n in free])
-    hi = np.array([10.0 * c_r if n.startswith("c_") else 5.0 * a
-                   for n in free])
-    names = ("alpha", "c_f", "c_b", "alpha_f", "alpha_b")
-    nominal = [c_r if n.startswith("c_") else a for n in free]
+    free, base, lo, hi = inp["free"], inp["base"], inp["lo"], inp["hi"]
     grid = _grid_seeds(inp, np.geomspace(0.2, 5.0, 12))
-    seeds = np.vstack([nominal, grid[:, [names.index(n) for n in free]]])
+    seeds = np.vstack([base[free], grid[:, free]])
     margin = 1e-9 * (hi - lo)
     seeds = np.clip(seeds, lo + margin, hi - margin)
 
     def build(step):
         return _residual_and_jac(
             inp["length"], inp["z"][::step], inp["target_db"][::step],
-            inp["delta"], inp["p_f"], inp["p_b"], free, inp["fixed"])[0]
+            inp["delta"], inp["p_f"], inp["p_b"], free, base)[0]
 
     return build(1), build(profile._BOUND_STRIDE), seeds
 
