@@ -23,9 +23,18 @@ guess and a deterministic variable-projection seed grid by their scores
 (sums of squared residuals).  The ranking is exact but prunes: every seed
 is first scored on every ``_BOUND_STRIDE``-th z sample, a lower bound of
 its score, and only seeds whose bound can still reach the best scores are
-scored in full.  The fitter then polishes the best-scored seed and the
-neighbouring channel's solution.  Seeded random restarts and further
-polishes of the next-best seeds are opt-in.
+scored in full.
+
+Every polish is one problem of a batched, bounded, projected
+Levenberg-Marquardt (``_polish``; More 1978, Kanzow, Yamashita & Fukushima
+2004): the residuals and Jacobians of all problems are evaluated as stacked
+arrays and their damped normal equations solved in one call per iteration.
+Round 1 polishes every channel's best-scored seed; each later round
+re-polishes, from the previous channel's current result, only the channels
+whose previous channel's result changed, until none does.  That fixed point
+is the result of fitting the channels in order, each warm-started from its
+predecessor.  Seeded random restarts and further polishes of the next-best
+seeds are opt-in.
 """
 
 from __future__ import annotations
@@ -33,10 +42,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .domain import LinkConfig, write_text
 from .errors import NumericalError, ValidationError
@@ -47,6 +55,12 @@ _K_DB = 10.0 / _LN10  # nepers -> dB
 _SCORE_BLOCK = 32  # seeds per batched scoring pass
 _BOUND_STRIDE = 16  # z samples per sample of the seed-score lower bound
 _BOUND_MARGIN = 1e-9  # relative slack of the pruning test, far above rounding
+_POLISH_BLOCK = 256  # problems per batched polish, bounding its temporaries
+_MU0 = 1e-3  # initial damping, relative to the largest diagonal of J^T J
+_ACCEPT = 1e-4  # least gain ratio of a kept step
+# Stop tolerances of a polish: relative change of the score, scaled step,
+# projected scaled gradient.
+_FTOL, _XTOL, _GTOL = 1e-12, 1e-10, 1e-14
 
 
 @dataclass(frozen=True)
@@ -229,7 +243,10 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
     """Residual and Jacobian callables over the ``free`` entries of the
     parameter vector; the other entries keep their ``base`` values.
 
-    The residual broadcasts over trailing axes of its argument.
+    Both broadcast over problems: a (n_free, m, 1) stack of parameter
+    vectors, with ``base`` (5, m, 1) or (5,), ``target_db`` (m, n_z) or
+    (n_z,) and ``delta`` (m, 1) or a scalar, gives (m, n_z) residual rows
+    and an (m, n_free, n_z) Jacobian whose row j is d residual / d pvec[j].
     """
     def model_parts(pvec):
         full = list(base)
@@ -255,20 +272,17 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
 
     def jacobian(pvec):
         a, cf, cb, af, ab, leff, lbeff, u = model_parts(pvec)
-        u_safe = np.maximum(u, floor)
+        # d r / d x: the log branch, or the clamp penalty's slope
         bad = u < floor
-        inv_u = np.where(bad, 0.0, 1.0 / u_safe)
-        # d x / d (c_f, c_b, alpha_f, alpha_b); d u / d param = -delta d x
+        dr_dx = -delta * np.where(bad, -1e3, _K_DB / np.maximum(u, floor))
+        # d x / d (c_f, c_b, alpha_f, alpha_b)
         dlb = (-(length - z) * np.exp(-ab * (length - z))
                + length * np.exp(-ab * length) - lbeff) / ab
-        dx = np.array([p_f * leff, p_b * lbeff,
-                       cf * p_f * (z * np.exp(-af * z) - leff) / af,
-                       cb * p_b * dlb])
-        du = -delta * dx
-        jac = np.vstack([-_K_DB * z,
-                         _K_DB * du * inv_u + np.where(bad, -1e3 * du, 0.0)])
-        # Row-major: the trust-region SVD's last bits depend on the layout.
-        return np.ascontiguousarray(jac[free].T)
+        dx = (p_f * leff, p_b * lbeff,
+              cf * p_f * (z * np.exp(-af * z) - leff) / af, cb * p_b * dlb)
+        d_r = [np.broadcast_to(-_K_DB * z, u.shape)]
+        d_r += [dr_dx * d for d in dx]
+        return np.stack([d_r[k] for k in free], axis=-2)
 
     return residual, jacobian
 
@@ -363,6 +377,119 @@ def _best_seeds(residual, bound_residual, seeds, count):
     return np.argsort(_seed_scores(residual, seeds), kind="stable")[:count]
 
 
+def _normal_equations(jacobian, x, r, scale):
+    """(J^T J, J^T r) in ``scale`` units, one (n, n) and (n,) per row of
+    ``x``."""
+    jt = jacobian(x.T[:, :, None]) * scale[:, :, None]
+    return jt @ jt.transpose(0, 2, 1), (jt @ r[:, :, None])[:, :, 0]
+
+
+def _damped_steps(a, g, mu, frozen):
+    """Solve (A + mu I) h = -g on the entries not ``frozen``; h is 0 on the
+    frozen ones.  Rows whose solve fails come back NaN."""
+    free = ~frozen
+    m = a * (free[:, :, None] & free[:, None, :])
+    diag = np.arange(a.shape[1])
+    m[:, diag, diag] += np.where(free, mu[:, None], 1.0)
+    rhs = -np.where(frozen, 0.0, g)[:, :, None]
+    try:
+        return np.linalg.solve(m, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        h = np.full(g.shape, np.nan)
+        for i in range(len(m)):
+            try:
+                h[i] = np.linalg.solve(m[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return h
+
+
+def _polish(problem, x0, lo, hi, scale, max_nfev):
+    """Batched projected Levenberg-Marquardt, one problem per row of ``x0``.
+
+    ``problem(rows)`` returns the (residual, jacobian) pair of
+    ``_residual_and_jac`` for those rows.  Each problem minimizes its sum of
+    squared residuals S over the box [lo, hi], in ``scale`` units: an entry
+    on a bound whose gradient points outward is frozen, the damped normal
+    equations (J^T J + mu I) h = -J^T r are solved on the others, and the
+    step is projected onto the box.  A step is kept when its gain ratio
+    (actual over predicted decrease of S) exceeds ``_ACCEPT``; mu follows
+    Nielsen's (1999) update.  A problem stops, converged, when its projected
+    gradient falls below ``_GTOL``, or after an evaluation, kept or not,
+    whose step changed S by less than ``_FTOL`` S with a gain ratio above
+    0.25 or moved the scaled parameters by less than ``_XTOL`` (``_XTOL`` +
+    |x|).  It stops unconverged after ``max_nfev`` residual evaluations, the
+    one at ``x0`` included.  Each row follows the same arithmetic whatever
+    else is in the batch.
+
+    Returns (x, rms_db, nfev, converged, failed); ``failed`` marks rows
+    whose residual, Jacobian or damped solve was not finite, and those rows
+    are dropped from the iteration.
+    """
+    x = x0.copy()
+    residual, jacobian = problem(np.arange(len(x)))
+    r = residual(x.T[:, :, None])
+    cost = np.sum(r * r, axis=1)
+    a, g = _normal_equations(jacobian, x, r, scale)
+    nfev = np.ones(len(x), dtype=int)
+    failed = ~(np.isfinite(cost) & np.isfinite(a).all(axis=(1, 2))
+               & np.isfinite(g).all(axis=1))
+    converged = np.zeros(len(x), dtype=bool)
+    mu = _MU0 * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    nu = np.full(len(x), 2.0)
+    rows = np.flatnonzero(~failed & (nfev < max_nfev))
+    while rows.size:
+        xr, gr = x[rows], g[rows]
+        frozen = (((xr <= lo[rows]) & (gr > 0.0))
+                  | ((xr >= hi[rows]) & (gr < 0.0)))
+        stop = np.max(np.abs(np.where(frozen, 0.0, gr)), axis=1) < _GTOL
+        h = _damped_steps(a[rows], gr, mu[rows], frozen)
+        bad = ~np.isfinite(h).all(axis=1) & ~stop
+        failed[rows[bad]] = True
+        converged[rows[stop]] = True
+        keep = ~(stop | bad)
+        rows, xr, gr, h = rows[keep], xr[keep], gr[keep], h[keep]
+        if not rows.size:
+            break
+
+        sr = scale[rows]
+        x_new = np.clip(xr + h * sr, lo[rows], hi[rows])
+        step = (x_new - xr) / sr
+        r_new = problem(rows)[0](x_new.T[:, :, None])
+        cost_new = np.sum(r_new * r_new, axis=1)
+        nfev[rows] += 1
+        bad = ~np.isfinite(cost_new)
+        actual = cost[rows] - cost_new
+        predicted = -(2.0 * np.sum(gr * step, axis=1)
+                      + np.einsum("bi,bij,bj->b", step, a[rows], step))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(predicted > 0.0, actual / predicted, 0.0)
+        done = (((actual < _FTOL * cost[rows]) & (ratio > 0.25))
+                | (np.linalg.norm(step, axis=1)
+                   < _XTOL * (_XTOL + np.linalg.norm(xr / sr, axis=1))))
+        done &= ~bad
+        accept = ratio > _ACCEPT
+
+        took = rows[accept]
+        x[took], cost[took] = x_new[accept], cost_new[accept]
+        move = accept & ~done
+        if move.any():
+            jac_rows = rows[move]
+            a[jac_rows], g[jac_rows] = _normal_equations(
+                problem(jac_rows)[1], x[jac_rows], r_new[move],
+                scale[jac_rows])
+            bad[move] |= ~(np.isfinite(a[jac_rows]).all(axis=(1, 2))
+                           & np.isfinite(g[jac_rows]).all(axis=1))
+        gain = np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+        mu[rows] *= np.where(accept, gain, nu[rows])
+        nu[rows] = np.where(accept, 2.0, 2.0 * nu[rows])
+        failed[rows[bad]] = True
+        converged[rows[done]] = True
+        rows = rows[~(done | bad) & (nfev[rows] < max_nfev)]
+    rms = np.sqrt(cost / r.shape[1])
+    return x, rms, nfev, converged, failed
+
+
 def _fit_exponential(z, target_db):
     """Closed-form fit when there is no Raman coupling at all."""
     coeffs = np.polyfit(z, target_db, 1)  # dB per metre, dB
@@ -394,16 +521,27 @@ def fit_profile(
     in closed form.
 
     Each channel ranks the nominal guess and an ``n_grid``^3 (``n_grid``^2
-    without a backward pump) variable-projection seed grid by score, then
-    polishes the best-scored seed and the previous channel's solution.  The
+    without a backward pump) variable-projection seed grid by score.  The
     ranking bounds each score by its partial sum over a strided subset of
     the z grid and fully scores only the seeds that bound cannot rule out,
-    so it picks the same seeds as a full scan (``_best_seeds``).  With the
-    defaults that is two polishes per channel (one on the first).  An
-    exhaustive multistart is opt-in: ``n_polish`` further polishes of the
-    next-best seeds and ``n_random_starts`` uniform random starts drawn with
-    ``rng_seed`` (for example 12 and 24).  A polish stops after
-    ``max_iterations`` residual evaluations.
+    so it picks the same seeds as a full scan (``_best_seeds``).  Every
+    polish is a problem of one batched projected Levenberg-Marquardt
+    (``_polish``), run in rounds.  Round 1 polishes each channel's
+    best-scored seed, plus, opt-in, ``n_polish`` next-best seeds and
+    ``n_random_starts`` uniform random starts drawn with ``rng_seed``
+    channel by channel (for example 12 and 24); a channel's own result is
+    the polish of these with the lowest RMS, the first on a tie.  Each later
+    round polishes, from the previous channel's current result, every
+    channel whose previous channel's result changed, and keeps that polish
+    when its RMS is strictly below the channel's own result.  The rounds
+    stop when no result changes; that is the result of fitting the channels
+    in order, each also warm-started from its predecessor's result.
+
+    A polish stops after ``max_iterations`` residual evaluations.  A
+    channel's ``n_eval`` counts the residual evaluations of its winning
+    polish, the one at the start included, and ``converged`` says that
+    polish stopped on its score, step or gradient tolerance (``_FTOL``,
+    ``_XTOL``, ``_GTOL``; see ``_polish``) before that cap.
 
     Raises
     ------
@@ -411,7 +549,8 @@ def fit_profile(
         If the evolution has fewer than 50 z samples or a channel's profile
         is not strictly positive.
     NumericalError
-        If a polish fails; the message names the channel.
+        If a polish meets a non-finite residual or Jacobian or a failed
+        damped solve; the message names every such channel.
     """
     z = evolution.z_grid
     if z.size < 50:
@@ -425,8 +564,8 @@ def fit_profile(
     with_backward = p_b > 0.0
 
     rng = np.random.default_rng(rng_seed)
-    fits = []
-    prev_best: Optional[np.ndarray] = None
+    fits = [None] * evolution.n_channels
+    channels, starts, owners = [], [], []
     for ch_idx in range(evolution.n_channels):
         f_i = config.grid.channels[ch_idx].center_frequency
         rho = normalized_profile(evolution, ch_idx)
@@ -442,54 +581,83 @@ def fit_profile(
         if c_r == 0.0 or delta == 0.0:
             base[0], rms = _fit_exponential(z, target_db)
             params = ProfileParams(*base.tolist(), p_f, p_b, f_hat)
-            fits.append(ChannelFit(params, rms, 1, True))
+            fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
 
-        residual, jacobian = _residual_and_jac(
+        residual = _residual_and_jac(
             length, z, target_db, delta, p_f, p_b, free, base
-        )
+        )[0]
         bound_residual = _residual_and_jac(
             length, z[::_BOUND_STRIDE], target_db[::_BOUND_STRIDE], delta,
             p_f, p_b, free, base
         )[0]
-
         ratios = np.geomspace(0.2, 5.0, n_grid)
         grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
                                    ratios, alpha_phys, with_backward)
-        seeds = np.vstack([base[free], grid_seeds[:, free]])
-        random_seeds = [lo + rng.random(len(free)) * (hi - lo)
-                        for _ in range(n_random_starts)]
-        if prev_best is not None:
-            random_seeds.append(prev_best)
-
-        # Strictly inside the bounds, whatever their signs: least_squares
-        # rejects a start on (or beyond) a bound.
-        margin = 1e-9 * (hi - lo)
-        clip = lambda s: np.clip(s, lo + margin, hi - margin)
-        seeds = clip(seeds)
+        seeds = np.clip(np.vstack([base[free], grid_seeds[:, free]]), lo, hi)
         order = _best_seeds(residual, bound_residual, seeds, 1 + n_polish)
-        to_polish = [seeds[k] for k in order] + [clip(s) for s in random_seeds]
+        mine = [seeds[k] for k in order]
+        mine += [lo + rng.random(len(free)) * (hi - lo)
+                 for _ in range(n_random_starts)]
+        owners += [len(channels)] * len(mine)
+        starts += mine
+        channels.append((ch_idx, target_db, delta, base, lo, hi, x_scale))
 
-        best = None
-        for s0 in to_polish:
-            try:
-                res = least_squares(
-                    residual, s0, jac=jacobian, bounds=(lo, hi),
-                    method="trf", x_scale=x_scale,
-                    xtol=1e-10, ftol=1e-12, gtol=1e-14,
-                    max_nfev=max_iterations,
-                )
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise NumericalError(
-                    f"channel {ch_idx}: profile fit failed: {exc}"
-                ) from exc
-            rms = float(np.sqrt(np.mean(res.fun ** 2)))
-            if best is None or rms < best[0]:
-                best = (rms, res)
-        rms, res = best
-        prev_best = res.x
-        base[free] = res.x
-        params = ProfileParams(*base.tolist(), p_f, p_b, f_hat)
-        fits.append(ChannelFit(params, rms, int(res.nfev), res.status > 0))
+    if not channels:
+        return FitReport(tuple(fits))
+    fitted, targets, deltas, bases, lo, hi, x_scale = (
+        np.array(v) for v in zip(*channels))
 
+    def polish(owner, x0):
+        """Polish start x0[k] on fitted channel owner[k]; returns the
+        arrays (x, rms, nfev, converged) over the starts."""
+        parts, failed = [], []
+        for first in range(0, len(owner), _POLISH_BLOCK):
+            block = owner[first:first + _POLISH_BLOCK]
+
+            def problem(rows):
+                ch = block[rows]
+                return _residual_and_jac(
+                    length, z, targets[ch], deltas[ch, None], p_f, p_b,
+                    free, bases[ch].T[:, :, None])
+
+            *result, bad = _polish(problem, x0[first:first + _POLISH_BLOCK],
+                                   lo[block], hi[block], x_scale[block],
+                                   max_iterations)
+            parts.append(result)
+            failed += fitted[block[bad]].tolist()
+        if failed:
+            raise NumericalError(
+                f"profile fit failed on channel(s) {sorted(set(failed))}: "
+                "non-finite residual, Jacobian or damped step")
+        return [np.concatenate(column) for column in zip(*parts)]
+
+    # pool = [x, rms, nfev, converged] of every polish so far; own[c] (the
+    # best of channel c's own starts) and best[c] index into it.
+    owners = np.array(owners)
+    pool = polish(owners, np.array(starts))
+    own = np.empty(len(fitted), dtype=int)
+    for c in range(len(fitted)):
+        mine = np.flatnonzero(owners == c)
+        own[c] = mine[np.argmin(pool[1][mine])]
+    best = own.copy()
+    pending = np.arange(1, len(fitted))
+    while pending.size:
+        x0 = np.clip(pool[0][best[pending - 1]], lo[pending], hi[pending])
+        trial = polish(pending, x0)
+        index = len(pool[0]) + np.arange(len(pending))
+        pool = [np.concatenate(v) for v in zip(pool, trial)]
+        new = np.where(trial[1] < pool[1][own[pending]], index, own[pending])
+        moved = np.any(pool[0][new] != pool[0][best[pending]], axis=1)
+        best[pending] = new
+        pending = pending[moved] + 1
+        pending = pending[pending < len(fitted)]
+
+    for c, ch_idx in enumerate(fitted):
+        k = best[c]
+        full = bases[c].copy()
+        full[free] = pool[0][k]
+        params = ProfileParams(*full.tolist(), p_f, p_b, f_hat)
+        fits[ch_idx] = ChannelFit(params, float(pool[1][k]), int(pool[2][k]),
+                                  bool(pool[3][k]))
     return FitReport(tuple(fits))
