@@ -20,15 +20,19 @@ without a backward pump only the subset (alpha, c_f, alpha_f) is free and
 c_b, alpha_b keep their fixed values.  The objective has many local minima
 once the pump gain is strong, so the fitter ranks the physical initial
 guess and a deterministic variable-projection seed grid by their scores
-(sums of squared residuals).  The ranking is exact but prunes: every seed
-is first scored on every ``_BOUND_STRIDE``-th z sample, a lower bound of
-its score, and only seeds whose bound can still reach the best scores are
-scored in full.
+(sums of squared residuals).  The ranking is exact but prunes: a seed's
+partial score over every ``_BOUND_STRIDES[i]``-th z sample is a lower
+bound of its score, the bounds are checked from coarse to fine samples,
+and only the seeds that no bound rules out are scored in full.  The seed
+residuals gather L_eff and Lb_eff from per-rate tables instead of taking
+exponentials per seed.
 
 Every polish is one problem of a batched, bounded, projected
 Levenberg-Marquardt (``_polish``; More 1978, Kanzow, Yamashita & Fukushima
 2004): the residuals and Jacobians of all problems are evaluated as stacked
 arrays and their damped normal equations solved in one call per iteration.
+The Jacobian at a kept step is built from the terms of the residual that
+tested the step, so only exp(-alpha_f z) is new there.
 Round 1 polishes every channel's best-scored seed; each later round
 re-polishes, from the previous channel's current result, only the channels
 whose previous channel's result changed, until none does.  That fixed point
@@ -53,9 +57,13 @@ from .raman import PowerEvolution, normalized_profile
 _LN10 = math.log(10.0)
 _K_DB = 10.0 / _LN10  # nepers -> dB
 _SCORE_BLOCK = 32  # seeds per batched scoring pass
-_BOUND_STRIDE = 16  # z samples per sample of the seed-score lower bound
+# z samples per sample of each seed-score lower bound, coarse to fine; each
+# stride divides the one before, so every level sees the coarser samples.
+_BOUND_STRIDES = (64, 16, 4)
+_CAP_SEEDS = 8  # seeds fully scored, at the least, to set the pruning cap
 _BOUND_MARGIN = 1e-9  # relative slack of the pruning test, far above rounding
 _POLISH_BLOCK = 256  # problems per batched polish, bounding its temporaries
+_FLOOR = 1e-12  # least pre-log model value; below it a linear penalty applies
 _MU0 = 1e-3  # initial damping, relative to the largest diagonal of J^T J
 _ACCEPT = 1e-4  # least gain ratio of a kept step
 # Stop tolerances of a polish: relative change of the score, scaled step,
@@ -90,10 +98,18 @@ def effective_length(z, alpha_f: float):
     return out if out.ndim else float(out)
 
 
+def _backward_terms(z, length, alpha_b):
+    """(Lb_eff, exp(-alpha_b (L - z)), exp(-alpha_b L)): the backward
+    effective length and the two exponentials it is built from."""
+    e_z = np.exp(-alpha_b * (length - z))
+    e_l = np.exp(-alpha_b * length)
+    return (e_z - e_l) / alpha_b, e_z, e_l
+
+
 def backward_effective_length(z, length: float, alpha_b: float):
     """Backward analogue (exp(-alpha_b (L - z)) - exp(-alpha_b L)) / alpha_b."""
     z = np.asarray(z, dtype=float)
-    out = (np.exp(-alpha_b * (length - z)) - np.exp(-alpha_b * length)) / alpha_b
+    out = _backward_terms(z, length, alpha_b)[0]
     return out if out.ndim else float(out)
 
 
@@ -239,6 +255,25 @@ def _parameter_space(alpha_phys, c_r, with_backward):
     return free, base, lo[free], hi[free], scale[free]
 
 
+def _tilt(cf, cb, leff, lbeff, p_f, p_b):
+    """x = c_f P_f L_eff + c_b P_b Lb_eff; ``lbeff`` None drops the
+    backward term, which is exactly zero when P_b = 0."""
+    x = cf * p_f * leff
+    return x if lbeff is None else x + cb * p_b * lbeff
+
+
+def _log_residual(a, x, z, delta, target_db):
+    """(r, u): the dB residual of exp(-a z) (1 - x delta) against
+    ``target_db``, and u = 1 - x delta.  Where u < ``_FLOOR`` the log is
+    taken at ``_FLOOR`` and a penalty of 1e3 per unit shortfall is added."""
+    u = 1.0 - x * delta
+    r = _K_DB * (-a * z + np.log(np.maximum(u, _FLOOR))) - target_db
+    bad = u < _FLOOR
+    if np.any(bad):
+        r = r + np.where(bad, 1e3 * (_FLOOR - u), 0.0)
+    return r, u
+
+
 def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
     """Residual and Jacobian callables over the ``free`` entries of the
     parameter vector; the other entries keep their ``base`` values.
@@ -247,41 +282,48 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
     vectors, with ``base`` (5, m, 1) or (5,), ``target_db`` (m, n_z) or
     (n_z,) and ``delta`` (m, 1) or a scalar, gives (m, n_z) residual rows
     and an (m, n_free, n_z) Jacobian whose row j is d residual / d pvec[j].
+
+    ``residual(pvec)`` returns (r, terms): the rows and the terms they are
+    built from, (L_eff, Lb_eff, exp(-alpha_b (L - z)), exp(-alpha_b L), u)
+    with u = 1 - x delta.  ``jacobian(pvec, terms)`` takes the terms of the
+    residual at the same ``pvec`` (or a row subset of them, for the same
+    rows of ``pvec``), so only exp(-alpha_f z) is new.  With P_b = 0 the
+    backward term is dropped: the three backward terms are None, and c_b
+    and alpha_b must not be free.
     """
-    def model_parts(pvec):
+    backward = p_b != 0.0
+
+    def entries(pvec):
         full = list(base)
         for j, k in enumerate(free):
             full[k] = pvec[j]
-        a, cf, cb, af, ab = full
-        leff = effective_length(z, af)
-        lbeff = backward_effective_length(z, length, ab)
-        x = cf * p_f * leff + cb * p_b * lbeff
-        u = 1.0 - x * delta
-        return a, cf, cb, af, ab, leff, lbeff, u
-
-    floor = 1e-12
+        return full
 
     def residual(pvec):
-        a, cf, cb, af, ab, leff, lbeff, u = model_parts(pvec)
-        u_safe = np.maximum(u, floor)
-        r = _K_DB * (-a * z + np.log(u_safe)) - target_db
-        bad = u < floor
-        if np.any(bad):
-            r = r + np.where(bad, 1e3 * (floor - u), 0.0)
-        return r
+        a, cf, cb, af, ab = entries(pvec)
+        leff = effective_length(z, af)
+        lbeff = e_b = e_l = None
+        if backward:
+            lbeff, e_b, e_l = _backward_terms(z, length, ab)
+        r, u = _log_residual(a, _tilt(cf, cb, leff, lbeff, p_f, p_b), z,
+                             delta, target_db)
+        return r, (leff, lbeff, e_b, e_l, u)
 
-    def jacobian(pvec):
-        a, cf, cb, af, ab, leff, lbeff, u = model_parts(pvec)
+    def jacobian(pvec, terms):
+        a, cf, cb, af, ab = entries(pvec)
+        leff, lbeff, e_b, e_l, u = terms
         # d r / d x: the log branch, or the clamp penalty's slope
-        bad = u < floor
-        dr_dx = -delta * np.where(bad, -1e3, _K_DB / np.maximum(u, floor))
-        # d x / d (c_f, c_b, alpha_f, alpha_b)
-        dlb = (-(length - z) * np.exp(-ab * (length - z))
-               + length * np.exp(-ab * length) - lbeff) / ab
-        dx = (p_f * leff, p_b * lbeff,
-              cf * p_f * (z * np.exp(-af * z) - leff) / af, cb * p_b * dlb)
-        d_r = [np.broadcast_to(-_K_DB * z, u.shape)]
-        d_r += [dr_dx * d for d in dx]
+        bad = u < _FLOOR
+        dr_dx = -delta * np.where(bad, -1e3, _K_DB / np.maximum(u, _FLOOR))
+        # d r / d alpha, and d x / d (c_f, alpha_f[, c_b, alpha_b])
+        d_r = {0: np.broadcast_to(-_K_DB * z, u.shape)}
+        dx = {1: p_f * leff,
+              3: cf * p_f * (z * np.exp(-af * z) - leff) / af}
+        if backward:
+            dx[2] = p_b * lbeff
+            dx[4] = cb * p_b * ((-(length - z) * e_b + length * e_l
+                                 - lbeff) / ab)
+        d_r.update((k, dr_dx * d) for k, d in dx.items())
         return np.stack([d_r[k] for k in free], axis=-2)
 
     return residual, jacobian
@@ -327,60 +369,103 @@ def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
     return np.stack((a, c_f, c_b, a_f, a_b), axis=-1)[keep]
 
 
-def _seed_scores(residual, seeds, block=_SCORE_BLOCK):
-    """sum(residual(s)**2) for every row s of ``seeds``, in blocks.
+def _seed_levels(length, z, target_db, delta, p_f, p_b, free, base, seeds):
+    """The residuals of the rows of ``seeds`` at every level of
+    ``_best_seeds``: one per ``_BOUND_STRIDES`` entry and one at full
+    resolution, last.
 
-    ``residual`` broadcasts over trailing axes, so a (n_free, m, 1) stack of
-    seeds yields an (m, n_z) block of residual rows in one pass.  Blocks of
-    at most ``block`` seeds bound the size of the temporaries.
+    Level i maps an index array k into ``seeds`` (rows of the ``free``
+    entries; the others keep their ``base`` values) to the (len(k),
+    n_z / stride) residual rows of those seeds on z[::stride], equal to
+    ``_residual_and_jac``'s.  L_eff and Lb_eff are gathered from per-rate
+    tables, one row per distinct alpha_f (alpha_b) value in the seeds, so
+    each exponential is taken once per rate and z sample.  The tables are
+    keyed by the seeds' own values: clipping a grid rate onto the box may
+    move it by an ulp.
     """
-    scores = np.empty(len(seeds))
-    for start in range(0, len(seeds), block):
-        rows = seeds[start:start + block]
-        r = residual(rows.T[:, :, None])
-        scores[start:start + len(rows)] = np.sum(r * r, axis=1)
+    full = np.tile(base, (len(seeds), 1))
+    full[:, free] = seeds
+    a, cf, cb = (full[:, j, None] for j in range(3))
+    keys_f, row_f = np.unique(full[:, 3], return_inverse=True)
+    table_f = effective_length(z, keys_f[:, None])
+    if p_b != 0.0:
+        keys_b, row_b = np.unique(full[:, 4], return_inverse=True)
+        table_b = backward_effective_length(z, length, keys_b[:, None])
+
+    def level(step):
+        zs, target, leff = z[::step], target_db[::step], table_f[:, ::step]
+        lbeff = table_b[:, ::step] if p_b != 0.0 else None
+
+        def residual(k):
+            x = _tilt(cf[k], cb[k], leff[row_f[k]],
+                      None if lbeff is None else lbeff[row_b[k]], p_f, p_b)
+            return _log_residual(a[k], x, zs, delta, target)[0]
+
+        return residual
+
+    return [level(step) for step in _BOUND_STRIDES + (1,)]
+
+
+def _seed_scores(residual, index, block=_SCORE_BLOCK):
+    """sum(residual(k)**2) for every seed index k of ``index``, in blocks.
+
+    ``residual`` maps an index array to one residual row per index.  Blocks
+    of at most ``block`` seeds bound the size of the temporaries.
+    """
+    scores = np.empty(len(index))
+    for start in range(0, len(index), block):
+        r = residual(index[start:start + block])
+        scores[start:start + block] = np.sum(r * r, axis=1)
     return scores
 
 
-def _best_seeds(residual, bound_residual, seeds, count):
-    """Indices of the ``count`` lowest-scored rows of ``seeds``, best first.
+def _best_seeds(levels, n, count):
+    """Indices of the ``count`` lowest-scored of ``n`` seeds, best first.
 
-    The result equals ``np.argsort(_seed_scores(residual, seeds),
-    kind="stable")[:count]``, but most seeds are never fully scored.  A
-    score is a sum of squares, so its partial sum over the z samples that
-    ``bound_residual`` sees is a lower bound.  Pass 1 bounds every seed;
-    pass 2 fully scores the seeds with the lowest bounds, whose
-    ``count``-th best score U caps the answer; pass 3 fully scores every
-    other seed whose bound is at most U * (1 + ``_BOUND_MARGIN``).  Seeds
-    above that are strictly worse than U and are pruned.  A NaN score sorts
-    after every finite one; without ``count`` finite scores in pass 2 the
+    ``levels`` are residuals as ``_seed_levels`` builds them: one per
+    ``_BOUND_STRIDES`` entry, coarse to fine, each seeing the samples of the
+    coarser ones, then the full residual.  The result equals
+    ``np.argsort(_seed_scores(levels[-1], np.arange(n)), kind="stable")
+    [:count]``, but most seeds are never fully scored.  A score is a sum of
+    squares, so its partial sum over the samples of a level is a lower
+    bound.  Every seed is bounded at the coarsest level; the seeds with the
+    lowest bounds there are fully scored, and their ``count``-th best score
+    U caps the answer.  Each level in turn then bounds the seeds that are
+    still in, and drops those whose bound exceeds U * (1 + ``_BOUND_MARGIN``):
+    they are strictly worse than U.  The survivors of the finest level are
+    fully scored.  A NaN score sorts after every finite one; without
+    ``count`` finite scores among the first fully scored seeds the
     selection scores every seed.
     """
-    n = len(seeds)
+    *bounds, residual = levels
+    everyone = np.arange(n)
     if count < n:
-        # Bounding rows are _BOUND_STRIDE times shorter, so their blocks
-        # can hold that many more seeds for the same temporaries.
-        bounds = _seed_scores(bound_residual, seeds,
-                              block=_SCORE_BLOCK * _BOUND_STRIDE)
-        first = np.argsort(bounds, kind="stable")[:max(count, _SCORE_BLOCK)]
+        # A level's rows are ``stride`` times shorter than full ones, so its
+        # blocks can hold that many more seeds for the same temporaries.
+        coarse = _seed_scores(bounds[0], everyone,
+                              _SCORE_BLOCK * _BOUND_STRIDES[0])
+        first = np.argsort(coarse, kind="stable")[:max(count, _CAP_SEEDS)]
         scores = np.empty(n)
-        scores[first] = _seed_scores(residual, seeds[first])
+        scores[first] = _seed_scores(residual, first)
         cap = np.sort(scores[first])[count - 1]
         if np.isfinite(cap):
-            scored = np.zeros(n, dtype=bool)
-            scored[first] = True
-            keep = bounds <= cap * (1.0 + _BOUND_MARGIN)
-            rest = np.flatnonzero(keep & ~scored)
-            scores[rest] = _seed_scores(residual, seeds[rest])
-            kept = np.flatnonzero(keep)
+            limit = cap * (1.0 + _BOUND_MARGIN)
+            alive = coarse <= limit
+            alive[first] = False
+            alive = np.flatnonzero(alive)
+            for bound, stride in zip(bounds[1:], _BOUND_STRIDES[1:]):
+                alive = alive[_seed_scores(bound, alive, _SCORE_BLOCK * stride)
+                              <= limit]
+            scores[alive] = _seed_scores(residual, alive)
+            kept = np.sort(np.concatenate([first, alive]))
             return kept[np.argsort(scores[kept], kind="stable")[:count]]
-    return np.argsort(_seed_scores(residual, seeds), kind="stable")[:count]
+    return np.argsort(_seed_scores(residual, everyone), kind="stable")[:count]
 
 
-def _normal_equations(jacobian, x, r, scale):
+def _normal_equations(jacobian, x, r, terms, scale):
     """(J^T J, J^T r) in ``scale`` units, one (n, n) and (n,) per row of
-    ``x``."""
-    jt = jacobian(x.T[:, :, None]) * scale[:, :, None]
+    ``x``, from the residual ``r`` and its ``terms`` at ``x``."""
+    jt = jacobian(x.T[:, :, None], terms) * scale[:, :, None]
     return jt @ jt.transpose(0, 2, 1), (jt @ r[:, :, None])[:, :, 0]
 
 
@@ -408,11 +493,13 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
     """Batched projected Levenberg-Marquardt, one problem per row of ``x0``.
 
     ``problem(rows)`` returns the (residual, jacobian) pair of
-    ``_residual_and_jac`` for those rows.  Each problem minimizes its sum of
-    squared residuals S over the box [lo, hi], in ``scale`` units: an entry
-    on a bound whose gradient points outward is frozen, the damped normal
-    equations (J^T J + mu I) h = -J^T r are solved on the others, and the
-    step is projected onto the box.  A step is kept when its gain ratio
+    ``_residual_and_jac`` for those rows, with per-row parameters, so that
+    the residual's terms index by row: the Jacobian at a kept step is built
+    from the terms of the residual that tested it.  Each problem minimizes
+    its sum of squared residuals S over the box [lo, hi], in ``scale``
+    units: an entry on a bound whose gradient points outward is frozen, the
+    damped normal equations (J^T J + mu I) h = -J^T r are solved on the
+    others, and the step is projected onto the box.  A step is kept when its gain ratio
     (actual over predicted decrease of S) exceeds ``_ACCEPT``; mu follows
     Nielsen's (1999) update.  A problem stops, converged, when its projected
     gradient falls below ``_GTOL``, or after an evaluation, kept or not,
@@ -428,9 +515,9 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
     """
     x = x0.copy()
     residual, jacobian = problem(np.arange(len(x)))
-    r = residual(x.T[:, :, None])
+    r, terms = residual(x.T[:, :, None])
     cost = np.sum(r * r, axis=1)
-    a, g = _normal_equations(jacobian, x, r, scale)
+    a, g = _normal_equations(jacobian, x, r, terms, scale)
     nfev = np.ones(len(x), dtype=int)
     failed = ~(np.isfinite(cost) & np.isfinite(a).all(axis=(1, 2))
                & np.isfinite(g).all(axis=1))
@@ -455,7 +542,7 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
         sr = scale[rows]
         x_new = np.clip(xr + h * sr, lo[rows], hi[rows])
         step = (x_new - xr) / sr
-        r_new = problem(rows)[0](x_new.T[:, :, None])
+        r_new, terms = problem(rows)[0](x_new.T[:, :, None])
         cost_new = np.sum(r_new * r_new, axis=1)
         nfev[rows] += 1
         bad = ~np.isfinite(cost_new)
@@ -475,8 +562,9 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
         move = accept & ~done
         if move.any():
             jac_rows = rows[move]
+            terms = [None if t is None else t[move] for t in terms]
             a[jac_rows], g[jac_rows] = _normal_equations(
-                problem(jac_rows)[1], x[jac_rows], r_new[move],
+                problem(jac_rows)[1], x[jac_rows], r_new[move], terms,
                 scale[jac_rows])
             bad[move] |= ~(np.isfinite(a[jac_rows]).all(axis=(1, 2))
                            & np.isfinite(g[jac_rows]).all(axis=1))
@@ -522,11 +610,15 @@ def fit_profile(
 
     Each channel ranks the nominal guess and an ``n_grid``^3 (``n_grid``^2
     without a backward pump) variable-projection seed grid by score.  The
-    ranking bounds each score by its partial sum over a strided subset of
-    the z grid and fully scores only the seeds that bound cannot rule out,
-    so it picks the same seeds as a full scan (``_best_seeds``).  Every
-    polish is a problem of one batched projected Levenberg-Marquardt
-    (``_polish``), run in rounds.  Round 1 polishes each channel's
+    ranking bounds each score by its partial sums over strided subsets of
+    the z grid, every 64th, 16th and 4th sample in turn
+    (``_BOUND_STRIDES``), and fully scores only the seeds that no bound
+    rules out, so it picks the same seeds as a full scan (``_best_seeds``).
+    The seed residuals take L_eff and Lb_eff from tables with one row per
+    distinct rate of the grid (``_seed_levels``).  Every polish is a problem
+    of one batched projected Levenberg-Marquardt (``_polish``), whose
+    Jacobian at a kept step reuses the terms of the residual that tested
+    it, run in rounds.  Round 1 polishes each channel's
     best-scored seed, plus, opt-in, ``n_polish`` next-best seeds and
     ``n_random_starts`` uniform random starts drawn with ``rng_seed``
     channel by channel (for example 12 and 24); a channel's own result is
@@ -584,18 +676,13 @@ def fit_profile(
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
 
-        residual = _residual_and_jac(
-            length, z, target_db, delta, p_f, p_b, free, base
-        )[0]
-        bound_residual = _residual_and_jac(
-            length, z[::_BOUND_STRIDE], target_db[::_BOUND_STRIDE], delta,
-            p_f, p_b, free, base
-        )[0]
         ratios = np.geomspace(0.2, 5.0, n_grid)
         grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
                                    ratios, alpha_phys, with_backward)
         seeds = np.clip(np.vstack([base[free], grid_seeds[:, free]]), lo, hi)
-        order = _best_seeds(residual, bound_residual, seeds, 1 + n_polish)
+        levels = _seed_levels(length, z, target_db, delta, p_f, p_b, free,
+                              base, seeds)
+        order = _best_seeds(levels, len(seeds), 1 + n_polish)
         mine = [seeds[k] for k in order]
         mine += [lo + rng.random(len(free)) * (hi - lo)
                  for _ in range(n_random_starts)]

@@ -135,10 +135,10 @@ def solve_power_evolution(
         def bw_power(z):
             return bw_p_end * np.exp(-bw_alpha * (length - z))
 
-        def rhs(z, p):
-            return p * (-alpha + coupling @ p + bw_gain @ bw_power(z))
+        def rhs(p, bw):
+            return p * (-alpha + coupling @ p + bw_gain @ bw)
     else:
-        def rhs(z, p):
+        def rhs(p, bw):
             return p * (-alpha + coupling @ p)
 
     n_steps = steps
@@ -149,12 +149,19 @@ def solve_power_evolution(
         sol[:, 0] = p0
         p = p0.copy()
         failed_at = None
+        # Backward-pump powers at each step's three stage points, z_n,
+        # z_n + h/2 and z_n + h, one row per step.
+        z_n = z_grid[:-1, None]
+        if bw_pumps:
+            start, mid, end = (bw_power(z_n), bw_power(z_n + 0.5 * h),
+                               bw_power(z_n + h))
+        else:
+            start = mid = end = [None] * n_steps
         for n in range(n_steps):
-            z = z_grid[n]
-            k1 = rhs(z, p)
-            k2 = rhs(z + 0.5 * h, p + 0.5 * h * k1)
-            k3 = rhs(z + 0.5 * h, p + 0.5 * h * k2)
-            k4 = rhs(z + h, p + h * k3)
+            k1 = rhs(p, start[n])
+            k2 = rhs(p + 0.5 * h * k1, mid[n])
+            k3 = rhs(p + 0.5 * h * k2, mid[n])
+            k4 = rhs(p + h * k3, end[n])
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
                 failed_at = z_grid[n + 1]

@@ -28,7 +28,8 @@ from ramangn import (
 from ramangn import profile
 from ramangn.profile import (ChannelFit, ProfileParams, _best_seeds,
                              _parameter_space, _polish, _residual_and_jac,
-                             _seed_scores, _varpro_seeds, shared_fit_context)
+                             _seed_levels, _seed_scores, _varpro_seeds,
+                             shared_fit_context)
 from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
 from ramangn.errors import NumericalError, ValidationError
 
@@ -277,34 +278,97 @@ def _grid_seeds(inp, ratios):
                          inp["alpha_phys"], inp["with_backward"])
 
 
-def test_batched_seed_scores_match_residual(edge_pair):
-    cfg, evo = edge_pair
-    inp = _fit_inputs(cfg, evo, 1)
+def _penalty_seeds(cfg, inp):
+    """Grid seeds of channel ``inp`` plus two that drive the linearized
+    profile below the clamp, so the 1e3 penalty is part of their rows: a
+    strongly negative slope on the pumped term (c_b, else c_f), once at a
+    grid rate and once at a rate off the grid."""
     free = inp["free"]
-    residual, _ = _residual_and_jac(
-        inp["length"], inp["z"], inp["target_db"], inp["delta"], inp["p_f"],
-        inp["p_b"], free, inp["base"])
     seeds = _grid_seeds(inp, np.geomspace(0.2, 5.0, 6))[:, free]
-    # A strongly negative slope on the pumped term (c_b, else c_f) drives
-    # the linearized profile below the clamp, so the 1e3 penalty is part
-    # of the score.
     slope = 2 if inp["p_b"] > 0 else 1
-    penalty = seeds[0].copy()
-    penalty[list(free).index(slope)] = -10.0 * cfg.span.raman_slope
+    penalty = np.vstack([seeds[0], seeds[-1]])
+    penalty[:, list(free).index(slope)] = -10.0 * cfg.span.raman_slope
+    penalty[1, -1] *= 0.9
     full = inp["base"].copy()
-    full[free] = penalty
+    full[free] = penalty[0]
     tilted = eval_profile_taylor(
         ProfileParams(*full, p_f=inp["p_f"], p_b=inp["p_b"],
                       f_hat=inp["f_hat"]),
         inp["z"], inp["f_hat"] + inp["delta"], inp["length"])
     assert np.min(tilted) < 0.0
-    seeds = np.vstack([seeds, penalty])
-    assert len(seeds) > 32  # more than one scoring block
+    return np.vstack([seeds, penalty])
 
-    batched = _seed_scores(residual, seeds)
-    looped = np.array([np.sum(residual(s) ** 2) for s in seeds])
-    assert np.allclose(batched, looped, rtol=1e-12, atol=0.0)
+
+def _problem(inp):
+    return _residual_and_jac(inp["length"], inp["z"], inp["target_db"],
+                             inp["delta"], inp["p_f"], inp["p_b"],
+                             inp["free"], inp["base"])
+
+
+def test_batched_seed_scores_match_residual(edge_pair):
+    """Every level of the tabulated seed residual equals
+    ``_residual_and_jac``'s residual rows on its z samples, bit for bit,
+    clamp-penalty rows included; batched scores equal looped ones."""
+    cfg, evo = edge_pair
+    inp = _fit_inputs(cfg, evo, 1)
+    seeds = _penalty_seeds(cfg, inp)
+    assert len(seeds) > 32  # more than one scoring block
+    levels = _seed_levels(inp["length"], inp["z"], inp["target_db"],
+                          inp["delta"], inp["p_f"], inp["p_b"],
+                          inp["free"], inp["base"], seeds)
+    residual = _problem(inp)[0]
+    everyone = np.arange(len(seeds))
+    rows, terms = residual(seeds.T[:, :, None])
+    assert np.any(terms[-1] < profile._FLOOR)
+    for level, stride in zip(levels, profile._BOUND_STRIDES + (1,)):
+        np.testing.assert_array_equal(level(everyone), rows[:, ::stride])
+    batched = _seed_scores(levels[-1], everyone)
+    looped = np.array([np.sum(residual(s)[0] ** 2) for s in seeds])
+    np.testing.assert_array_equal(batched, looped)
     assert batched[-1] > 1e3 * batched[0]
+
+
+def _reference_jacobian(inp, pvec):
+    """d residual / d (free entries) straight from the model's formulas,
+    each exponential evaluated afresh."""
+    length, z, delta = inp["length"], inp["z"], inp["delta"]
+    p_f, p_b = inp["p_f"], inp["p_b"]
+    full = list(inp["base"])
+    for j, k in enumerate(inp["free"]):
+        full[k] = pvec[j]
+    a, cf, cb, af, ab = full
+    leff = effective_length(z, af)
+    lbeff = backward_effective_length(z, length, ab)
+    u = 1.0 - (cf * p_f * leff + cb * p_b * lbeff) * delta
+    bad = u < 1e-12
+    dr_dx = -delta * np.where(bad, -1e3, 10.0 / math.log(10.0)
+                              / np.maximum(u, 1e-12))
+    dlb = (-(length - z) * np.exp(-ab * (length - z))
+           + length * np.exp(-ab * length) - lbeff) / ab
+    dx = (p_f * leff, p_b * lbeff,
+          cf * p_f * (z * np.exp(-af * z) - leff) / af, cb * p_b * dlb)
+    d_r = [np.broadcast_to(-10.0 / math.log(10.0) * z, u.shape)]
+    d_r += [dr_dx * d for d in dx]
+    return np.stack([d_r[k] for k in inp["free"]], axis=-2)
+
+
+def test_jacobian_from_saved_terms_matches_a_fresh_one(edge_pair):
+    """The Jacobian built from a batch residual's terms, kept for a subset
+    of its rows as ``_polish`` keeps them, equals the Jacobian of those
+    rows evaluated afresh, bit for bit, clamp-penalty rows included."""
+    cfg, evo = edge_pair
+    inp = _fit_inputs(cfg, evo, 1)
+    seeds = _penalty_seeds(cfg, inp)
+    residual, jacobian = _problem(inp)
+    _, terms = residual(seeds.T[:, :, None])
+    rows = np.arange(len(seeds)) % 3 != 1
+    rows[-2:] = True  # the penalty seeds
+    kept = [None if t is None else t[rows] for t in terms]
+    assert (kept[1] is None) == (inp["p_b"] == 0)
+    assert np.any(kept[-1][-2:] < profile._FLOOR)
+    x = seeds[rows].T[:, :, None]
+    np.testing.assert_array_equal(jacobian(x, kept),
+                                  _reference_jacobian(inp, x))
 
 
 def test_seed_grid_solves_the_linear_slopes(edge_pair):
@@ -385,8 +449,8 @@ def test_reference_channel_0_meets_the_projected_first_order_condition(
     x = np.array([p.alpha, p.c_f, p.c_b, p.alpha_f, p.alpha_b])
     assert x[0] == inp["lo"][0]
     assert np.all((inp["lo"][1:] < x[1:]) & (x[1:] < inp["hi"][1:]))
-    r = residual(x)
-    jac = jacobian(x) * inp["scale"][:, None]
+    r, terms = residual(x)
+    jac = jacobian(x, terms) * inp["scale"][:, None]
     gradient = jac @ r
     size = np.linalg.norm(jac, axis=1) * np.linalg.norm(r)
     assert gradient[0] > 1e-3 * size[0]
@@ -435,9 +499,8 @@ def _sequential_fit(cfg, evo):
     keeps the better of the two."""
     fits, previous = [], None
     for ch in range(evo.n_channels):
-        residual, bound_residual, seeds, inp = _selection_problem(
-            cfg, evo, ch, None)
-        (first,) = _best_seeds(residual, bound_residual, seeds, 1)
+        levels, seeds, inp = _selection_problem(cfg, evo, ch, None)
+        (first,) = _best_seeds(levels, len(seeds), 1)
         best = _polish_one(inp, seeds[first])
         if previous is not None:
             warm = _polish_one(inp, np.clip(previous, inp["lo"], inp["hi"]))
@@ -484,19 +547,16 @@ def stress_link(request, data_dir):
 
 
 def _selection_problem(cfg, evo, ch, with_backward):
-    """(residual, bound residual, clipped seeds, inputs) as fit_profile
-    builds them."""
+    """(residual levels, clipped seeds, inputs) as fit_profile builds
+    them."""
     inp = _fit_inputs(cfg, evo, ch, with_backward)
     free, base, lo, hi = inp["free"], inp["base"], inp["lo"], inp["hi"]
     grid = _grid_seeds(inp, np.geomspace(0.2, 5.0, 12))
     seeds = np.clip(np.vstack([base[free], grid[:, free]]), lo, hi)
-
-    def build(step):
-        return _residual_and_jac(
-            inp["length"], inp["z"][::step], inp["target_db"][::step],
-            inp["delta"], inp["p_f"], inp["p_b"], free, base)[0]
-
-    return build(1), build(profile._BOUND_STRIDE), seeds, inp
+    levels = _seed_levels(inp["length"], inp["z"], inp["target_db"],
+                          inp["delta"], inp["p_f"], inp["p_b"], free, base,
+                          seeds)
+    return levels, seeds, inp
 
 
 @pytest.mark.parametrize("with_backward", [True, False],
@@ -504,11 +564,10 @@ def _selection_problem(cfg, evo, ch, with_backward):
 def test_pruned_seed_selection_matches_full_scan(stress_link, with_backward):
     cfg, evo = stress_link
     for ch in (0, 13, 26, 39):
-        residual, bound_residual, seeds, _ = _selection_problem(
-            cfg, evo, ch, with_backward)
-        full = _seed_scores(residual, seeds)
+        levels, seeds, _ = _selection_problem(cfg, evo, ch, with_backward)
+        full = _seed_scores(levels[-1], np.arange(len(seeds)))
         for count in (1, 13):
-            got = _best_seeds(residual, bound_residual, seeds, count)
+            got = _best_seeds(levels, len(seeds), count)
             np.testing.assert_array_equal(got, np.argsort(full)[:count])
 
 
@@ -545,10 +604,29 @@ def test_three_pump_fit_is_no_worse_or_refused(data_dir):
         assert report.unconverged_channels
 
 
+def _synthetic_levels(rows, fine_scale=1.0):
+    """``_best_seeds`` levels over synthetic residual rows: level i keeps
+    every ``_BOUND_STRIDES[i]``-th sample, the last level all of them.  The
+    finest bound is multiplied by ``fine_scale``.  Also returns the seed
+    indices each level was asked for."""
+    asked = [[] for _ in range(len(profile._BOUND_STRIDES) + 1)]
+    fine = len(profile._BOUND_STRIDES) - 1
+
+    def level(i, step):
+        def residual(k):
+            asked[i].extend(k.tolist())
+            out = rows[k][:, ::step]
+            return fine_scale * out if i == fine else out
+        return residual
+
+    steps = profile._BOUND_STRIDES + (1,)
+    return [level(i, step) for i, step in enumerate(steps)], asked
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     n_seeds=st.integers(min_value=1, max_value=120),
-    n_z=st.integers(min_value=1, max_value=80),
+    n_z=st.integers(min_value=1, max_value=300),
     count=st.integers(min_value=1, max_value=40),
     penalty=st.floats(min_value=0.0, max_value=0.3),
     n_nan=st.integers(min_value=0, max_value=40),
@@ -557,8 +635,9 @@ def test_three_pump_fit_is_no_worse_or_refused(data_dir):
 @settings(max_examples=200, deadline=None)
 def test_pruned_seed_selection_property(seed, n_seeds, n_z, count, penalty,
                                         n_nan, n_dup):
-    """Synthetic residual rows: the pruned selection is the stable argsort
-    of the full scores, ties, clamp-penalty values and NaN rows included."""
+    """Synthetic residual rows, one residual per bound level: the pruned
+    selection is the stable argsort of the full scores, ties,
+    clamp-penalty values and NaN rows included."""
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n_seeds, n_z)) * rng.uniform(
         0.01, 1.0, size=(n_seeds, 1))
@@ -568,36 +647,76 @@ def test_pruned_seed_selection_property(seed, n_seeds, n_z, count, penalty,
         np.nan)
     rows[rng.integers(n_seeds, size=n_dup)] = rows[
         rng.integers(n_seeds, size=n_dup)]
-    seeds = np.arange(n_seeds, dtype=float)[:, None]
+    levels, _ = _synthetic_levels(rows)
 
-    def residual(p):
-        return rows[p[0, :, 0].astype(int)]
-
-    def bound_residual(p):
-        return residual(p)[:, ::profile._BOUND_STRIDE]
-
-    full = _seed_scores(residual, seeds)
-    got = _best_seeds(residual, bound_residual, seeds, count)
+    full = _seed_scores(levels[-1], np.arange(n_seeds))
+    got = _best_seeds(levels, n_seeds, count)
     expected = np.argsort(full, kind="stable")[:count]
     np.testing.assert_array_equal(got, expected)
     if np.isnan(full[got]).any():
         assert np.isfinite(full).sum() < min(count, n_seeds)
 
 
+def test_seeds_pruned_only_at_a_finer_level():
+    """Four seeds pass the coarse bound.  One is pruned at the middle
+    level, one only at the finest, one is fully scored and loses, and one
+    is fully scored and wins."""
+    coarse, middle, fine = profile._BOUND_STRIDES
+    n_cap = profile._CAP_SEEDS
+    rows = np.zeros((n_cap + 4, 2 * coarse))
+    rows[:n_cap, 1] = 1.0  # bound 0 at every level, score 1: the cap
+    a, b, c, d = range(n_cap, n_cap + 4)
+    rows[a:, 0] = 0.5  # coarse bound 0.25 for the four
+    rows[a, middle] = 1.0
+    rows[b, fine] = 1.0
+    rows[c, 1] = 1.0
+    rows[d, 1] = 0.5
+    for count in (1, 2):
+        levels, asked = _synthetic_levels(rows)
+        got = _best_seeds(levels, len(rows), count)
+        np.testing.assert_array_equal(got, [d, 0][:count])
+        assert sorted(asked[0]) == list(range(len(rows)))
+        assert sorted(asked[1]) == [a, b, c, d]
+        assert sorted(asked[2]) == [b, c, d]
+        assert sorted(asked[3]) == list(range(n_cap)) + [c, d]
+
+
 def test_seed_whose_bound_only_rounds_above_the_cap_is_kept():
-    """Seed 0 ties the pass-2 seeds on the full score and wins the tie by
-    index, but its bound exceeds that score by a rounding error."""
-    rows = np.zeros((34, 2 * profile._BOUND_STRIDE))
-    rows[0, 0] = 1.0  # all of its score lies on the strided samples
-    rows[1:, 1] = 1.0  # none of theirs does: bound 0, full score 1
-    seeds = np.arange(34, dtype=float)[:, None]
+    """Seed 0 ties the seeds that set the cap on the full score and wins the
+    tie by index, but its finest bound exceeds that score by a rounding
+    error; the coarser bounds do not."""
+    coarse, middle, fine = profile._BOUND_STRIDES
+    n_cap = profile._CAP_SEEDS
+    rows = np.zeros((n_cap + 2, 2 * coarse))
+    rows[0, [0, fine]] = 0.5  # score 0.5, half of it off the coarser levels
+    rows[1:, [1, 2]] = 0.5  # score 0.5, bound 0 at every level
+    levels, asked = _synthetic_levels(rows, fine_scale=1.0 + 1e-15)
+    bounds = [_seed_scores(level, np.array([0]))[0] for level in levels]
+    assert bounds[1] < 0.5 < bounds[2] and bounds[3] == 0.5
 
-    def residual(p):
-        return rows[p[0, :, 0].astype(int)]
+    levels, asked = _synthetic_levels(rows, fine_scale=1.0 + 1e-15)
+    np.testing.assert_array_equal(_best_seeds(levels, len(rows), 1), [0])
+    assert 0 in asked[3]  # fully scored
 
-    def bound_residual(p):
-        return (1.0 + 1e-15) * residual(p)[:, ::profile._BOUND_STRIDE]
 
-    assert _seed_scores(bound_residual, seeds)[0] > 1.0
-    np.testing.assert_array_equal(
-        _best_seeds(residual, bound_residual, seeds, 1), [0])
+def test_seed_ranking_work_on_the_reference(reference_scenario,
+                                            reference_fit, monkeypatch):
+    """The residual elements and full-resolution rows the seed ranking
+    scores on the reference fit.  One bound level every 16th sample, with
+    exp and expm1 taken per seed, scored 8 111 831 elements and 3 751 full
+    rows."""
+    evolution, fit = reference_fit
+    work = {"elements": 0, "rows": 0}
+
+    def counting(residual, index, block=profile._SCORE_BLOCK):
+        if len(index):
+            width = residual(index[:1]).shape[1]
+            work["elements"] += len(index) * width
+            if width == evolution.z_grid.size:
+                work["rows"] += len(index)
+        return _seed_scores(residual, index, block)
+
+    monkeypatch.setattr(profile, "_seed_scores", counting)
+    again = fit_profile(evolution, reference_scenario.link)
+    assert again.channel_fits == fit.channel_fits
+    assert work == {"elements": 3_451_811, "rows": 975}

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from ramangn import (
     WdmGrid,
     evolution_to_csv,
     normalized_profile,
+    parse_scenario,
     solve_power_evolution,
 )
+from ramangn import raman
 from ramangn.errors import ValidationError
 
 from conftest import ALPHA_02_DB_KM
@@ -85,6 +88,56 @@ def test_backward_pump_amplifies_channels():
     passive = solve_power_evolution(
         _link(n=2, raman_slope=2.8e-17), steps=400)
     assert pumped.powers[0, -1] > passive.powers[0, -1]
+
+
+def _per_call_channel_powers(cfg, steps):
+    """The RK4 march of the channel and forward-pump rows, with the
+    backward-pump powers evaluated inside every right-hand-side call."""
+    span, length = cfg.span, cfg.span.length
+    fw = cfg.pumps_by_direction(Direction.FORWARD)
+    bw = cfg.pumps_by_direction(Direction.BACKWARD)
+    ch_freqs = cfg.grid.frequencies
+    freqs = np.concatenate([ch_freqs, [p.frequency for p in fw]])
+    p = np.concatenate([cfg.grid.launch_powers(0),
+                        [q.input_power for q in fw]])
+    alpha = np.concatenate([[span.alpha_at(f) for f in ch_freqs],
+                            [q.attenuation for q in fw]])
+    coupling = raman._coupling_matrix(span, freqs, True)
+    bw_freqs = np.array([q.frequency for q in bw])
+    bw_gain = span.gain_at(bw_freqs[None, :] - freqs[:, None])
+    bw_gain = np.where(bw_freqs[None, :] < freqs[:, None],
+                       bw_freqs[None, :] / freqs[:, None], 1.0) * bw_gain
+    bw_p_end = np.array([q.input_power for q in bw])
+    bw_alpha = np.array([q.attenuation for q in bw])
+
+    def rhs(z, p):
+        bw_power = bw_p_end * np.exp(-bw_alpha * (length - z))
+        return p * (-alpha + coupling @ p + bw_gain @ bw_power)
+
+    z_grid = np.linspace(0.0, length, steps + 1)
+    h = length / steps
+    sol = [p]
+    for n in range(steps):
+        z = z_grid[n]
+        k1 = rhs(z, p)
+        k2 = rhs(z + 0.5 * h, p + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h, p + 0.5 * h * k2)
+        k4 = rhs(z + h, p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sol.append(p)
+    return np.array(sol).T
+
+
+@pytest.mark.parametrize("name", ["reference_pumped.json",
+                                  "stress_strong_pump.json"])
+def test_stage_point_pump_powers_match_a_per_call_evaluation(data_dir, name):
+    """The solver takes the backward-pump powers at all stage points of a
+    step at once; the evolution equals evaluating them in every call."""
+    scenario = parse_scenario(os.path.join(data_dir, name))
+    cfg, steps = scenario.link, scenario.solver_steps
+    evo = solve_power_evolution(cfg, steps=steps)
+    expected = _per_call_channel_powers(cfg, steps)
+    np.testing.assert_array_equal(evo.powers[:len(expected)], expected)
 
 
 def test_step_halving_self_consistency():
