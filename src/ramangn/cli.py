@@ -37,7 +37,7 @@ import time
 import numpy as np
 
 from .closedform import assemble_snr, eta_total
-from .domain import Channel, LinkConfig, WdmGrid, format_float, write_text
+from .domain import Channel, LinkConfig, WdmGrid, format_float, write_csv
 from .errors import (GateFailure, NumericalError, RamanGnError, ScenarioError,
                      UnitError, ValidationError)
 from .oracle import compare_closed_vs_oracle
@@ -168,19 +168,18 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         raise ScenarioError("sweep requires --sweep lo:hi:step (dB offsets)")
     offsets = _parse_sweep(args.sweep)
     fit = _converged_fit(scenario, args)
-    lines = ["offset_db,channel,f_i_hz,launch_power_w,snr_nli_db,snr_db"]
+    rows = []
     for off in offsets:
         link = _scaled_link(scenario.link, 10.0 ** (off / 10.0))
         report = eta_total(link, fit)
         report = assemble_snr(report, scenario.budget, link.grid)
         snr_nli_db = 10.0 * np.log10(report.snr_nli)
-        for i in range(report.n_channels):
-            lines.append(",".join([format_float(off), str(i)] + [
-                format_float(v) for v in (
-                    report.frequencies[i], report.launch_powers[i],
-                    snr_nli_db[i], report.snr_total_db[i])]))
+        rows += [(off, str(i)) + row for i, row in enumerate(zip(
+            report.frequencies, report.launch_powers, snr_nli_db,
+            report.snr_total_db))]
     path = os.path.join(_out_dir(scenario, args), "sweep.csv")
-    write_text("\n".join(lines) + "\n", path)
+    write_csv(("offset_db", "channel", "f_i_hz", "launch_power_w",
+               "snr_nli_db", "snr_db"), rows, path)
     print(f"swept {len(offsets)} offsets x "
           f"{scenario.link.grid.n_channels} channels -> {path}")
     return 0

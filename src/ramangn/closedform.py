@@ -9,7 +9,9 @@ The rate weights Upsilon_l Upsilon_l' / (alpha_l + alpha_l') and the
 endpoint products are symmetric in (l, l') (the kappa_f kappa_b difference
 antisymmetric), so the double sum contracts, per channel, to three weights
 on the arctan/arcsinh terms plus one tail constant (``_contract``) before
-any channel pair is formed.  The whole-grid kernel is then launch-power
+any channel pair is formed.  A ``ClosedFormTerms`` contracts itself once,
+on first use, so the per-pair functions reuse one channel's contraction
+for every pair it takes part in.  The whole-grid kernel is launch-power
 free; ``eta_total`` evaluates it once and applies the per-span powers as
 sum_j P_{k,j}^2.
 
@@ -22,22 +24,19 @@ to machine precision, which the test suite asserts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .domain import (Channel, FiberSpan, LinkConfig, SnrBudget, WdmGrid,
-                     format_float, write_text)
+                     freeze_arrays, write_csv, write_json)
 from .errors import (DegenerateDispersionError, DegenerateTiltError,
                      NumericalError, ValidationError)
 from .profile import ProfileParams
-
-#: The three (l1, l2) index pairs with 0 <= l1 + l2 <= 1.
-INDEX_PAIRS = ((0, 0), (1, 0), (0, 1))
 
 _TILT_EPS = 1e-12
 _PHI_EPS = 1e-30
@@ -50,29 +49,28 @@ class ClosedFormTerms:
     """Tilt decomposition of one channel's linearized profile.
 
     The profile factor 1 - x(zeta) (f_i - f_hat) is written as a sum of
-    three exponentials indexed by ``INDEX_PAIRS``; ``upsilon`` holds the
-    coefficients, ``alpha_l`` the decay rates alpha + l1 alpha_f -
-    l2 alpha_b, and ``kappa_f`` / ``kappa_b`` the two endpoint weights
-    e^{-(alpha + l1 alpha_f) L} and e^{-l2 alpha_b L}.
+    three exponentials indexed by (l1, l2) in ((0, 0), (1, 0), (0, 1));
+    ``upsilon`` holds the coefficients, ``alpha_l`` the decay rates
+    alpha + l1 alpha_f - l2 alpha_b, and ``kappa_f`` / ``kappa_b`` the two
+    endpoint weights e^{-(alpha + l1 alpha_f) L} and e^{-l2 alpha_b L}.
     """
 
-    t_f: float
-    t_b: float
-    t_total: float
     upsilon: np.ndarray
     alpha_l: np.ndarray
     kappa_f: np.ndarray
     kappa_b: np.ndarray
     alpha: float
-    alpha_f: float
-    alpha_b: float
     length: float
 
     def __post_init__(self):
-        for name in ("upsilon", "alpha_l", "kappa_f", "kappa_b"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("upsilon", "alpha_l", "kappa_f", "kappa_b"))
+
+    @cached_property
+    def contracted(self):
+        """The SPM/XPM bracket contraction (``_contract``), computed on
+        first use; raises NumericalError on a cancelling rate sum."""
+        return _contract(self.upsilon, self.alpha_l, self.kappa_f,
+                         self.kappa_b, self.alpha, self.length)
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,9 @@ def _terms_arrays(params: Sequence[ProfileParams], f, length: float):
     """Tilt decomposition of every channel at once.
 
     ``params[i]`` is channel i's fit and ``f[i]`` its absolute frequency.
-    Returns a dict of per-channel arrays: ``t_f``, ``t_b``, ``t_total``,
-    ``alpha``, ``alpha_f``, ``alpha_b`` of shape (n,) and ``upsilon``,
-    ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one column per
-    ``INDEX_PAIRS`` entry.
+    Returns a dict of per-channel arrays: ``alpha`` of shape (n,) and
+    ``upsilon``, ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one
+    column per tilt term.
 
     Raises
     ------
@@ -123,13 +120,12 @@ def _terms_arrays(params: Sequence[ProfileParams], f, length: float):
     e_a = np.exp(-alpha * length)
     ones = np.ones_like(alpha)
     return dict(
-        t_f=t_f, t_b=t_b, t_total=t_total,
         upsilon=np.stack([t_total, -t_f, t_b], axis=-1),
         alpha_l=np.stack([alpha, alpha + alpha_f, alpha - alpha_b], axis=-1),
         kappa_f=np.stack([e_a, np.exp(-(alpha + alpha_f) * length), e_a],
                          axis=-1),
         kappa_b=np.stack([ones, ones, e_b], axis=-1),
-        alpha=alpha, alpha_f=alpha_f, alpha_b=alpha_b,
+        alpha=alpha,
     )
 
 
@@ -311,11 +307,6 @@ def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
     return weight, tail, rate
 
 
-def _terms_contracted(terms: ClosedFormTerms):
-    return _contract(terms.upsilon, terms.alpha_l, terms.kappa_f,
-                     terms.kappa_b, terms.alpha, terms.length)
-
-
 def _xpm_sum(phi_ik, b_i, contracted):
     """XPM bracket sum from the interferer's contraction.
 
@@ -349,7 +340,6 @@ def eta_xpm_pair(
     phase: PhaseMismatch,
     span: FiberSpan,
     n: int,
-    span_index: int = 0,
 ) -> float:
     """Closed-form XPM contribution of interferer k onto channel i (1/W^2).
 
@@ -364,10 +354,9 @@ def eta_xpm_pair(
     if phase.phi_ik is None:
         raise ValidationError("phase mismatch lacks the pair factor phi_ik")
     phi_ik = phase.phi_ik
-    p_i = channel_i.launch_power_per_span[span_index]
-    p_k = channel_k.launch_power_per_span[span_index]
-    total = float(_xpm_sum(phi_ik, channel_i.bandwidth,
-                           _terms_contracted(terms)))
+    p_i = channel_i.launch_power_per_span[0]
+    p_k = channel_k.launch_power_per_span[0]
+    total = float(_xpm_sum(phi_ik, channel_i.bandwidth, terms.contracted))
     return (n * _XPM_PREF * span.gamma ** 2 * (p_k / p_i) ** 2
             / (phi_ik * channel_k.bandwidth) * total)
 
@@ -394,8 +383,7 @@ def eta_spm(
     b_i = channel_i.bandwidth
     if b_i <= 0 or terms.length <= 0:
         raise ValidationError("SPM needs positive bandwidth and span length")
-    total = float(_spm_sum(phi_i, b_i, terms.length,
-                           _terms_contracted(terms)))
+    total = float(_spm_sum(phi_i, b_i, terms.length, terms.contracted))
     return (n ** (1.0 + epsilon) * _SPM_PREF * math.pi * span.gamma ** 2
             / (b_i ** 2 * phi_i) * total)
 
@@ -415,14 +403,9 @@ class NliReport:
     snr_total_db: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("frequencies", "launch_powers", "eta_spm", "eta_xpm",
-                     "eta_total", "snr_nli", "snr_total", "snr_total_db"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("frequencies", "launch_powers", "eta_spm",
+                             "eta_xpm", "eta_total", "snr_nli", "snr_total",
+                             "snr_total_db"))
         object.__setattr__(self, "degenerate_pairs",
                            tuple(tuple(p) for p in self.degenerate_pairs))
 
@@ -430,23 +413,18 @@ class NliReport:
     def n_channels(self) -> int:
         return self.frequencies.size
 
-    def _rows(self):
+    def to_csv(self, path_or_buf=None) -> str:
         n = self.n_channels
         snr_nli_db = (10.0 * np.log10(self.snr_nli)
                       if self.snr_nli is not None else np.full(n, np.nan))
         snr_db = (self.snr_total_db if self.snr_total_db is not None
                   else np.full(n, np.nan))
-        for i in range(n):
-            yield tuple(map(format_float, (
-                self.frequencies[i], self.eta_spm[i], self.eta_xpm[i],
-                self.eta_total[i], snr_nli_db[i], snr_db[i])))
-
-    def to_csv(self, path_or_buf=None) -> str:
-        header = "f_i_hz,eta_spm_per_w2,eta_xpm_per_w2,eta_total_per_w2," \
-                 "snr_nli_db,snr_db"
-        text = header + "\n" + "\n".join(",".join(r) for r in self._rows()) \
-            + "\n"
-        return write_text(text, path_or_buf)
+        return write_csv(
+            ("f_i_hz", "eta_spm_per_w2", "eta_xpm_per_w2", "eta_total_per_w2",
+             "snr_nli_db", "snr_db"),
+            np.column_stack((self.frequencies, self.eta_spm, self.eta_xpm,
+                             self.eta_total, snr_nli_db, snr_db)),
+            path_or_buf)
 
     def to_json(self, path_or_buf=None) -> str:
         payload = {
@@ -468,7 +446,7 @@ class NliReport:
             ],
             "degenerate_pairs": [list(p) for p in self.degenerate_pairs],
         }
-        return write_text(json.dumps(payload, indent=2) + "\n", path_or_buf)
+        return write_json(payload, path_or_buf)
 
 
 def _kernel(config: LinkConfig, fit):

@@ -1,4 +1,4 @@
-"""Domain types, link validation and the shared text format and writer.
+"""Domain types, link validation and the shared text format and writers.
 
 All quantities are SI (Hz, W, m, Np/m ...).  Objects are immutable after
 construction and safe to share across threads; ``validate_link`` is a pure
@@ -8,10 +8,11 @@ function and idempotent.
 from __future__ import annotations
 
 import enum
+import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,9 +97,6 @@ class Pump:
     attenuation: float
 
 
-AttenuationLike = Union[float, Callable[[float], float]]
-
-
 @dataclass(frozen=True)
 class FiberSpan:
     """Physical description of one fibre span.
@@ -114,8 +112,7 @@ class FiberSpan:
     gamma:
         Nonlinear coefficient (1/(W*m)).
     attenuation:
-        Intrinsic loss (Np/m): either a constant or a callable of absolute
-        frequency.
+        Intrinsic loss (Np/m), the same at every channel frequency.
     raman_slope:
         Normalized triangular Raman gain slope C_r (1/(W*m*Hz)): a line
         gains C_r * (f_donor - f) per watt of donor power and metre.  The
@@ -126,15 +123,8 @@ class FiberSpan:
     beta2: float
     beta3: float
     gamma: float
-    attenuation: AttenuationLike
+    attenuation: float
     raman_slope: float
-
-    def alpha_at(self, frequency) -> float:
-        """Intrinsic loss (Np/m) at an absolute frequency."""
-        if callable(self.attenuation):
-            return self.attenuation(frequency)
-        return self.attenuation * np.ones_like(np.asarray(frequency, dtype=float)) \
-            if np.ndim(frequency) else float(self.attenuation)
 
     def gain_at(self, delta_f):
         """Signed Raman gain for a frequency offset ``delta_f = f_donor - f``.
@@ -205,6 +195,9 @@ def link_diagnostics(config: LinkConfig) -> list:
         diags.append(f"span length must be positive, got {span.length}")
     if span.gamma < 0:
         diags.append(f"nonlinear coefficient must be >= 0, got {span.gamma}")
+    if span.attenuation <= 0:
+        diags.append(f"span attenuation must be positive, got "
+                     f"{span.attenuation}")
 
     if grid.n_channels == 0:
         diags.append("grid has no channels")
@@ -218,14 +211,6 @@ def link_diagnostics(config: LinkConfig) -> list:
             )
         if any(p <= 0 for p in ch.launch_power_per_span):
             diags.append(f"channel {i}: non-positive launch power")
-        try:
-            a = span.alpha_at(ch.center_frequency)
-            if a <= 0:
-                diags.append(
-                    f"channel {i}: attenuation must be positive on the band"
-                )
-        except Exception as exc:  # pragma: no cover - defensive
-            diags.append(f"channel {i}: attenuation evaluation failed ({exc})")
 
     chans = grid.channels
     for i in range(len(chans) - 1):
@@ -276,6 +261,18 @@ def format_float(value) -> str:
     return f"{value:.8e}"
 
 
+def freeze_arrays(obj, names, dtype=float) -> None:
+    """Replace each named attribute of the frozen dataclass ``obj`` by a
+    read-only ``dtype`` array; ``None`` attributes stay ``None``."""
+    for name in names:
+        arr = getattr(obj, name)
+        if arr is None:
+            continue
+        arr = np.asarray(arr, dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def write_text(text: str, path_or_buf=None) -> str:
     """Return ``text``, first writing it to ``path_or_buf`` if one is given.
 
@@ -290,3 +287,18 @@ def write_text(text: str, path_or_buf=None) -> str:
     else:
         path_or_buf.write(text)
     return text
+
+
+def write_csv(header, rows, path_or_buf=None) -> str:
+    """Write a CSV table with ``write_text``: one ``header`` line of column
+    names, then one line per row.  A str cell is written as is, any other
+    cell with ``format_float``."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else format_float(c)
+                       for c in row) for row in rows]
+    return write_text("\n".join(lines) + "\n", path_or_buf)
+
+
+def write_json(payload, path_or_buf=None) -> str:
+    """Write ``payload`` as JSON, indented by 2, with ``write_text``."""
+    return write_text(json.dumps(payload, indent=2) + "\n", path_or_buf)

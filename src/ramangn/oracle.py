@@ -14,11 +14,14 @@ integral switches, beyond a phase-rate threshold, to an integration-by-parts
 endpoint expansion whose smooth and single-ripple parts are integrated
 separately.  All quadrature decisions are refined once (or twice) and the
 change between refinement levels is reported as the error estimate.
+
+Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
+they import ``scipy.integrate`` when they run, so importing the package
+and running the eta oracle never load scipy.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,9 +29,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .domain import Channel, FiberSpan, format_float, write_text
+from .domain import Channel, FiberSpan, freeze_arrays, write_csv
 from .errors import NumericalError, ProfileDomainError, ValidationError
 from .profile import (ProfileParams, eval_profile_taylor, tilt_derivative,
                       tilt_integral)
@@ -43,6 +45,8 @@ def _quad_quiet(*args, **kwargs):
     integrand behavior" for near-degenerate parameter draws while still
     converging well inside tolerance; the accuracy checks are the gate.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(*args, **kwargs)
@@ -109,6 +113,8 @@ def mu_numeric(f1: float, f2: float, f_i: float, rho: Callable,
     ``rho(zeta, f)`` must be positive on [0, L] for the four frequency
     arguments; ``f1``, ``f2``, ``f_i`` are absolute frequencies.
     """
+    from scipy.integrate import quad
+
     spec = spec or QuadratureSpec()
     f3 = f1 + f2 - f_i
     freqs = (f1, f2, f3, f_i)
@@ -1012,22 +1018,6 @@ class IdentityReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        def _clean(check):
-            return {
-                "name": check.name,
-                "n_draws": int(check.n_draws),
-                "max_rel_error": float(check.max_rel_error),
-                "tolerance": float(check.tolerance),
-                "passed": bool(check.passed),
-                "max_tail": float(check.max_tail),
-            }
-
-        return json.dumps({
-            "checks": [_clean(c) for c in self.checks],
-            "all_passed": bool(self.all_passed),
-        }, indent=2) + "\n"
-
 
 def _rel(err, ref):
     return err / max(abs(ref), 1e-300)
@@ -1042,6 +1032,8 @@ def verify_identities(spec: Optional[QuadratureSpec] = None,
     oscillatory ones use weighted quadrature over [0, inf) with the tail
     beyond the spec'd truncation half-width reported separately.
     """
+    from scipy.integrate import quad
+
     spec = spec or QuadratureSpec()
     tol = spec.rel_tol_mu
     rng = np.random.default_rng(seed)
@@ -1191,26 +1183,23 @@ class ComparisonReport:
     converged: np.ndarray
 
     def __post_init__(self):
-        for name in ("frequencies", "eta_closed", "eta_numeric", "delta_db",
-                     "error_estimates", "xpm_closed", "xpm_numeric",
-                     "spm_closed", "spm_numeric", "converged"):
-            arr = np.asarray(getattr(self, name),
-                             dtype=bool if name == "converged" else float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("frequencies", "eta_closed", "eta_numeric",
+                             "delta_db", "error_estimates", "xpm_closed",
+                             "xpm_numeric", "spm_closed", "spm_numeric"))
+        freeze_arrays(self, ("converged",), dtype=bool)
 
     @property
     def max_abs_delta_db(self) -> float:
         return float(np.max(np.abs(self.delta_db)))
 
     def to_csv(self, path_or_buf=None) -> str:
-        lines = ["channel,f_i_hz,eta_closed_per_w2,eta_numeric_per_w2,"
-                 "delta_db,quadrature_error_estimate"]
-        for i in range(self.frequencies.size):
-            lines.append(",".join([str(i)] + [format_float(v) for v in (
-                self.frequencies[i], self.eta_closed[i], self.eta_numeric[i],
-                self.delta_db[i], self.error_estimates[i])]))
-        return write_text("\n".join(lines) + "\n", path_or_buf)
+        return write_csv(
+            ("channel", "f_i_hz", "eta_closed_per_w2", "eta_numeric_per_w2",
+             "delta_db", "quadrature_error_estimate"),
+            ((str(i),) + row for i, row in enumerate(zip(
+                self.frequencies, self.eta_closed, self.eta_numeric,
+                self.delta_db, self.error_estimates))),
+            path_or_buf)
 
 
 def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
@@ -1243,7 +1232,8 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
     converged = np.ones(n_ch, dtype=bool)
 
     # Per-channel tilt decompositions and integrable profiles; an XPM pair
-    # (i, k) uses the interferer's (channel k's) profile on both sides.
+    # (i, k) uses the interferer's (channel k's) profile on both sides.  A
+    # decomposition contracts itself once, for all the pairs it serves.
     all_terms = [
         closed_form_terms(fit.channel_fits[j].params,
                           grid.channels[j].center_frequency, span.length)

@@ -43,14 +43,13 @@ seeds are opt-in.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from typing import Tuple
 
 import numpy as np
 
-from .domain import LinkConfig, write_text
+from .domain import LinkConfig, write_json
 from .errors import NumericalError, ValidationError
 from .raman import PowerEvolution, normalized_profile
 
@@ -207,7 +206,7 @@ class FitReport:
                 for cf in self.channel_fits
             ]
         }
-        return write_text(json.dumps(payload, indent=2) + "\n", path_or_buf)
+        return write_json(payload, path_or_buf)
 
 
 def shared_fit_context(evolution: PowerEvolution, config: LinkConfig):
@@ -666,7 +665,7 @@ def fit_profile(
                 f"channel {ch_idx}: numeric profile is not strictly positive"
             )
         target_db = 10.0 * np.log10(rho)
-        alpha_phys = span.alpha_at(f_i)
+        alpha_phys = span.attenuation
         free, base, lo, hi, x_scale = _parameter_space(alpha_phys, c_r,
                                                        with_backward)
         delta = f_i - f_hat

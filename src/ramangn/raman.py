@@ -4,24 +4,25 @@ Integrates the pairwise stimulated-Raman power transfer between all
 co-propagating lines (channels and forward pumps) with a fixed-step
 fourth-order Runge-Kutta scheme.  Backward pumps are treated as undepleted
 and follow the analytic profile P(z) = P(L) * exp(-alpha_p (L - z)), which
-is injected into the channel right-hand side.
+is injected into the channel right-hand side.  ``_coupling_matrix`` builds
+the gains both among the co-propagating lines and from the backward pumps.
 
 Sign convention: a line gains power from every higher-frequency line and
 loses power to every lower-frequency line.  The loss side carries the
 photon-energy factor f_other/f_self (< 1); a derivation-mode switch sets
 all factors to 1 so that the pairwise transfer conserves total power
-exactly (used by conservation tests).
+exactly (used by conservation tests).  Known defect: the physical factor
+is the inverse, f_self/f_other (> 1), which conserves the photon number
+sum_i P_i / f_i; the factors used here conserve sum_i f_i P_i instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import (Direction, LinkConfig, format_float, validate_link,
-                     write_text)
+from .domain import Direction, LinkConfig, validate_link, write_csv
 from .errors import DivergenceError, ValidationError
 
 _MAX_RETRIES = 3
@@ -47,20 +48,20 @@ class PowerEvolution:
         return self.powers.shape[0]
 
 
-def _coupling_matrix(span, freqs, photon_factors):
-    """Pairwise gain matrix M[i, j]: contribution of line j to d ln P_i/dz."""
-    f = np.asarray(freqs, dtype=float)
-    gains = span.gain_at(f[None, :] - f[:, None])
+def _coupling_matrix(span, f_to, f_from, photon_factors):
+    """Gain matrix M[i, j]: contribution of the power of the line at
+    ``f_from[j]`` to d ln P/dz of the line at ``f_to[i]``.
+
+    Equal frequencies, the diagonal among the co-propagating lines
+    included, have zero gain.
+    """
+    gains = span.gain_at(f_from[None, :] - f_to[:, None])
     if photon_factors:
-        # Line i loses power to every lower-frequency line j; only the
-        # fraction f_j/f_i of the transferred photon flux leaves line i as
-        # power, the rest is the vibrational quantum defect.
-        weights = np.where(f[None, :] < f[:, None], f[None, :] / f[:, None], 1.0)
-    else:
-        weights = 1.0
-    m = weights * gains
-    np.fill_diagonal(m, 0.0)
-    return m
+        # Line i loses power to every lower-frequency line j and carries
+        # the factor f_j/f_i on that side (see the module docstring).
+        gains = np.where(f_from[None, :] < f_to[:, None],
+                         f_from[None, :] / f_to[:, None], 1.0) * gains
+    return gains
 
 
 def solve_power_evolution(
@@ -115,20 +116,16 @@ def solve_power_evolution(
     ])
 
     alpha = np.concatenate([
-        np.array([span.alpha_at(f) for f in ch_freqs]),
+        np.full(grid.n_channels, span.attenuation, dtype=float),
         np.array([p.attenuation for p in fw_pumps]),
     ])
 
-    coupling = _coupling_matrix(span, freqs, photon_factors)
+    coupling = _coupling_matrix(span, freqs, freqs, photon_factors)
 
     # Backward pumps enter the integrated lines only through their analytic
     # (undepleted) power profile.
     if bw_pumps:
-        bw_gain = span.gain_at(bw_freqs[None, :] - freqs[:, None])
-        if photon_factors:
-            w = np.where(bw_freqs[None, :] < freqs[:, None],
-                         bw_freqs[None, :] / freqs[:, None], 1.0)
-            bw_gain = w * bw_gain
+        bw_gain = _coupling_matrix(span, freqs, bw_freqs, photon_factors)
         bw_p_end = np.array([p.input_power for p in bw_pumps])
         bw_alpha = np.array([p.attenuation for p in bw_pumps])
 
@@ -207,9 +204,5 @@ def normalized_profile(evolution: PowerEvolution, channel_index: int) -> np.ndar
 def evolution_to_csv(evolution: PowerEvolution, path_or_buf) -> None:
     """Write the evolution as CSV: z_m column plus one column per line."""
     header = ["z_m"] + [f"P_{f:.6e}Hz_W" for f in evolution.frequencies]
-    rows = []
-    for j, z in enumerate(evolution.z_grid):
-        cells = [format_float(z)]
-        cells += [format_float(v) for v in evolution.powers[:, j]]
-        rows.append(",".join(cells))
-    write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", path_or_buf)
+    write_csv(header, np.column_stack((evolution.z_grid, evolution.powers.T)),
+              path_or_buf)

@@ -193,6 +193,44 @@ def test_nli_output_is_byte_identical_to_the_stored_report(data_dir,
         assert (tmp_path / "nli_report.csv").read_bytes() == fh.read()
 
 
+# The bytes of the other commands' outputs; scenario ``None`` is the
+# two-channel compare payload above.
+@pytest.mark.parametrize("command, scenario, output, golden", [
+    (["solve"], "minimal.json", "power_evolution.csv",
+     "minimal_power_evolution.csv"),
+    (["sweep", "--sweep=-2:2:1"], "lumped_9ch.json", "sweep.csv",
+     "lumped_9ch_sweep.csv"),
+    (["compare"], None, "comparison.csv", "two_channel_comparison.csv"),
+], ids=["solve", "sweep", "compare"])
+def test_output_is_byte_identical_to_the_stored_file(
+        data_dir, tiny_compare_scenario, tmp_path, command, scenario, output,
+        golden):
+    path = (tiny_compare_scenario if scenario is None
+            else os.path.join(data_dir, scenario))
+    rc = _run([command[0], "--scenario", path, "--out", str(tmp_path)]
+              + command[1:])
+    assert rc == 0
+    with open(os.path.join(data_dir, golden), "rb") as fh:
+        assert (tmp_path / output).read_bytes() == fh.read()
+
+
+def test_import_and_nli_do_not_load_scipy(minimal_scenario_path, tmp_path):
+    """Only the adaptive-quadrature paths of the oracle need scipy."""
+    code = (
+        "import sys\n"
+        "import ramangn\n"
+        "print('scipy' in sys.modules)\n"
+        "from ramangn.cli import main\n"
+        f"rc = main(['nli', '--scenario', {minimal_scenario_path!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.fixture(scope="module")
 def unconverged_fit_scenario(data_dir, tmp_path_factory):
     """Channels 0 and 39 of the reference grid and its backward pump, with

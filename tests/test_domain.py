@@ -100,11 +100,15 @@ def test_gain_at_triangular_sign():
     assert span.gain_at(0.0) == 0.0
 
 
-def test_alpha_at_callable_and_scalar():
-    span = _span()
-    assert span.alpha_at(193e12) == pytest.approx(ALPHA_02_DB_KM)
-    span_fn = _span(attenuation=lambda f: 1e-5 + 1e-20 * f)
-    assert span_fn.alpha_at(1e15) == pytest.approx(2e-5)
+def test_attenuation_is_one_span_number():
+    """The span's loss is one number for every channel, so a non-positive
+    value is one span diagnostic, whatever the channel count."""
+    assert _span().attenuation == ALPHA_02_DB_KM
+    cfg = LinkConfig(span=_span(attenuation=0.0), span_count=1,
+                     grid=_grid(n=5))
+    diags = link_diagnostics(cfg)
+    assert [d for d in diags if "attenuation" in d] == [
+        "span attenuation must be positive, got 0.0"]
 
 
 def test_snr_budget_broadcast_and_sequence():

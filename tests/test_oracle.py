@@ -26,7 +26,7 @@ from ramangn import (
     phase_mismatch,
     verify_identities,
 )
-from ramangn import oracle
+from ramangn import closedform, oracle
 from ramangn.errors import (NumericalError, ProfileDomainError,
                             ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
@@ -335,6 +335,48 @@ def test_compare_reports_unconverged_rows(lumped_scenario, monkeypatch):
         "quadrature_error_estimate")
 
 
+def test_compare_contracts_each_channel_once(lumped_scenario,
+                                            fixed_params, monkeypatch):
+    """compare contracts each channel's tilt terms once for all the pairs
+    they serve, and its closed columns equal per-pair evaluations on fresh
+    terms bit for bit."""
+    link = lumped_scenario.link
+    span, grid = link.span, link.grid
+    n, f_ref = link.span_count, grid.band_center
+    fit = FitReport(tuple(
+        ChannelFit(params=fixed_params, rms_db=0.0, n_eval=1, converged=True)
+        for _ in range(grid.n_channels)))
+
+    def fresh_terms(j):
+        return closed_form_terms(fixed_params,
+                                 grid.channels[j].center_frequency,
+                                 span.length)
+
+    offsets = grid.frequencies - f_ref
+    spm = np.array([
+        eta_spm(ch, fresh_terms(i), phase_mismatch(span, offsets[i]), span,
+                n, link.coherence_epsilon)
+        for i, ch in enumerate(grid.channels)])
+    xpm = np.zeros((grid.n_channels, grid.n_channels))
+    for i, ch_i in enumerate(grid.channels):
+        for k, ch_k in enumerate(grid.channels):
+            if k != i:
+                xpm[i, k] = eta_xpm_pair(
+                    ch_i, ch_k, fresh_terms(k),
+                    phase_mismatch(span, offsets[i], offsets[k]), span, n)
+
+    _stub_oracle(monkeypatch, link, lambda i, k: EtaEstimate(0.5, 0.0, True))
+    calls = []
+    contract = closedform._contract
+    monkeypatch.setattr(closedform, "_contract",
+                        lambda *a: calls.append(a) or contract(*a))
+    report = oracle.compare_closed_vs_oracle(link, fit)
+    assert len(calls) == grid.n_channels
+    np.testing.assert_array_equal(report.spm_closed, spm)
+    np.testing.assert_array_equal(report.xpm_closed, xpm)
+    np.testing.assert_array_equal(report.eta_closed, spm + xpm.sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # identity suite (short randomized run; the full run is in acceptance)
 # ---------------------------------------------------------------------------
@@ -343,5 +385,3 @@ def test_identity_suite_short_run():
     report = verify_identities(n_draws=12, seed=7)
     assert report.all_passed
     assert len(report.checks) >= 5
-    payload = report.to_json()
-    assert "all_passed" in payload

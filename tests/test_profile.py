@@ -168,7 +168,7 @@ def test_fit_pins_backward_coefficient_without_pump():
     cfg = LinkConfig(span=cfg.span, span_count=1, grid=cfg.grid, pumps=())
     report = fit_profile(evo, cfg, n_random_starts=4, n_grid=6, n_polish=2)
     for channel, cf in zip(cfg.grid.channels, report.channel_fits):
-        alpha_phys = cfg.span.alpha_at(channel.center_frequency)
+        alpha_phys = cfg.span.attenuation
         assert cf.params.c_b == 0.0
         assert cf.params.alpha_b == alpha_phys
         assert cf.params.p_b == 0.0
@@ -247,7 +247,7 @@ def _fit_inputs(cfg, evo, ch, with_backward=None):
     p_f, p_b, f_hat = shared_fit_context(evo, cfg)
     f_i = cfg.grid.channels[ch].center_frequency
     target_db = 10.0 * np.log10(normalized_profile(evo, ch))
-    alpha_phys = cfg.span.alpha_at(f_i)
+    alpha_phys = cfg.span.attenuation
     if with_backward is None:
         with_backward = p_b > 0
     free, base, lo, hi, scale = _parameter_space(
