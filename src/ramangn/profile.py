@@ -55,6 +55,8 @@ from .raman import PowerEvolution, normalized_profile
 
 _LN10 = math.log(10.0)
 _K_DB = 10.0 / _LN10  # nepers -> dB
+_N_GRID = 12  # seed-grid ratios per rate, 0.2 to 5 times the nominal
+_RNG_SEED = 20260823  # seed of the opt-in random starts
 _SCORE_BLOCK = 32  # seeds per batched scoring pass
 # z samples per sample of each seed-score lower bound, coarse to fine; each
 # stride divides the one before, so every level sees the coarser samples.
@@ -590,9 +592,7 @@ def fit_profile(
     config: LinkConfig,
     *,
     n_random_starts: int = 0,
-    n_grid: int = 12,
     n_polish: int = 0,
-    rng_seed: int = 20260823,
     max_iterations: int = 200,
 ) -> FitReport:
     """Fit the linearized profile to an ODE solution, channel by channel.
@@ -607,8 +607,8 @@ def fit_profile(
     0) and on a channel at f_hat, which sees no tilt, only alpha is fitted,
     in closed form.
 
-    Each channel ranks the nominal guess and an ``n_grid``^3 (``n_grid``^2
-    without a backward pump) variable-projection seed grid by score.  The
+    Each channel ranks the nominal guess and a 12^3 (12^2 without a
+    backward pump, ``_N_GRID``) variable-projection seed grid by score.  The
     ranking bounds each score by its partial sums over strided subsets of
     the z grid, every 64th, 16th and 4th sample in turn
     (``_BOUND_STRIDES``), and fully scores only the seeds that no bound
@@ -617,11 +617,12 @@ def fit_profile(
     distinct rate of the grid (``_seed_levels``).  Every polish is a problem
     of one batched projected Levenberg-Marquardt (``_polish``), whose
     Jacobian at a kept step reuses the terms of the residual that tested
-    it, run in rounds.  Round 1 polishes each channel's
-    best-scored seed, plus, opt-in, ``n_polish`` next-best seeds and
-    ``n_random_starts`` uniform random starts drawn with ``rng_seed``
-    channel by channel (for example 12 and 24); a channel's own result is
-    the polish of these with the lowest RMS, the first on a tie.  Each later
+    it, run in rounds.  Round 1 polishes each channel's best-scored seed,
+    plus, opt-in, ``n_polish`` next-best seeds and ``n_random_starts``
+    uniform random starts drawn channel by channel from one generator
+    seeded with ``_RNG_SEED`` (for example 12 and 24); a channel's own
+    result is the polish of these with the lowest RMS, the first on a
+    tie.  Each later
     round polishes, from the previous channel's current result, every
     channel whose previous channel's result changed, and keeps that polish
     when its RMS is strictly below the channel's own result.  The rounds
@@ -654,7 +655,7 @@ def fit_profile(
     p_f, p_b, f_hat = shared_fit_context(evolution, config)
     with_backward = p_b > 0.0
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_RNG_SEED)
     fits = [None] * evolution.n_channels
     channels, starts, owners = [], [], []
     for ch_idx in range(evolution.n_channels):
@@ -675,7 +676,7 @@ def fit_profile(
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
 
-        ratios = np.geomspace(0.2, 5.0, n_grid)
+        ratios = np.geomspace(0.2, 5.0, _N_GRID)
         grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
                                    ratios, alpha_phys, with_backward)
         seeds = np.clip(np.vstack([base[free], grid_seeds[:, free]]), lo, hi)

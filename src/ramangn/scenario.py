@@ -34,15 +34,20 @@ Top-level structure::
       "budget": {"snr_ase_db": 20.0, "snr_trx_db": "infinite"},
       "coherence_epsilon": 0.0,
       "solver": {"steps": 1000},
-      "fit": {"n_random_starts": 24, "n_polish": 12},  # opt-in multistart
-      "quadrature": {"rel_tol_eta": 1e-6},
+      "fit": {"n_random_starts": 24, "n_polish": 12,  # opt-in multistart
+              "max_iterations": 200},
+      "quadrature": {"max_refinements": 3},
       "output": {"directory": "results"}
     }
 
 ``budget`` may also be the string ``"infinite"`` (the default).  In the
 explicit-channel form each channel is
 ``{"center": Q, "bandwidth": Q, "launch_power": Q or [Q, ...]}`` with one
-launch power per span (a single value is broadcast).
+launch power per span (a single value is broadcast).  The ``solver``,
+``fit`` and ``quadrature`` keys shown are every run control a scenario
+sets; the fitter's seed grid and the oracle's tolerances are constants
+(see :func:`~ramangn.profile.fit_profile` and
+:class:`~ramangn.oracle.QuadratureSpec`).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Any, Optional, Tuple
 
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
                      SnrBudget, WdmGrid, validate_link)
-from .errors import ScenarioError, UnitError
+from .errors import ScenarioError, UnitError, ValidationError
 from .oracle import QuadratureSpec
 from .units import convert_units, db_to_linear
 
@@ -224,8 +229,7 @@ def _parse_budget(node: Any, path: str) -> SnrBudget:
 
 
 # Smallest accepted value per fit key: 0 extra starts is the fitter's default.
-_FIT_KEYS = {"n_random_starts": 0, "n_grid": 1, "n_polish": 0, "rng_seed": 1,
-             "max_iterations": 1}
+_FIT_KEYS = {"n_random_starts": 0, "n_polish": 0, "max_iterations": 1}
 
 
 def _parse_fit(node: Any, path: str) -> dict:
@@ -241,21 +245,13 @@ def _parse_fit(node: Any, path: str) -> dict:
 def _parse_quadrature(node: Any, path: str) -> QuadratureSpec:
     node = dict(_require_mapping(node, path))
     kwargs = {}
-    for key in ("rel_tol_mu", "rel_tol_eta", "abs_tol", "truncation_halfwidth"):
-        if key in node:
-            kwargs[key] = _number(node.pop(key), f"{path}.{key}")
     if "max_refinements" in node:
         kwargs["max_refinements"] = _int_at_least(
             node.pop("max_refinements"), f"{path}.max_refinements")
-    if "include_window" in node:
-        v = node.pop("include_window")
-        if not isinstance(v, bool):
-            raise ScenarioError(f"{path}.include_window: expected true/false")
-        kwargs["include_window"] = v
     _reject_unknown(node, path)
     try:
         return QuadratureSpec(**kwargs)
-    except Exception as exc:
+    except ValidationError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

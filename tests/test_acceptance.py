@@ -276,8 +276,7 @@ def test_criterion_7_snr_budget_arithmetic(lumped_scenario):
     rng = np.random.default_rng(20260823)
     link = lumped_scenario.link
     evolution = solve_power_evolution(link, steps=500)
-    fit = fit_profile(evolution, link, n_random_starts=4, n_grid=6,
-                      n_polish=2)
+    fit = fit_profile(evolution, link, n_random_starts=4, n_polish=2)
     base = eta_total(link, fit)
     worst = 0.0
     for _ in range(200):

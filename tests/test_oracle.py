@@ -72,8 +72,7 @@ def test_zeta_kernel_matches_adaptive_quadrature(fixed_params,
     kernel block holds."""
     rho = TaylorProfile(fixed_params, _L)
     ch_i, ch_k = _channel(19), _channel(25)
-    engine = _PairEngine(rho, reference_span, ch_i, ch_k, _F_REF, True)
-    engine.build_zeta_panels()
+    engine = _PairEngine(rho, reference_span, ch_i, ch_k, _F_REF)
     rng = np.random.default_rng(5)
     n_groups, group = 700, 3
     phi = rng.uniform(-3.0, 3.0, n_groups) * engine.phi_split
@@ -101,8 +100,8 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
     i, k = pair
     rho = TaylorProfile(fixed_params, _L)
     engine = _PairEngine(rho, reference_span, _channel(i), _channel(k),
-                         _F_REF, True)
-    assert engine._setup_swapped()
+                         _F_REF)
+    assert engine._sw is not None
     f2d = engine._sw["f2d"]
     for side in (1, -1):
         p = engine._sw["p_hi"] if side > 0 else engine._sw["p_lo"]
@@ -167,7 +166,6 @@ _FROZEN_XPM = {
     (0, 39): 3.563498699304e-01,
     (19, 20): 1.486068010021e+01,
 }
-_FROZEN_XPM_NO_WINDOW_19_25 = 2.351627490513e+00
 _FROZEN_SPM_19 = 5.311605825519e+01
 
 
@@ -179,16 +177,6 @@ def test_eta_xpm_frozen_values(fixed_params, reference_span, pair):
                           QuadratureSpec(), f_ref=_F_REF)
     assert est.converged
     assert est.value == pytest.approx(_FROZEN_XPM[pair], rel=1e-6)
-
-
-def test_eta_xpm_window_suppresses_out_of_band_mixing(fixed_params,
-                                                      reference_span):
-    rho = TaylorProfile(fixed_params, _L)
-    spec = QuadratureSpec(include_window=False)
-    est = eta_xpm_numeric(_channel(19), _channel(25), rho, reference_span,
-                          spec, f_ref=_F_REF)
-    assert est.value == pytest.approx(_FROZEN_XPM_NO_WINDOW_19_25, rel=1e-6)
-    assert est.value > _FROZEN_XPM[(19, 25)]
 
 
 def test_eta_spm_frozen_value(fixed_params, reference_span):
@@ -229,6 +217,22 @@ def test_direct_integration_order_converges(fixed_params, reference_span,
     assert fallback.converged
 
 
+def test_integration_order_per_pair(fixed_params, reference_span):
+    """The swapped (phi, f2) order serves every XPM pair of rows 0, 19 and
+    39 of the reference grid, and the direct order every SPM channel."""
+    rho = TaylorProfile(fixed_params, _L)
+    for i in range(40):
+        spm = _PairEngine(rho, reference_span, _channel(i), _channel(i),
+                          _F_REF)
+        assert spm._sw is None, i
+    for i in (0, 19, 39):
+        for k in range(40):
+            if k != i:
+                xpm = _PairEngine(rho, reference_span, _channel(i),
+                                  _channel(k), _F_REF)
+                assert xpm._sw is not None, (i, k)
+
+
 def test_eta_oracle_rejects_identical_pair(fixed_params, reference_span):
     rho = TaylorProfile(fixed_params, _L)
     with pytest.raises(ValidationError):
@@ -241,8 +245,6 @@ def test_eta_estimate_float_conversion():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValidationError):
-        QuadratureSpec(rel_tol_eta=0.0)
     with pytest.raises(ValidationError):
         QuadratureSpec(max_refinements=11)
 

@@ -150,7 +150,7 @@ def test_fit_recovers_synthetic_model_profiles():
     """Data generated exactly from the model is fitted to ~machine noise."""
     params_true = _params()
     cfg, evo = _synthetic_setup(params_true)
-    report = fit_profile(evo, cfg, n_random_starts=8, n_grid=8, n_polish=4)
+    report = fit_profile(evo, cfg, n_random_starts=8, n_polish=4)
     assert report.n_channels == 3
     assert report.max_rms_db <= 1e-6
     z = np.linspace(0.0, _L, 101)
@@ -166,7 +166,7 @@ def test_fit_pins_backward_coefficient_without_pump():
     params_true = _params(c_b=0.0, p_b=0.0)
     cfg, evo = _synthetic_setup(params_true)
     cfg = LinkConfig(span=cfg.span, span_count=1, grid=cfg.grid, pumps=())
-    report = fit_profile(evo, cfg, n_random_starts=4, n_grid=6, n_polish=2)
+    report = fit_profile(evo, cfg, n_random_starts=4, n_polish=2)
     for channel, cf in zip(cfg.grid.channels, report.channel_fits):
         alpha_phys = cfg.span.attenuation
         assert cf.params.c_b == 0.0
@@ -189,7 +189,7 @@ def test_fit_report_json_round_trip():
 
     params_true = _params()
     cfg, evo = _synthetic_setup(params_true)
-    report = fit_profile(evo, cfg, n_random_starts=2, n_grid=4, n_polish=1)
+    report = fit_profile(evo, cfg, n_random_starts=2, n_polish=1)
     payload = json.loads(report.to_json())
     assert len(payload["channels"]) == 3
     assert payload["channels"][0]["params"]["alpha"] == pytest.approx(

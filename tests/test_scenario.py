@@ -145,13 +145,53 @@ def test_explicit_channel_list(tmp_path):
 def test_solver_fit_quadrature_sections(tmp_path):
     payload = _base_payload()
     payload["solver"] = {"steps": 500}
-    payload["fit"] = {"rng_seed": 7, "n_grid": 4}
-    payload["quadrature"] = {"rel_tol_eta": 1e-5, "include_window": False}
+    payload["fit"] = {"max_iterations": 50}
+    payload["quadrature"] = {"max_refinements": 2}
     sc = parse_scenario(_write(tmp_path, payload))
     assert sc.solver_steps == 500
-    assert sc.fit_overrides == {"n_grid": 4, "rng_seed": 7}
-    assert sc.quadrature.rel_tol_eta == 1e-5
-    assert sc.quadrature.include_window is False
+    assert sc.fit_overrides == {"max_iterations": 50}
+    assert sc.quadrature.max_refinements == 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("fit", "n_grid", 4),
+    ("fit", "rng_seed", 7),
+    ("quadrature", "rel_tol_mu", 1e-8),
+    ("quadrature", "rel_tol_eta", 1e-5),
+    ("quadrature", "abs_tol", 0.0),
+    ("quadrature", "truncation_halfwidth", 50.0),
+    ("quadrature", "include_window", False),
+])
+def test_fixed_run_controls_are_rejected(tmp_path, section, key, value):
+    """The seed grid, the random-start seed and the oracle tolerances are
+    constants; a scenario that sets one is refused with the key's path."""
+    payload = _base_payload()
+    payload[section] = {key: value}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(_write(tmp_path, payload))
+    assert str(info.value) == f"{section}: unknown key(s) '{key}'"
+
+
+def test_documented_example_parses(tmp_path):
+    """The example in the scenario module's docstring, its ``#`` comments
+    stripped, is a valid scenario file."""
+    from ramangn import scenario
+
+    block = scenario.__doc__.split("Top-level structure::\n", 1)[1]
+    lines = []
+    for line in block.splitlines()[1:]:
+        if line and not line.startswith("    "):
+            break
+        lines.append(line.split("#", 1)[0])
+    path = tmp_path / "example.json"
+    path.write_text("\n".join(lines))
+    sc = parse_scenario(str(path))
+    assert sc.link.grid.n_channels == 40
+    assert sc.solver_steps == 1000
+    assert sc.fit_overrides == {"max_iterations": 200, "n_polish": 12,
+                                "n_random_starts": 24}
+    assert sc.quadrature.max_refinements == 3
+    assert sc.output_directory == "results"
 
 
 def test_fit_start_counts_accept_zero(tmp_path):
@@ -163,10 +203,9 @@ def test_fit_start_counts_accept_zero(tmp_path):
         payload["fit"] = {key: -1}
         with pytest.raises(ScenarioError, match=f"fit.{key}"):
             parse_scenario(_write(tmp_path, payload))
-    for key in ("n_grid", "max_iterations"):
-        payload["fit"] = {key: 0}
-        with pytest.raises(ScenarioError, match=f"fit.{key}"):
-            parse_scenario(_write(tmp_path, payload))
+    payload["fit"] = {"max_iterations": 0}
+    with pytest.raises(ScenarioError, match="fit.max_iterations"):
+        parse_scenario(_write(tmp_path, payload))
 
 
 def test_unknown_fit_key_rejected(tmp_path):
