@@ -9,11 +9,10 @@ the gains both among the co-propagating lines and from the backward pumps.
 
 Sign convention: a line gains power from every higher-frequency line and
 loses power to every lower-frequency line.  The loss side carries the
-photon-energy factor f_other/f_self (< 1); a derivation-mode switch sets
-all factors to 1 so that the pairwise transfer conserves total power
-exactly (used by conservation tests).  Known defect: the physical factor
-is the inverse, f_self/f_other (> 1), which conserves the photon number
-sum_i P_i / f_i; the factors used here conserve sum_i f_i P_i instead.
+photon-energy factor f_self/f_other (> 1): each photon the higher-frequency
+line gives up becomes one photon of the lower-frequency line, so the
+exchange conserves the photon number sum_i P_i / f_i (Agrawal, *Nonlinear
+Fiber Optics*, the Raman coupled equations).
 """
 
 from __future__ import annotations
@@ -48,27 +47,24 @@ class PowerEvolution:
         return self.powers.shape[0]
 
 
-def _coupling_matrix(span, f_to, f_from, photon_factors):
+def _coupling_matrix(span, f_to, f_from):
     """Gain matrix M[i, j]: contribution of the power of the line at
     ``f_from[j]`` to d ln P/dz of the line at ``f_to[i]``.
 
     Equal frequencies, the diagonal among the co-propagating lines
-    included, have zero gain.
+    included, have zero gain.  Line i loses power to every lower-frequency
+    line j with the photon-energy factor f_i/f_j (see the module
+    docstring).
     """
     gains = span.gain_at(f_from[None, :] - f_to[:, None])
-    if photon_factors:
-        # Line i loses power to every lower-frequency line j and carries
-        # the factor f_j/f_i on that side (see the module docstring).
-        gains = np.where(f_from[None, :] < f_to[:, None],
-                         f_from[None, :] / f_to[:, None], 1.0) * gains
-    return gains
+    return np.where(f_from[None, :] < f_to[:, None],
+                    f_to[:, None] / f_from[None, :], 1.0) * gains
 
 
 def solve_power_evolution(
     config: LinkConfig,
     span_index: int = 0,
     steps: int = 1000,
-    photon_factors: bool = True,
 ) -> PowerEvolution:
     """Integrate one span of ``config`` and return the sampled powers.
 
@@ -82,10 +78,6 @@ def solve_power_evolution(
         Number of RK4 steps (>= 100); the output grid has ``steps + 1``
         samples.  If the state turns non-finite (or non-positive) the
         integration retries with the step halved, up to three times.
-    photon_factors:
-        Apply the f_other/f_self photon-energy factors on the loss side of
-        each pairwise transfer.  ``False`` is the derivation-mode switch
-        that makes pairwise transfer exactly power-conserving.
 
     Every pairwise gain is the span's triangular slope,
     ``FiberSpan.gain_at``, the same C_r that ``fit_profile`` bounds its
@@ -120,12 +112,12 @@ def solve_power_evolution(
         np.array([p.attenuation for p in fw_pumps]),
     ])
 
-    coupling = _coupling_matrix(span, freqs, freqs, photon_factors)
+    coupling = _coupling_matrix(span, freqs, freqs)
 
     # Backward pumps enter the integrated lines only through their analytic
     # (undepleted) power profile.
     if bw_pumps:
-        bw_gain = _coupling_matrix(span, freqs, bw_freqs, photon_factors)
+        bw_gain = _coupling_matrix(span, freqs, bw_freqs)
         bw_p_end = np.array([p.input_power for p in bw_pumps])
         bw_alpha = np.array([p.attenuation for p in bw_pumps])
 

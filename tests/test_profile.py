@@ -719,4 +719,4 @@ def test_seed_ranking_work_on_the_reference(reference_scenario,
     monkeypatch.setattr(profile, "_seed_scores", counting)
     again = fit_profile(evolution, reference_scenario.link)
     assert again.channel_fits == fit.channel_fits
-    assert work == {"elements": 3_451_811, "rows": 975}
+    assert work == {"elements": 3_447_677, "rows": 972}

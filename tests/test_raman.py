@@ -53,30 +53,16 @@ def test_normalized_profile_starts_at_one():
         normalized_profile(evo, evo.n_lines)
 
 
-def test_pairwise_conservation_without_photon_factors():
-    """With the photon-energy factors disabled, the Raman exchange is
-    exactly power-conserving: the total behaves as pure fibre loss."""
-    cfg = _link(n=4, raman_slope=2.8e-15, spacing=1e12, power=50e-3)
-    evo = solve_power_evolution(cfg, steps=800, photon_factors=False)
-    total = evo.powers[:4].sum(axis=0)
-    compensated = total * np.exp(ALPHA_02_DB_KM * evo.z_grid)
-    assert np.allclose(compensated, compensated[0], rtol=1e-9)
-
-
 def test_photon_factors_break_exact_conservation():
-    """With the photon-energy factors on, the pairwise exchange is no
-    longer exactly power-conserving (the factors scale the loss side)."""
+    """With the photon-energy factors, the pairwise exchange is not
+    power-conserving (the factors scale the loss side)."""
     cfg = _link(n=4, raman_slope=2.8e-15, spacing=1e12, power=50e-3)
-    evo = solve_power_evolution(cfg, steps=800, photon_factors=True)
+    evo = solve_power_evolution(cfg, steps=800)
     compensated = (evo.powers[:4].sum(axis=0)
                    * np.exp(ALPHA_02_DB_KM * evo.z_grid))
     assert abs(compensated[-1] / compensated[0] - 1.0) > 1e-4
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the higher-frequency line loses f_j/f_i times what the "
-    "lower one gains, not f_i/f_j, so the exchange conserves sum f_i P_i "
-    "and the photon number rises 1.6 % on this link"))
 def test_raman_exchange_conserves_photon_number():
     """Each photon a higher-frequency line gives up becomes one photon of
     the lower-frequency line: the loss-compensated photon number
@@ -117,11 +103,11 @@ def _per_call_channel_powers(cfg, steps):
                         [q.input_power for q in fw]])
     alpha = np.concatenate([[span.attenuation] * len(ch_freqs),
                             [q.attenuation for q in fw]])
-    coupling = raman._coupling_matrix(span, freqs, freqs, True)
+    coupling = raman._coupling_matrix(span, freqs, freqs)
     bw_freqs = np.array([q.frequency for q in bw])
     bw_gain = span.gain_at(bw_freqs[None, :] - freqs[:, None])
     bw_gain = np.where(bw_freqs[None, :] < freqs[:, None],
-                       bw_freqs[None, :] / freqs[:, None], 1.0) * bw_gain
+                       freqs[:, None] / bw_freqs[None, :], 1.0) * bw_gain
     bw_p_end = np.array([q.input_power for q in bw])
     bw_alpha = np.array([q.attenuation for q in bw])
 
