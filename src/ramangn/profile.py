@@ -622,12 +622,12 @@ def fit_profile(
     uniform random starts drawn channel by channel from one generator
     seeded with ``_RNG_SEED`` (for example 12 and 24); a channel's own
     result is the polish of these with the lowest RMS, the first on a
-    tie.  Each later
-    round polishes, from the previous channel's current result, every
-    channel whose previous channel's result changed, and keeps that polish
-    when its RMS is strictly below the channel's own result.  The rounds
-    stop when no result changes; that is the result of fitting the channels
-    in order, each also warm-started from its predecessor's result.
+    tie.  Each later round polishes, from the previous channel's current
+    result, every channel whose previous channel's result changed, and
+    keeps that polish when its RMS is strictly below the channel's own
+    result.  The rounds stop when no result changes; that is the result of
+    fitting the channels in order, each also warm-started from its
+    predecessor's result.
 
     A polish stops after ``max_iterations`` residual evaluations.  A
     channel's ``n_eval`` counts the residual evaluations of its winning
