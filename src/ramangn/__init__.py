@@ -16,10 +16,9 @@ All internal quantities are SI; engineering units exist only at the I/O
 boundary (:mod:`ramangn.units`, :mod:`ramangn.scenario`).
 """
 
-from .closedform import (ClosedFormTerms, NliReport, PhaseMismatch,
-                         assemble_snr, closed_form_terms, eta_spm, eta_total,
-                         eta_xpm_pair, mu_closed, phase_mismatch,
-                         tilt_reconstruction)
+from .closedform import (ClosedFormTerms, NliReport, assemble_snr,
+                         closed_form_terms, eta_spm, eta_total, eta_xpm_pair,
+                         mu_closed)
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
                      SnrBudget, WdmGrid, link_diagnostics, validate_link)
 from .errors import (DegenerateDispersionError, DegenerateTiltError,
@@ -32,13 +31,12 @@ from .oracle import (ComparisonReport, EtaEstimate, IdentityReport,
                      verify_identities)
 from .profile import (ChannelFit, FitReport, ProfileParams,
                       backward_effective_length, effective_length,
-                      eval_profile_exact, eval_profile_taylor, fit_profile,
-                      tilt_derivative, tilt_integral)
+                      eval_profile_taylor, fit_profile, tilt_derivative,
+                      tilt_integral)
 from .raman import (PowerEvolution, evolution_to_csv, normalized_profile,
                     solve_power_evolution)
 from .scenario import Scenario, parse_scenario
-from .units import (UNIT_TAGS, convert_units, db_to_linear, linear_to_db,
-                    to_engineering)
+from .units import UNIT_TAGS, convert_units, db_to_linear
 
 __version__ = "0.1.0"
 

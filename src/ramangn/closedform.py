@@ -1,25 +1,31 @@
 """Closed-form nonlinear-interference evaluation.
 
 Builds the per-channel tilt decomposition of the linearized power profile,
-evaluates the closed-form link function and the XPM/SPM contributions, and
-assembles per-channel eta and SNR.
+evaluates the closed-form link function (``mu_closed``) and the XPM/SPM
+efficiencies, and assembles per-channel eta and SNR.
 
 The SPM and XPM brackets are double sums over the three tilt terms (l, l').
 The rate weights Upsilon_l Upsilon_l' / (alpha_l + alpha_l') and the
 endpoint products are symmetric in (l, l') (the kappa_f kappa_b difference
 antisymmetric), so the double sum contracts, per channel, to three weights
 on the arctan/arcsinh terms plus one tail constant (``_contract``) before
-any channel pair is formed.  A ``ClosedFormTerms`` contracts itself once,
-on first use, so the per-pair functions reuse one channel's contraction
-for every pair it takes part in.  The whole-grid kernel is launch-power
-free; ``eta_total`` evaluates it once and applies the per-span powers as
-sum_j P_{k,j}^2.
+any channel pair is formed.  ``_spm_eta`` and ``_xpm_eta`` hold the only
+copy of each efficiency expression.  The whole-grid kernel (``_kernel``,
+behind ``eta_total``) calls them on every channel and pair at once; the
+public per-pair functions ``eta_spm`` and ``eta_xpm_pair``, which the
+closed-vs-oracle comparison calls, call them on one channel or pair, from
+a ``ClosedFormTerms`` that contracts itself once, on first use.  Both take
+frequency offsets from ``f_ref``, the frequency at which beta2/beta3 are
+quoted.  The kernel is launch-power free; ``eta_total`` evaluates it once
+and applies the per-span powers as sum_j P_{k,j}^2.
 
 Sign note: the sin-weighted tail term appears in several published variants
 with an inconsistent sign.  The implementation below uses the sign that
 reproduces the unambiguous complex-modulus form of the link function
-|sum Upsilon (kappa_f e^{j phi L} - kappa_b)/(-alpha_l + j phi)|^2
-to machine precision, which the test suite asserts.
+|sum Upsilon (kappa_f e^{j phi L} - kappa_b)/(-alpha_l + j phi)|^2, the
+modulus of the defining integral.  Acceptance criterion 1 checks
+``mu_closed`` against adaptive quadrature of that integral to 1e-9, on
+pumped and pump-free profiles and for both signs of phi.
 """
 
 from __future__ import annotations
@@ -71,18 +77,6 @@ class ClosedFormTerms:
         first use; raises NumericalError on a cancelling rate sum."""
         return _contract(self.upsilon, self.alpha_l, self.kappa_f,
                          self.kappa_b, self.alpha, self.length)
-
-
-@dataclass(frozen=True)
-class PhaseMismatch:
-    """Dispersion phase factors for one channel (and optionally one pair).
-
-    ``phi_i`` scales as 1/(m Hz^2) (self-channel), ``phi_ik`` as 1/(m Hz)
-    (channel pair); ``phi_ik`` is None when no interferer was given.
-    """
-
-    phi_i: float
-    phi_ik: Optional[float] = None
 
 
 _PARAM_COLUMNS = attrgetter(*(f.name for f in fields(ProfileParams)))
@@ -147,21 +141,6 @@ def closed_form_terms(params: ProfileParams, f_i: float, length: float
                               for k, v in t.items()})
 
 
-def tilt_reconstruction(terms: ClosedFormTerms, zeta):
-    """Rebuild 1 - x(zeta) (f_i - f_hat) from the three-term decomposition.
-
-    Equals exactly 1 at zeta = 0 for any parameters.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    rates = terms.alpha_l - terms.alpha  # l1 alpha_f - l2 alpha_b
-    out = np.sum(
-        terms.upsilon * terms.kappa_b
-        * np.exp(-np.multiply.outer(zeta, rates)),
-        axis=-1,
-    )
-    return out if out.ndim else float(out)
-
-
 def _phi_self(span: FiberSpan, f_i):
     """Self-channel phase factor phi_i at offset(s) ``f_i``."""
     return -4.0 * math.pi ** 2 * (span.beta2
@@ -172,28 +151,6 @@ def _phi_pair(span: FiberSpan, f_i, f_k):
     """Pair phase factor phi_ik at offsets ``f_i``, ``f_k`` (broadcasting)."""
     return (-4.0 * math.pi ** 2 * (f_k - f_i)
             * (span.beta2 + math.pi * span.beta3 * (f_i + f_k)))
-
-
-def phase_mismatch(span: FiberSpan, f_i: float, f_k: Optional[float] = None
-                   ) -> PhaseMismatch:
-    """Dispersion phase factors; ``f_i``/``f_k`` are offsets (Hz) from the
-    reference frequency at which beta2/beta3 are quoted.
-
-    Raises
-    ------
-    DegenerateDispersionError
-        If an interferer is given and the pair factor vanishes.
-    """
-    phi_i = _phi_self(span, f_i)
-    phi_ik = None
-    if f_k is not None:
-        phi_ik = _phi_pair(span, f_i, f_k)
-        if abs(phi_ik) < _PHI_EPS:
-            raise DegenerateDispersionError(
-                f"pair phase factor vanishes for offsets "
-                f"f_i = {f_i:.4e} Hz, f_k = {f_k:.4e} Hz"
-            )
-    return PhaseMismatch(phi_i=phi_i, phi_ik=phi_ik)
 
 
 def _check_rate_sums(upsilon, alpha_l, alpha) -> np.ndarray:
@@ -254,27 +211,6 @@ def mu_closed(phi, terms: ClosedFormTerms):
     return out if out.ndim else float(out)
 
 
-def mu_closed_complex(phi, terms: ClosedFormTerms):
-    """Link function via the complex-modulus form (cross-check path)."""
-    _check_rate_sums(terms.upsilon, terms.alpha_l, terms.alpha)
-    phi_arr = np.asarray(phi, dtype=float)
-    p = phi_arr[..., None]
-    active = terms.upsilon != 0.0
-    denom = np.where(active, -terms.alpha_l + 1j * p, 1.0)
-    s = np.sum(
-        np.where(
-            active,
-            terms.upsilon
-            * (terms.kappa_f * np.exp(1j * p * terms.length) - terms.kappa_b)
-            / denom,
-            0.0,
-        ),
-        axis=-1,
-    )
-    out = np.abs(s) ** 2
-    return out if out.ndim else float(out)
-
-
 def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
     """Contract the SPM/XPM bracket's (l, l') double sum, per channel.
 
@@ -307,85 +243,110 @@ def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
     return weight, tail, rate
 
 
-def _xpm_sum(phi_ik, b_i, contracted):
-    """XPM bracket sum from the interferer's contraction.
+def _spm_eta(span: FiberSpan, phi_i, b_i, contracted):
+    """Single-span SPM eta (1/W^2) from the channel's own contraction.
 
-    ``phi_ik`` and ``b_i`` broadcast against the contraction's channel
-    axes (the interferer k).
+    The one copy of the SPM expression: ``phi_i`` and ``b_i`` broadcast
+    against the contraction's channel axes.
     """
-    weight, tail, rate = contracted
-    phi_ik = np.asarray(phi_ik)
-    with np.errstate(over="ignore"):
-        at = np.arctan(phi_ik[..., None] * np.asarray(b_i)[..., None]
-                       / (2.0 * rate))
-    return np.sum(at * weight, axis=-1) - math.pi * np.sign(phi_ik) * tail
-
-
-def _spm_sum(phi_i, b_i, length, contracted):
-    """SPM bracket sum from the channel's own contraction."""
     weight, tail, rate = contracted
     phi_i = np.asarray(phi_i)
     b_i = np.asarray(b_i)
     with np.errstate(over="ignore"):
         ash = np.arcsinh(3.0 * phi_i[..., None] * b_i[..., None] ** 2
                          / (8.0 * math.pi * rate))
-    log_w = np.log(np.sqrt(np.abs(phi_i) * length / (2.0 * math.pi)) * b_i)
-    return np.sum(ash * weight, axis=-1) - 4.0 * log_w * np.sign(phi_i) * tail
+    log_w = np.log(np.sqrt(np.abs(phi_i) * span.length / (2.0 * math.pi))
+                   * b_i)
+    total = (np.sum(ash * weight, axis=-1)
+             - 4.0 * log_w * np.sign(phi_i) * tail)
+    return _SPM_PREF * math.pi * span.gamma ** 2 / (b_i ** 2 * phi_i) * total
+
+
+def _xpm_eta(span: FiberSpan, phi_ik, b_i, b_k, contracted):
+    """Single-span XPM eta (1/W^2) of interferer k onto channel i, at equal
+    powers, from the interferer's contraction.
+
+    The one copy of the XPM expression: ``phi_ik``, ``b_i`` and ``b_k``
+    broadcast against the contraction's channel axes (the interferer k).
+    """
+    weight, tail, rate = contracted
+    phi_ik = np.asarray(phi_ik)
+    with np.errstate(over="ignore"):
+        at = np.arctan(phi_ik[..., None] * np.asarray(b_i)[..., None]
+                       / (2.0 * rate))
+    total = np.sum(at * weight, axis=-1) - math.pi * np.sign(phi_ik) * tail
+    return _XPM_PREF * span.gamma ** 2 / (phi_ik * b_k) * total
 
 
 def eta_xpm_pair(
     channel_i: Channel,
     channel_k: Channel,
     terms: ClosedFormTerms,
-    phase: PhaseMismatch,
     span: FiberSpan,
     n: int,
+    *,
+    f_ref: float,
 ) -> float:
     """Closed-form XPM contribution of interferer k onto channel i (1/W^2).
 
     ``terms`` must be the tilt decomposition of the *interferer* (built at
-    f_k): the spectral integrand collapses to the interfering channel's
-    power profile. Includes the interferer power ratio (P_k/P_i)^2 and the
-    span count ``n`` (incoherent accumulation), so that the NLI power
-    contributed by this pair is the return value times P_i^3.
+    f_k over ``span.length``): the spectral integrand collapses to the
+    interfering channel's power profile.  ``f_ref`` is the absolute
+    frequency at which beta2/beta3 are quoted (the grid's band center).
+    Includes the interferer power ratio (P_k/P_i)^2 and the span count
+    ``n`` (incoherent accumulation), so that the NLI power contributed by
+    this pair is the return value times P_i^3.
+
+    Raises
+    ------
+    DegenerateDispersionError
+        If the pair phase factor vanishes (a pair ``eta_total`` reports
+        in ``degenerate_pairs``).
     """
     if channel_k.center_frequency == channel_i.center_frequency:
         raise ValidationError("XPM pair requires distinct channels")
-    if phase.phi_ik is None:
-        raise ValidationError("phase mismatch lacks the pair factor phi_ik")
-    phi_ik = phase.phi_ik
+    f_i = channel_i.center_frequency - f_ref
+    f_k = channel_k.center_frequency - f_ref
+    phi_ik = _phi_pair(span, f_i, f_k)
+    if abs(phi_ik) < _PHI_EPS:
+        raise DegenerateDispersionError(
+            f"pair phase factor vanishes for offsets "
+            f"f_i = {f_i:.4e} Hz, f_k = {f_k:.4e} Hz"
+        )
     p_i = channel_i.launch_power_per_span[0]
     p_k = channel_k.launch_power_per_span[0]
-    total = float(_xpm_sum(phi_ik, channel_i.bandwidth, terms.contracted))
-    return (n * _XPM_PREF * span.gamma ** 2 * (p_k / p_i) ** 2
-            / (phi_ik * channel_k.bandwidth) * total)
+    return float(n * (p_k / p_i) ** 2
+                 * _xpm_eta(span, phi_ik, channel_i.bandwidth,
+                            channel_k.bandwidth, terms.contracted))
 
 
 def eta_spm(
     channel_i: Channel,
     terms: ClosedFormTerms,
-    phase: PhaseMismatch,
     span: FiberSpan,
     n: int,
     epsilon: float = 0.0,
+    *,
+    f_ref: float,
 ) -> float:
     """Closed-form SPM contribution of channel i onto itself (1/W^2).
 
+    ``terms`` is channel i's tilt decomposition over ``span.length`` and
+    ``f_ref`` the absolute frequency at which beta2/beta3 are quoted.
     Includes the n^{1+epsilon} coherent accumulation factor; the launch
     power is divided out (NLI power = return value times P_i^3).
     """
-    phi_i = phase.phi_i
+    phi_i = _phi_self(span, channel_i.center_frequency - f_ref)
     if phi_i == 0.0:
         raise DegenerateDispersionError(
             "self-channel phase factor phi_i is zero (dispersion-free); "
             "the SPM closed form is undefined"
         )
-    b_i = channel_i.bandwidth
-    if b_i <= 0 or terms.length <= 0:
+    if channel_i.bandwidth <= 0 or span.length <= 0:
         raise ValidationError("SPM needs positive bandwidth and span length")
-    total = float(_spm_sum(phi_i, b_i, terms.length, terms.contracted))
-    return (n ** (1.0 + epsilon) * _SPM_PREF * math.pi * span.gamma ** 2
-            / (b_i ** 2 * phi_i) * total)
+    return float(n ** (1.0 + epsilon)
+                 * _spm_eta(span, phi_i, channel_i.bandwidth,
+                            terms.contracted))
 
 
 @dataclass(frozen=True)
@@ -471,8 +432,7 @@ def _kernel(config: LinkConfig, fit):
         raise DegenerateDispersionError(
             "phi_i vanishes for at least one channel"
         )
-    spm = (_SPM_PREF * math.pi * span.gamma ** 2 / (b ** 2 * phi_i)
-           * _spm_sum(phi_i, b, length, contracted))
+    spm = _spm_eta(span, phi_i, b, contracted)
 
     # pair (i, k) on axes (0, 1): the tilt decomposition is the
     # interferer's, since the spectral integrand collapses to channel k's
@@ -482,9 +442,8 @@ def _kernel(config: LinkConfig, fit):
     degenerate = off_diag & (np.abs(phi_ik) < _PHI_EPS)
     valid = off_diag & ~degenerate
     phi_safe = np.where(valid, phi_ik, 1.0)
-    xpm = (_XPM_PREF * span.gamma ** 2 / (phi_safe * b[None, :])
-           * _xpm_sum(phi_safe, b[:, None], contracted))
-    xpm = np.where(valid, xpm, 0.0)
+    xpm = np.where(valid, _xpm_eta(span, phi_safe, b[:, None], b[None, :],
+                                   contracted), 0.0)
     pairs = tuple((int(i), int(k)) for i, k in zip(*np.nonzero(degenerate)))
     return spm, xpm, pairs
 

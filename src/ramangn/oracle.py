@@ -63,15 +63,16 @@ class QuadratureSpec:
 
     An eta estimate refines until two successive levels agree to
     ``_REL_TOL_ETA`` relative, or until ``max_refinements`` refinements
-    have run, when it reports ``converged=False``.  The rectangular
-    spectral window is always applied.
+    have run, when it reports ``converged=False``.  At least one
+    refinement is needed: the first level alone has no error estimate.
+    The rectangular spectral window is always applied.
     """
 
     max_refinements: int = 3
 
     def __post_init__(self):
-        if self.max_refinements < 0 or self.max_refinements > 10:
-            raise ValidationError("max_refinements must lie in [0, 10]")
+        if self.max_refinements < 1 or self.max_refinements > 10:
+            raise ValidationError("max_refinements must lie in [1, 10]")
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,6 @@ class EtaEstimate:
     value: float
     error_estimate: float
     converged: bool
-
-    def __float__(self):
-        return self.value
 
 
 class TaylorProfile:
@@ -351,7 +349,8 @@ class _PairEngine:
         if bad.size:
             raise ProfileDomainError(
                 f"linearized profile is non-positive at zeta = "
-                f"{z[bad[0]]:.6e} m for a frequency inside the channel pair"
+                f"{z[bad[0]]:.6e} m for a frequency inside the channel pair "
+                f"f_i = {self.fi_abs:.6e} Hz, f_k = {self.fk_abs:.6e} Hz"
             )
         xp = tilt_derivative(self.p, z, self.length)
         rate = max(np.max(np.abs(lo * xp / u_lo)),
@@ -958,33 +957,32 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
 
 def eta_xpm_numeric(channel_i: Channel, channel_k: Channel,
                     rho: TaylorProfile, span: FiberSpan,
-                    spec: Optional[QuadratureSpec] = None,
-                    f_ref: Optional[float] = None) -> EtaEstimate:
+                    spec: Optional[QuadratureSpec] = None, *,
+                    f_ref: float) -> EtaEstimate:
     """2D quadrature of the XPM spectral integral with the exact phase.
 
-    ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted
-    (defaults to the midpoint of the two channels).
+    ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted,
+    the grid's band center (``FiberSpan``).
     """
     spec = spec or QuadratureSpec()
     if channel_k.center_frequency == channel_i.center_frequency:
         raise ValidationError("XPM oracle requires distinct channels")
     if span.gamma == 0.0:
         return EtaEstimate(0.0, 0.0, True)
-    if f_ref is None:
-        f_ref = 0.5 * (channel_i.center_frequency
-                       + channel_k.center_frequency)
     return _eta_pair_numeric(channel_i, channel_k, rho, span, spec, f_ref)
 
 
 def eta_spm_numeric(channel_i: Channel, rho: TaylorProfile, span: FiberSpan,
-                    spec: Optional[QuadratureSpec] = None,
-                    f_ref: Optional[float] = None) -> EtaEstimate:
-    """SPM oracle: the self-pair XPM integral, halved."""
+                    spec: Optional[QuadratureSpec] = None, *,
+                    f_ref: float) -> EtaEstimate:
+    """SPM oracle: the self-pair XPM integral, halved.
+
+    ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted,
+    the grid's band center (``FiberSpan``).
+    """
     spec = spec or QuadratureSpec()
     if span.gamma == 0.0:
         return EtaEstimate(0.0, 0.0, True)
-    if f_ref is None:
-        f_ref = channel_i.center_frequency
     est = _eta_pair_numeric(channel_i, channel_i, rho, span, spec, f_ref)
     return EtaEstimate(0.5 * est.value, 0.5 * est.error_estimate,
                        est.converged)
@@ -1208,8 +1206,7 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
     band center.  Rows left out through ``channels`` read 0 dB; a compared
     row whose ratio is not finite raises NumericalError.
     """
-    from .closedform import (closed_form_terms, eta_spm, eta_xpm_pair,
-                             phase_mismatch)
+    from .closedform import closed_form_terms, eta_spm, eta_xpm_pair
 
     spec = spec or QuadratureSpec()
     grid = config.grid
@@ -1242,9 +1239,7 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
 
     for i in idxs:
         ch_i = grid.channels[i]
-        fi_off = ch_i.center_frequency - f_ref
-        pm_i = phase_mismatch(span, fi_off)
-        spm_c[i] = eta_spm(ch_i, all_terms[i], pm_i, span, n, eps)
+        spm_c[i] = eta_spm(ch_i, all_terms[i], span, n, eps, f_ref=f_ref)
         est = eta_spm_numeric(ch_i, all_rho[i], span, spec, f_ref=f_ref)
         spm_n[i] = est.value * n ** (1.0 + eps)
         errs[i] += est.error_estimate
@@ -1253,9 +1248,8 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
             if k == i:
                 continue
             ch_k = grid.channels[k]
-            fk_off = ch_k.center_frequency - f_ref
-            pm = phase_mismatch(span, fi_off, fk_off)
-            xpm_c[i, k] = eta_xpm_pair(ch_i, ch_k, all_terms[k], pm, span, n)
+            xpm_c[i, k] = eta_xpm_pair(ch_i, ch_k, all_terms[k], span, n,
+                                       f_ref=f_ref)
             est = eta_xpm_numeric(ch_i, ch_k, all_rho[k], span, spec,
                                   f_ref=f_ref)
             xpm_n[i, k] = n * est.value

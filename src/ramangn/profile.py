@@ -7,11 +7,11 @@ The linearized profile used by the closed form is
 
 with L_eff(z) = (1 - exp(-alpha_f z)) / alpha_f and
 Lb_eff(z) = (exp(-alpha_b (L - z)) - exp(-alpha_b L)) / alpha_b.  Its exact
-precursor keeps the tilt in the exponent and normalizes over the total
-bandwidth with a sinh factor.  ``effective_length``,
-``backward_effective_length``, ``tilt_integral`` and ``tilt_derivative``
-are the one implementation of these pieces; the fitter and the oracle
-build on them.
+precursor, which the package does not evaluate, keeps the tilt in the
+exponent and normalizes over the total bandwidth with a sinh factor.
+``effective_length``, ``backward_effective_length``, ``tilt_integral`` and
+``tilt_derivative`` are the one implementation of these pieces; the fitter
+and the oracle build on them.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
 by damped least squares on the dB-domain residual.  A channel's parameters
@@ -144,25 +144,6 @@ def eval_profile_taylor(params: ProfileParams, z, f_i: float, length: float):
     return out if out.ndim else float(out)
 
 
-def eval_profile_exact(params: ProfileParams, z, f_i: float, length: float,
-                       total_bandwidth: float):
-    """Pre-linearization profile with the sinh normalization factor.
-
-    rho = exp(-alpha z) * x B / (2 sinh(x B / 2)) * exp(-x (f - f_hat)),
-    with the removable singularity at x -> 0 evaluated by series.
-    """
-    if total_bandwidth <= 0:
-        raise ValidationError("total bandwidth must be positive")
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(tilt_integral(params, z, length), dtype=float)
-    t = 0.5 * x * total_bandwidth
-    small = np.abs(t) < 1e-6
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        norm = np.where(small, 1.0 - t * t / 6.0, t / np.sinh(np.where(small, 1.0, t)))
-    out = np.exp(-params.alpha * z) * norm * np.exp(-x * (f_i - params.f_hat))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ChannelFit:
     """Fit result for one channel."""
@@ -185,10 +166,6 @@ class FitReport:
     @property
     def n_channels(self) -> int:
         return len(self.channel_fits)
-
-    @property
-    def max_rms_db(self) -> float:
-        return max(cf.rms_db for cf in self.channel_fits)
 
     @property
     def unconverged_channels(self) -> Tuple[int, ...]:

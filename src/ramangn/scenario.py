@@ -40,8 +40,9 @@ Top-level structure::
       "output": {"directory": "results"}
     }
 
-``budget`` may also be the string ``"infinite"`` (the default).  In the
-explicit-channel form each channel is
+``budget`` may also be the string ``"infinite"`` (the default);
+``snr_ase_db`` and ``snr_trx_db`` may each be a list with one entry per
+channel.  In the explicit-channel form each channel is
 ``{"center": Q, "bandwidth": Q, "launch_power": Q or [Q, ...]}`` with one
 launch power per span (a single value is broadcast).  The ``solver``,
 ``fit`` and ``quadrature`` keys shown are every run control a scenario
@@ -207,23 +208,26 @@ def _parse_pumps(node: Any, path: str) -> Tuple[Pump, ...]:
     return tuple(pumps)
 
 
-def _parse_budget_entry(value: Any, path: str):
+def _parse_budget_entry(value: Any, path: str, n_channels: int):
     if value == "infinite":
         return math.inf
     if isinstance(value, list):
+        if len(value) != n_channels:
+            raise ScenarioError(
+                f"{path}: {len(value)} entries for {n_channels} channel(s)")
         return tuple(db_to_linear(_number(v, f"{path}[{j}]"))
                      for j, v in enumerate(value))
     return db_to_linear(_number(value, path))
 
 
-def _parse_budget(node: Any, path: str) -> SnrBudget:
+def _parse_budget(node: Any, path: str, n_channels: int) -> SnrBudget:
     if node == "infinite":
         return SnrBudget()
     node = dict(_require_mapping(node, path))
     ase = _parse_budget_entry(_take(node, "snr_ase_db", path, "infinite"),
-                              f"{path}.snr_ase_db")
+                              f"{path}.snr_ase_db", n_channels)
     trx = _parse_budget_entry(_take(node, "snr_trx_db", path, "infinite"),
-                              f"{path}.snr_trx_db")
+                              f"{path}.snr_trx_db", n_channels)
     _reject_unknown(node, path)
     return SnrBudget(snr_ase=ase, snr_trx=trx)
 
@@ -278,7 +282,7 @@ def parse_scenario(path) -> Scenario:
     epsilon = _number(_take(root, "coherence_epsilon", "<root>", 0.0),
                       "coherence_epsilon")
     budget = _parse_budget(_take(root, "budget", "<root>", "infinite"),
-                           "budget")
+                           "budget", grid.n_channels)
 
     solver = dict(_require_mapping(_take(root, "solver", "<root>", {}),
                                    "solver"))

@@ -1,8 +1,10 @@
 """Engineering-unit conversion at the I/O boundary.
 
 Everything inside the package is strict SI: Hz, W, m, Np/m, s^2/m, s^3/m,
-1/(W*m), 1/(W*m*Hz).  Engineering units exist only in scenario files and
-report headers, and go through ``convert_units`` / ``to_engineering``.
+1/(W*m), 1/(W*m*Hz).  Engineering units exist only in scenario files, which
+the scenario parser converts on the way in with ``convert_units`` (tagged
+quantities) and ``db_to_linear`` (plain dB ratios); reports are written in
+SI, with SNRs in dB.
 """
 
 from __future__ import annotations
@@ -55,24 +57,6 @@ def convert_units(value: float, unit: str) -> float:
     raise UnitError(f"unknown unit tag {unit!r}; supported: {sorted(UNIT_TAGS)}")
 
 
-def to_engineering(value: float, unit: str) -> float:
-    """Inverse of :func:`convert_units`: SI value back to the tagged unit."""
-    if unit in _SCALE:
-        return value / _SCALE[unit]
-    if unit == "dBm":
-        if value <= 0.0:
-            raise UnitError("dBm conversion requires a positive power in W")
-        return 10.0 * math.log10(value / 1e-3)
-    raise UnitError(f"unknown unit tag {unit!r}; supported: {sorted(UNIT_TAGS)}")
-
-
 def db_to_linear(value_db: float) -> float:
     """Plain dB ratio to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Linear ratio to dB."""
-    if value <= 0.0:
-        raise UnitError("dB conversion requires a positive ratio")
-    return 10.0 * math.log10(value)

@@ -22,10 +22,8 @@ from ramangn import (
     eta_total,
     eta_xpm_pair,
     mu_closed,
-    phase_mismatch,
-    tilt_reconstruction,
 )
-from ramangn.closedform import mu_closed_complex
+from ramangn.closedform import _phi_pair
 from ramangn.errors import (DegenerateDispersionError, DegenerateTiltError,
                             NumericalError, ValidationError)
 from ramangn.profile import ProfileParams, tilt_integral
@@ -54,9 +52,17 @@ def _fit_report(params_list):
 # tilt decomposition
 # ---------------------------------------------------------------------------
 
+def _tilt_reconstruction(terms, zeta):
+    """1 - x(zeta) (f_i - f_hat) rebuilt from the three-term decomposition:
+    sum_l Upsilon_l kappa_b,l exp(-(alpha_l - alpha) zeta)."""
+    rates = terms.alpha_l - terms.alpha  # l1 alpha_f - l2 alpha_b
+    return np.sum(terms.upsilon * terms.kappa_b
+                  * np.exp(-np.multiply.outer(zeta, rates)), axis=-1)
+
+
 def test_tilt_reconstruction_is_one_at_launch():
     terms = closed_form_terms(_params(), 193.4e12, _L)
-    assert tilt_reconstruction(terms, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert _tilt_reconstruction(terms, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tilt_reconstruction_matches_profile_factor():
@@ -65,7 +71,7 @@ def test_tilt_reconstruction_matches_profile_factor():
     terms = closed_form_terms(p, f_i, _L)
     z = np.linspace(0.0, _L, 257)
     direct = 1.0 - tilt_integral(p, z, _L) * (f_i - p.f_hat)
-    assert np.allclose(tilt_reconstruction(terms, z), direct, rtol=1e-12)
+    assert np.allclose(_tilt_reconstruction(terms, z), direct, rtol=1e-12)
 
 
 def test_terms_collapse_without_raman_tilt():
@@ -88,6 +94,17 @@ def test_degenerate_tilt_detected():
 # link function
 # ---------------------------------------------------------------------------
 
+def _mu_complex_modulus(phi, terms):
+    """|sum_l Upsilon_l (kappa_f e^{j phi L} - kappa_b) / (-alpha_l + j phi)|^2,
+    the modulus form of the link function (zero-weight terms left out)."""
+    active = terms.upsilon != 0.0
+    s = np.sum(terms.upsilon[active]
+               * (terms.kappa_f[active] * np.exp(1j * phi * terms.length)
+                  - terms.kappa_b[active])
+               / (-terms.alpha_l[active] + 1j * phi))
+    return abs(s) ** 2
+
+
 @given(
     c_f=st.floats(min_value=0.0, max_value=4e-18),
     c_b=st.floats(min_value=0.0, max_value=1.5e-18),
@@ -99,7 +116,7 @@ def test_mu_grouped_equals_complex_modulus(c_f, c_b, d, phi):
     p = _params(c_f=c_f, c_b=c_b)
     terms = closed_form_terms(p, p.f_hat + d, _L)
     grouped = float(mu_closed(phi, terms))
-    modulus = float(mu_closed_complex(phi, terms))
+    modulus = _mu_complex_modulus(phi, terms)
     assert grouped == pytest.approx(modulus, rel=1e-10, abs=1e-30)
 
 
@@ -144,25 +161,27 @@ def _span(**kwargs):
 def test_phase_mismatch_pair_antisymmetry():
     span = _span()
     f_i, f_k = -1.95e12, 0.55e12
-    assert phase_mismatch(span, f_i, f_k).phi_ik == pytest.approx(
-        -phase_mismatch(span, f_k, f_i).phi_ik, rel=1e-15
+    assert _phi_pair(span, f_i, f_k) == pytest.approx(
+        -_phi_pair(span, f_k, f_i), rel=1e-15
     )
 
 
 def test_phase_mismatch_degenerate_pair_raises():
     # beta2 = 0 and offsets summing to zero zero out the pair factor
     span = _span(beta2=0.0)
-    with pytest.raises(DegenerateDispersionError):
-        phase_mismatch(span, -0.5e12, 0.5e12)
+    ch_i = Channel(192.9e12, 100e9, (1e-3,))
+    ch_k = Channel(193.9e12, 100e9, (1e-3,))
+    terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
+    with pytest.raises(DegenerateDispersionError, match="pair phase factor"):
+        eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12)
 
 
 def test_spm_degenerate_dispersion_raises():
     span = _span(beta2=0.0, beta3=0.0)
     ch = Channel(193.4e12, 100e9, (1e-3,))
     terms = closed_form_terms(_params(), ch.center_frequency, _L)
-    pm = phase_mismatch(span, 0.0)
     with pytest.raises(DegenerateDispersionError):
-        eta_spm(ch, terms, pm, span, 1)
+        eta_spm(ch, terms, span, 1, f_ref=193.4e12)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +193,14 @@ def test_xpm_power_ratio_scaling():
     ch_i = Channel(193.0e12, 100e9, (1e-3,))
     ch_k = Channel(193.5e12, 100e9, (1e-3,))
     terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
-    pm = phase_mismatch(span, -0.4e12, 0.1e12)
-    base = eta_xpm_pair(ch_i, ch_k, terms_k, pm, span, 1)
+    base = eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12)
     doubled_k = Channel(193.5e12, 100e9, (2e-3,))
-    assert eta_xpm_pair(ch_i, doubled_k, terms_k, pm, span, 1) == \
-        pytest.approx(4.0 * base, rel=1e-14)
+    assert eta_xpm_pair(ch_i, doubled_k, terms_k, span, 1,
+                        f_ref=193.4e12) == pytest.approx(4.0 * base, rel=1e-14)
     doubled_i = Channel(193.0e12, 100e9, (2e-3,))
-    assert eta_xpm_pair(doubled_i, ch_k, terms_k, pm, span, 1) == \
-        pytest.approx(0.25 * base, rel=1e-14)
+    assert eta_xpm_pair(doubled_i, ch_k, terms_k, span, 1,
+                        f_ref=193.4e12) == pytest.approx(0.25 * base,
+                                                         rel=1e-14)
 
 
 def test_xpm_span_count_is_linear():
@@ -189,9 +208,10 @@ def test_xpm_span_count_is_linear():
     ch_i = Channel(193.0e12, 100e9, (1e-3, 1e-3, 1e-3))
     ch_k = Channel(193.5e12, 100e9, (1e-3, 1e-3, 1e-3))
     terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
-    pm = phase_mismatch(span, -0.4e12, 0.1e12)
-    assert eta_xpm_pair(ch_i, ch_k, terms_k, pm, span, 3) == pytest.approx(
-        3.0 * eta_xpm_pair(ch_i, ch_k, terms_k, pm, span, 1), rel=1e-14
+    assert eta_xpm_pair(ch_i, ch_k, terms_k, span, 3,
+                        f_ref=193.4e12) == pytest.approx(
+        3.0 * eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12),
+        rel=1e-14
     )
 
 
@@ -199,9 +219,8 @@ def test_spm_coherent_accumulation_exponent():
     span = _span()
     ch = Channel(193.4e12, 100e9, (1e-3,))
     terms = closed_form_terms(_params(), ch.center_frequency, _L)
-    pm = phase_mismatch(span, 0.0)
-    one = eta_spm(ch, terms, pm, span, 1, epsilon=0.1)
-    four = eta_spm(ch, terms, pm, span, 4, epsilon=0.1)
+    one = eta_spm(ch, terms, span, 1, epsilon=0.1, f_ref=193.4e12)
+    four = eta_spm(ch, terms, span, 4, epsilon=0.1, f_ref=193.4e12)
     assert four == pytest.approx(4.0 ** 1.1 * one, rel=1e-14)
 
 
@@ -209,9 +228,8 @@ def test_xpm_requires_distinct_channels():
     span = _span()
     ch = Channel(193.4e12, 100e9, (1e-3,))
     terms = closed_form_terms(_params(), ch.center_frequency, _L)
-    pm = phase_mismatch(span, 0.0, 0.5e12)
     with pytest.raises(ValidationError):
-        eta_xpm_pair(ch, ch, terms, pm, span, 1)
+        eta_xpm_pair(ch, ch, terms, span, 1, f_ref=193.4e12)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +279,16 @@ def _per_pair_reference(cfg, fit):
                          (c.launch_power_per_span[j],))
                  for c in grid.channels]
         for i, ch_i in enumerate(chans):
-            fi = ch_i.center_frequency - f_ref
-            total = eta_spm(ch_i, terms[i], phase_mismatch(span, fi), span,
-                            1, 0.0) * n ** cfg.coherence_epsilon
+            total = eta_spm(ch_i, terms[i], span, 1, 0.0,
+                            f_ref=f_ref) * n ** cfg.coherence_epsilon
             for k, ch_k in enumerate(chans):
                 if k == i:
                     continue
                 try:
-                    pm = phase_mismatch(span, fi,
-                                        ch_k.center_frequency - f_ref)
+                    total += eta_xpm_pair(ch_i, ch_k, terms[k], span, 1,
+                                          f_ref=f_ref)
                 except DegenerateDispersionError:
                     pairs.add((i, k))
-                    continue
-                total += eta_xpm_pair(ch_i, ch_k, terms[k], pm, span, 1)
             ratio = (grid.channels[i].launch_power_per_span[j]
                      / grid.channels[i].launch_power_per_span[0])
             eta[i] += ratio ** 2 * total
@@ -379,24 +394,28 @@ def test_contracted_bracket_matches_double_sum(pumped):
              Channel(194.0e12, 50e9, (2e-3,)))
     for ch_i, ch_k in (chans, chans[::-1]):
         fi = ch_i.center_frequency - f_ref
-        pm = phase_mismatch(span, fi, ch_k.center_frequency - f_ref)
+        fk = ch_k.center_frequency - f_ref
+        # the phase factors written out from beta2, beta3
+        phi_ik = (-4.0 * math.pi ** 2 * (fk - fi)
+                  * (span.beta2 + math.pi * span.beta3 * (fi + fk)))
+        phi_i = -4.0 * math.pi ** 2 * (span.beta2
+                                       + 2.0 * math.pi * span.beta3 * fi)
         terms_k = closed_form_terms(params, ch_k.center_frequency, _L)
         ratio = ch_k.launch_power_per_span[0] / ch_i.launch_power_per_span[0]
         expected = (32.0 / 27.0 * span.gamma ** 2 * ratio ** 2
-                    / (pm.phi_ik * ch_k.bandwidth)
-                    * _double_sum_bracket(terms_k, pm.phi_ik, ch_i.bandwidth,
+                    / (phi_ik * ch_k.bandwidth)
+                    * _double_sum_bracket(terms_k, phi_ik, ch_i.bandwidth,
                                           spm=False))
-        assert eta_xpm_pair(ch_i, ch_k, terms_k, pm, span, 1) == \
-            pytest.approx(expected, rel=1e-12)
+        assert eta_xpm_pair(ch_i, ch_k, terms_k, span, 1,
+                            f_ref=f_ref) == pytest.approx(expected, rel=1e-12)
 
         terms_i = closed_form_terms(params, ch_i.center_frequency, _L)
-        pm_i = phase_mismatch(span, fi)
         expected = (16.0 / 27.0 * math.pi * span.gamma ** 2
-                    / (ch_i.bandwidth ** 2 * pm_i.phi_i)
-                    * _double_sum_bracket(terms_i, pm_i.phi_i, ch_i.bandwidth,
+                    / (ch_i.bandwidth ** 2 * phi_i)
+                    * _double_sum_bracket(terms_i, phi_i, ch_i.bandwidth,
                                           spm=True))
-        assert eta_spm(ch_i, terms_i, pm_i, span, 1) == pytest.approx(
-            expected, rel=1e-12)
+        assert eta_spm(ch_i, terms_i, span, 1, f_ref=f_ref) == \
+            pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_sum_guard_uses_each_channels_alpha():
@@ -412,7 +431,7 @@ def test_rate_sum_guard_uses_each_channels_alpha():
     terms = closed_form_terms(params[1], ch.center_frequency, _L)
     assert 2.0 * terms.alpha_l[2] == pytest.approx(5e-7 * a, rel=1e-6)
     with pytest.raises(NumericalError):
-        eta_spm(ch, terms, phase_mismatch(cfg.span, 0.0), cfg.span, 1)
+        eta_spm(ch, terms, cfg.span, 1, f_ref=ch.center_frequency)
 
 
 def test_eta_total_uniform_fast_path_matches_general():

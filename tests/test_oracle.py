@@ -7,6 +7,7 @@ regressions.
 """
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,11 @@ from ramangn import (
     eta_xpm_numeric,
     eta_spm,
     eta_xpm_pair,
+    fit_profile,
     mu_closed,
     mu_numeric,
-    phase_mismatch,
+    parse_scenario,
+    solve_power_evolution,
     verify_identities,
 )
 from ramangn import closedform, oracle
@@ -233,20 +236,82 @@ def test_integration_order_per_pair(fixed_params, reference_span):
                 assert xpm._sw is not None, (i, k)
 
 
+@pytest.mark.parametrize("pair", [(39, 13), (9, 39)])
+def test_direct_order_near_zero_dispersion(fixed_params, reference_span,
+                                           pair):
+    """At beta2 = -0.5 ps^2/km the phase slope of these XPM pairs changes
+    sign over the interferer, so the direct (f1, f2) order is their only
+    path.  It converges, and matches a 64 x 64 Gauss rule in (f1, f2) over
+    the same |I(phi)|^2."""
+    span = replace(reference_span, beta2=-0.5e-27)
+    rho = TaylorProfile(fixed_params, _L)
+    ch_i, ch_k = _channel(pair[0]), _channel(pair[1])
+    engine = _PairEngine(rho, span, ch_i, ch_k, _F_REF)
+    assert engine._sw is None
+    est = eta_xpm_numeric(ch_i, ch_k, rho, span, f_ref=_F_REF)
+    assert est.converged
+    # f2: 32 nodes on each side of the kink where the f1 window starts
+    # clipping; f1: 64 nodes over the window at each f2
+    t32, w32 = np.polynomial.legendre.leggauss(32)
+    t64, w64 = np.polynomial.legendre.leggauss(64)
+    half, kink = engine.b_k / 2, (engine.b_k - engine.b_i) / 2
+    f2, w2 = [], []
+    for lo, hi in ((-half, kink), (kink, half)):
+        f2.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t32)
+        w2.append(0.5 * (hi - lo) * w32)
+    f2, w2 = np.concatenate(f2), np.concatenate(w2)
+    lo, hi = engine._f1_window(f2)
+    f1 = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t64).ravel()
+    w = (w2[:, None] * 0.5 * (hi - lo)[:, None] * w64).ravel()
+    f2 = np.repeat(f2, 64)
+    phi = engine._phi_of(f1, *engine._phase_coeffs(f2))
+    j2d = np.sum(w * np.abs(engine._i_of_phi(f1, f2, phi)) ** 2)
+    assert est.value == pytest.approx(
+        32.0 / 27.0 * span.gamma ** 2 / engine.b_k ** 2 * j2d, rel=1e-9)
+
+
+def test_profile_domain_refusal_names_the_pair(data_dir):
+    """The three-pump stress fit puts interferers 29-39 outside the
+    linearized profile's domain: row 0 refuses exactly those pairs, and the
+    refusal names both centre frequencies."""
+    scenario = parse_scenario(os.path.join(
+        data_dir, "stress_three_backward_pumps.json"))
+    link = scenario.link
+    fit = fit_profile(solve_power_evolution(link, steps=scenario.solver_steps),
+                      link)
+    span, grid = link.span, link.grid
+    ch_0 = grid.channels[0]
+    refused = []
+    for k, ch_k in enumerate(grid.channels):
+        rho = TaylorProfile(fit.channel_fits[k].params, span.length)
+        try:
+            _PairEngine(rho, span, ch_0, ch_k, grid.band_center)
+        except ProfileDomainError as exc:
+            refused.append(k)
+            assert (f"f_i = {ch_0.center_frequency:.6e} Hz, "
+                    f"f_k = {ch_k.center_frequency:.6e} Hz") in str(exc)
+    assert refused == list(range(29, 40))
+    with pytest.raises(ProfileDomainError, match="f_k = 1.953500e"):
+        eta_xpm_numeric(ch_0, grid.channels[39],
+                        TaylorProfile(fit.channel_fits[39].params,
+                                      span.length),
+                        span, scenario.quadrature, f_ref=grid.band_center)
+
+
 def test_eta_oracle_rejects_identical_pair(fixed_params, reference_span):
     rho = TaylorProfile(fixed_params, _L)
     with pytest.raises(ValidationError):
-        eta_xpm_numeric(_channel(5), _channel(5), rho, reference_span)
-
-
-def test_eta_estimate_float_conversion():
-    est = EtaEstimate(2.5, 1e-9, True)
-    assert float(est) == 2.5
+        eta_xpm_numeric(_channel(5), _channel(5), rho, reference_span,
+                        f_ref=_F_REF)
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValidationError):
         QuadratureSpec(max_refinements=11)
+    # a single level has no error estimate, so it could never converge
+    with pytest.raises(ValidationError, match=r"\[1, 10\]"):
+        QuadratureSpec(max_refinements=0)
+    assert QuadratureSpec(max_refinements=1).max_refinements == 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +326,8 @@ def test_closed_form_tracks_oracle_per_pair(fixed_params, reference_span):
                             ((19, 20), 0.5)):
         ch_i, ch_k = _channel(i), _channel(k)
         terms_k = closed_form_terms(fixed_params, ch_k.center_frequency, _L)
-        pm = phase_mismatch(reference_span,
-                            ch_i.center_frequency - _F_REF,
-                            ch_k.center_frequency - _F_REF)
-        closed = eta_xpm_pair(ch_i, ch_k, terms_k, pm, reference_span, 1)
+        closed = eta_xpm_pair(ch_i, ch_k, terms_k, reference_span, 1,
+                              f_ref=_F_REF)
         numeric = eta_xpm_numeric(ch_i, ch_k, rho, reference_span, spec,
                                   f_ref=_F_REF).value
         assert abs(10.0 * math.log10(closed / numeric)) <= gate_db
@@ -274,8 +337,7 @@ def test_closed_form_tracks_oracle_spm(fixed_params, reference_span):
     rho = TaylorProfile(fixed_params, _L)
     ch = _channel(19)
     terms = closed_form_terms(fixed_params, ch.center_frequency, _L)
-    pm = phase_mismatch(reference_span, ch.center_frequency - _F_REF)
-    closed = eta_spm(ch, terms, pm, reference_span, 1)
+    closed = eta_spm(ch, terms, reference_span, 1, f_ref=_F_REF)
     numeric = eta_spm_numeric(ch, rho, reference_span, QuadratureSpec(),
                               f_ref=_F_REF).value
     assert abs(10.0 * math.log10(closed / numeric)) <= 0.1
@@ -354,18 +416,16 @@ def test_compare_contracts_each_channel_once(lumped_scenario,
                                  grid.channels[j].center_frequency,
                                  span.length)
 
-    offsets = grid.frequencies - f_ref
     spm = np.array([
-        eta_spm(ch, fresh_terms(i), phase_mismatch(span, offsets[i]), span,
-                n, link.coherence_epsilon)
+        eta_spm(ch, fresh_terms(i), span, n, link.coherence_epsilon,
+                f_ref=f_ref)
         for i, ch in enumerate(grid.channels)])
     xpm = np.zeros((grid.n_channels, grid.n_channels))
     for i, ch_i in enumerate(grid.channels):
         for k, ch_k in enumerate(grid.channels):
             if k != i:
-                xpm[i, k] = eta_xpm_pair(
-                    ch_i, ch_k, fresh_terms(k),
-                    phase_mismatch(span, offsets[i], offsets[k]), span, n)
+                xpm[i, k] = eta_xpm_pair(ch_i, ch_k, fresh_terms(k), span, n,
+                                         f_ref=f_ref)
 
     _stub_oracle(monkeypatch, link, lambda i, k: EtaEstimate(0.5, 0.0, True))
     calls = []

@@ -142,6 +142,53 @@ def test_explicit_channel_list(tmp_path):
     assert chans[1].center_frequency == pytest.approx(193.2e12)
 
 
+def test_per_span_launch_powers(tmp_path):
+    """A list of launch powers gives one value per span, in both grid forms;
+    a list of the wrong length is refused with its key path."""
+    payload = _base_payload()
+    payload["span_count"] = 3
+    payload["grid"]["launch_power"] = [
+        {"value": v, "unit": "dBm"} for v in (0.0, 1.0, -2.0)]
+    sc = parse_scenario(_write(tmp_path, payload))
+    expected = tuple(1e-3 * 10 ** (v / 10) for v in (0.0, 1.0, -2.0))
+    for ch in sc.link.grid.channels:
+        assert ch.launch_power_per_span == pytest.approx(expected, rel=1e-15)
+    payload["grid"]["launch_power"].pop()
+    with pytest.raises(ScenarioError,
+                       match=r"^grid\.launch_power: 2 launch powers for 3 "):
+        parse_scenario(_write(tmp_path, payload))
+
+    payload = _base_payload()
+    payload["span_count"] = 2
+    payload["grid"] = {"channels": [{
+        "center": {"value": 193.0, "unit": "THz"},
+        "bandwidth": {"value": 0.1, "unit": "THz"},
+        "launch_power": [{"value": 3.0, "unit": "dBm"}] * 3,
+    }]}
+    with pytest.raises(ScenarioError, match=r"^grid\.channels\[0\]"
+                       r"\.launch_power: 3 launch powers for 2 "):
+        parse_scenario(_write(tmp_path, payload))
+    payload["grid"]["channels"][0]["launch_power"].pop()
+    sc = parse_scenario(_write(tmp_path, payload))
+    assert sc.link.grid.channels[0].launch_power_per_span == pytest.approx(
+        (1e-3 * 10 ** 0.3,) * 2, rel=1e-15)
+
+
+def test_per_channel_budget(tmp_path):
+    """snr_ase_db may list one dB value per channel; a list of the wrong
+    length is refused with its key path."""
+    payload = _base_payload()
+    payload["budget"] = {"snr_ase_db": [20.0, 23.0], "snr_trx_db": 30.0}
+    sc = parse_scenario(_write(tmp_path, payload))
+    ase, trx = sc.budget.as_arrays(2)
+    assert ase == pytest.approx([100.0, 10 ** 2.3], rel=1e-15)
+    assert trx == pytest.approx([1000.0, 1000.0], rel=1e-15)
+    payload["budget"]["snr_ase_db"].append(25.0)
+    with pytest.raises(ScenarioError,
+                       match=r"^budget\.snr_ase_db: 3 entries for 2 "):
+        parse_scenario(_write(tmp_path, payload))
+
+
 def test_solver_fit_quadrature_sections(tmp_path):
     payload = _base_payload()
     payload["solver"] = {"steps": 500}
