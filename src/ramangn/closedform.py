@@ -422,6 +422,10 @@ def _kernel(config: LinkConfig, fit):
     length = span.length
     f_off = grid.frequencies - grid.band_center
     b = grid.bandwidths
+    bad = np.flatnonzero(~(np.isfinite(b) & (b > 0.0)))
+    if bad.size:
+        raise ValidationError(f"channel(s) {bad.tolist()}: bandwidth must "
+                              f"be positive and finite")
     t = _terms_arrays([cf.params for cf in fit.channel_fits],
                       grid.frequencies, length)
     contracted = _contract(t["upsilon"], t["alpha_l"], t["kappa_f"],

@@ -12,8 +12,10 @@ panel-wise Filon rule (exact integration of a local polynomial fit of the
 smooth profile factor against e^{j phi zeta}), and the outer spectral
 integral switches, beyond a phase-rate threshold, to an integration-by-parts
 endpoint expansion whose smooth and single-ripple parts are integrated
-separately.  All quadrature decisions are refined once (or twice) and the
-change between refinement levels is reported as the error estimate.
+separately.  Every node count grows with the refinement level, and the
+change between two levels is reported as the error estimate; an estimate
+refines until that change meets ``_REL_TOL_ETA``, which every SPM and XPM
+estimate of the reference grid does at the first refinement.
 
 Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
 they import ``scipy.integrate`` when they run, so importing the package
@@ -219,9 +221,40 @@ def _cheb_nodes_invv(n_nodes: int):
     return t, np.linalg.inv(v)
 
 
+def _legendre_pair(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+
 @lru_cache(maxsize=None)
 def _gl_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n, from Tricomi's asymptotic guesses, finds the
+    nodes of one half; the other half is their mirror image, and the
+    weights are scaled to sum to 2, as numpy's ``leggauss`` does.  Memory
+    is O(n), where ``leggauss``'s companion eigenproblem needs O(n^2).
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)  # nodes in [0, 1), largest first
+    x = ((1.0 - (n - 1.0) / (8.0 * n ** 3))
+         * np.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
+    for _ in range(10):
+        p, dp = _legendre_pair(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    dp = _legendre_pair(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    if n % 2:
+        x[-1] = 0.0
+    half = n // 2
+    nodes = np.concatenate([-x, x[:half][::-1]])
+    weights = np.concatenate([w, w[:half][::-1]])
+    return nodes, weights * (2.0 / weights.sum())
 
 
 _GL_CAP = 1 << 14  # largest Gauss-Legendre rule of one segment
@@ -295,6 +328,8 @@ _SPLIT_FACTOR = 20.0  # phase-rate multiple separating inner/outer regions
 _N_ZETA_DEG = 10  # polynomial degree per zeta panel
 _NODE_BLOCK = 512  # (f1, phi) nodes per block of the zeta-integral kernel
 _F2_BLOCK = 256  # f2 nodes per batch of the direct-order integration
+_GRADE_DEPTH = 14  # halvings of the inner phase segment next to a zero ...
+_GRADE_STEP = 4  # ... plus this many more per refinement level
 
 # U/V expansion factors (-1)^m m! (-j)^{m+1}: sum_m c_m g_m / phi^{m+1}
 # equals sum_m (-1)^m g^{(m)} / (j phi)^{m+1}.
@@ -304,10 +339,14 @@ _UV_FACTORS = np.array([(-1.0) ** m * math.factorial(m)
 
 
 class _PairEngine:
-    """Evaluates J(f2) = int w(f1) |I(f1, f2)|^2 df1 for one channel pair.
+    """Evaluates the 2D integral of |I(f1, f2)|^2 for one channel pair.
 
+    Two integration orders: the swapped (phi, f2) order (``eta_swapped``)
+    and the direct (f1, f2) order (``j_of_f2``, through ``_eta_once``).
     The constructor builds what every refinement level shares; ``_sw`` is
-    None where the swapped order does not apply.
+    None where the swapped order does not apply.  The phase slope vanishes
+    with d2 = f2 + f_k - f_i, so SPM's band splits at f2 = 0 into two
+    pieces (``_setup_swapped``); XPM's band is one piece.
     """
 
     def __init__(self, profile: TaylorProfile, span: FiberSpan,
@@ -650,7 +689,8 @@ class _PairEngine:
     # -- swapped (phi, f2) integration order ---------------------------------
     #
     # When phi(f1, f2) is monotone in f1 with a slope of constant sign
-    # across the interfering band, the 2D integral is evaluated as
+    # across each piece of the interfering band, the 2D integral is
+    # evaluated as
     #   int dphi T(phi),   T(phi) = int_{D(phi)} |I|^2 / |dphi/df1| df2,
     # with D(phi) the f2 set whose f1 window reaches phase phi.  At fixed
     # phi the integrand is smooth in f2 -- the oscillation of |I|^2 lives
@@ -659,7 +699,10 @@ class _PairEngine:
     # nodes below the split, endpoint expansion plus polynomial Filon
     # above it).  This is what makes the oracle converge: integrating f2
     # on the outside instead leaves an interference ripple across the
-    # interfering band that a fixed f2 rule cannot resolve.
+    # interfering band that a fixed f2 rule cannot resolve.  Where the
+    # slope vanishes inside the band (SPM), |dphi/df1| ~ |f2| near the
+    # zero and T(phi) ~ ln(1/|phi|): the f2 nodes move to ln|f2| and the
+    # inner phase segment next to phi = 0 is graded geometrically.
 
     def _p_end(self, f2, side: int):
         """Extreme phase reachable inside the f1 window at f2 (vectorized)."""
@@ -670,18 +713,34 @@ class _PairEngine:
 
     def _setup_swapped(self) -> Optional[dict]:
         """The f2 grid and extreme phases of the swapped order, or None
-        where phi(f1) is not monotone with one slope sign over the pair."""
+        where phi(f1) is not monotone with one slope sign over each piece.
+
+        The phase slope a(f2) and curvature b(f2) share the factor d2 =
+        f2 + f_k - f_i.  Where d2 vanishes inside the band (SPM, at f2 =
+        0), ``zero`` is that f2 and it splits the band into two pieces with
+        slopes of opposite sign; every phase phi != 0 stays away from the
+        zero, so each interval of D(phi) lies in one piece.  Otherwise
+        ``zero`` is None and the band is one piece.
+        """
         bk2 = self.b_k / 2
         f2d = np.linspace(-bk2, bk2, 2049)
         kink = (self.b_k - self.b_i) / 2
-        extras = [v for v in (kink, -kink) if -bk2 < v < bk2]
+        zero = self.fi_off - self.fk_off
+        if not -bk2 < zero < bk2:
+            zero = None
+        extras = [v for v in (kink, -kink, zero)
+                  if v is not None and -bk2 < v < bk2]
         if extras:
             f2d = np.union1d(f2d, extras)
         a, b = self._phase_coeffs(f2d)
-        if np.any(a == 0.0) or a.max() * a.min() < 0.0:
-            return None
         lo, hi = self._f1_window(f2d)
         f1ext = np.maximum(np.abs(lo), np.abs(hi))
+        if zero is not None:  # check the pieces' slopes with d2 divided out
+            d2 = f2d + self.fk_off - self.fi_off
+            keep = d2 != 0.0
+            a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
+        if np.any(a == 0.0) or a.max() * a.min() < 0.0:
+            return None
         if np.max(np.abs(2.0 * b * f1ext)) >= 0.5 * np.min(np.abs(a)):
             return None
         p_hi, p_lo = self._p_end(f2d, 1), self._p_end(f2d, -1)
@@ -690,6 +749,7 @@ class _PairEngine:
             "p_hi": p_hi,
             "p_lo": p_lo,
             "runs": {1: _monotone_runs(p_hi), -1: _monotone_runs(-p_lo)},
+            "zero": zero,
         }
 
     def _criticals(self, side: int) -> np.ndarray:
@@ -791,24 +851,44 @@ class _PairEngine:
         return rows[keep], left[keep], right[keep]
 
     def _f2_batch(self, phis: np.ndarray, side: int, nf2: int):
-        """Gather f2 Gauss nodes of D(phi) for every phi; flat arrays."""
+        """Gather f2 Gauss nodes of D(phi) for every phi; flat arrays.
+
+        With a zero of the slope in the band, the nodes are Gauss nodes in
+        s = ln|f2 - zero|: df2 = |f2 - zero| ds cancels the 1 / |a| of the
+        phase Jacobian, which grows without bound toward the zero.
+        """
         rows, left, right = self._domain_edges(phis, side)
         if rows.size == 0:
             return None
         tg, wg = _gl_rule(nf2)
+        zero = self._sw["zero"]
+        if zero is not None:
+            sign = np.repeat(np.sign(left + right - 2.0 * zero), nf2)
+            left = np.log(np.abs(left - zero))
+            right = np.log(np.abs(right - zero))
         cc, hh = 0.5 * (left + right), 0.5 * (right - left)
+        nodes = (cc[:, None] + hh[:, None] * tg).ravel()
+        weights = (hh[:, None] * wg).ravel()
+        if zero is not None:
+            dist = np.exp(nodes)
+            nodes = zero + sign * dist
+            weights = np.abs(weights) * dist
         owner = np.repeat(rows, nf2)
-        return (phis[owner], (cc[:, None] + hh[:, None] * tg).ravel(),
-                (hh[:, None] * wg).ravel(), owner)
+        return phis[owner], nodes, weights, owner
 
-    def _t_inner_segment(self, e0: float, e1: float, side: int,
-                         nf2: int, density: float) -> float:
-        """Direct quadrature of T(phi) over an inner segment [e0, e1]."""
-        span = (e1 - e0) * self.length
-        nphi = _gl_size(density * (24 + 0.7 * span))
-        tq, wq = _gl_rule(nphi)
-        c, h = 0.5 * (e1 + e0), 0.5 * (e1 - e0)
-        phis = c + h * tq
+    def _t_inner(self, edges, side: int, nf2: int, density: float) -> float:
+        """Direct quadrature of T(phi) over the inner panels between
+        consecutive |phi| ``edges``, all in one batch."""
+        edges = np.asarray(edges, dtype=float)
+        e0, e1 = edges[:-1], edges[1:]
+        sizes = [_gl_size(density * (24 + 0.7 * span))
+                 for span in (e1 - e0) * self.length]
+        rules = [_gl_rule(n) for n in sizes]
+        tq = np.concatenate([r[0] for r in rules])
+        wq = np.concatenate([r[1] for r in rules])
+        c = np.repeat(0.5 * (e1 + e0), sizes)
+        h = np.repeat(0.5 * (e1 - e0), sizes)
+        phis = side * c + h * tq
         batch = self._f2_batch(phis, side, nf2)
         if batch is None:
             return 0.0
@@ -817,8 +897,8 @@ class _PairEngine:
         f1 = self._f1_of_phi(phi_b, a, b)
         ivals = self._i_of_phi(f1, f2_b, phi_b[::nf2], nf2)
         hv = np.abs(ivals) ** 2 / np.abs(a + 2.0 * b * f1)
-        tvals = np.bincount(owner, weights=w_b * hv, minlength=nphi)
-        return h * float(np.sum(wq * tvals))
+        tvals = np.bincount(owner, weights=w_b * hv, minlength=phis.size)
+        return float(np.sum(h * wq * tvals))
 
     def _outer_side(self, side: int, criticals: np.ndarray, p_far: float,
                     nf2: int, density: float) -> float:
@@ -847,7 +927,13 @@ class _PairEngine:
         return float(np.sum(vals))
 
     def eta_swapped(self, level: int):
-        """Full 2D integral in (phi, f2) order; None if unavailable."""
+        """Full 2D integral in (phi, f2) order; None if unavailable.
+
+        With a zero of the slope in the band, the inner segment [0, e1]
+        becomes panels with edges 0 and e1 2^-k, k = 0.._GRADE_DEPTH +
+        _GRADE_STEP level; the depth grows with the level so that the
+        change between levels measures what the grading leaves out.
+        """
         if self._sw is None:
             return None
         density = 1.5 ** level
@@ -863,23 +949,24 @@ class _PairEngine:
             lim_in = min(ps, abs(p_far))
             e = sorted({0.0, lim_in}
                        | {float(abs(cv)) for cv in crits if abs(cv) < lim_in})
-            for e0, e1 in zip(e[:-1], e[1:]):
-                if side > 0:
-                    total += self._t_inner_segment(e0, e1, 1, nf2, density)
-                else:
-                    total += self._t_inner_segment(-e1, -e0, -1, nf2, density)
+            if self._sw["zero"] is not None:
+                # T(phi) ~ ln(1/|phi|) toward phi = 0: panels e1 2^-k
+                e = [0.0] + list(e[1] / 2.0 ** np.arange(
+                    _GRADE_DEPTH + _GRADE_STEP * level, 0, -1)) + e[1:]
+            total += self._t_inner(e, side, nf2, density)
             total += self._outer_side(side, crits, p_far, nf2, density)
         return total
 
 
 def _eta_once(engine: _PairEngine, level: int, spm: bool) -> float:
-    """One full (f1, f2) integration pass at a given refinement level.
+    """One full direct-order (f1, f2) integration pass at a given level.
 
     The zeta panelling and f1 node counts are sized analytically (arc
     length, phase cycle count) with ample margin, so refinement levels
     double only the f2 resolution -- the one direction whose residual
     (interference ripple of |I|^2 across the interfering channel's band)
-    is not bounded a priori.
+    is not bounded a priori.  For SPM the f2 panels are graded toward 0,
+    where the phase vanishes.
     """
     b_k = engine.b_k
     if not spm:
@@ -921,12 +1008,15 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
 
     Each level integrates in the swapped (phi, f2) order where the pair
     allows it, else in the direct (f1, f2) order (``_eta_once``).  The
-    direct order serves SPM, whose phase slope changes sign at f2 = 0, and
-    only those XPM pairs whose phase slope changes sign, or nearly so,
-    over the interfering band, which happens near zero dispersion.  Its
-    limit: forced onto ordinary XPM pairs, it stops 1e-5 to 1e-4 relative
-    short of the tolerance after 3 refinements, because its fixed f2 rule
-    does not resolve the interference ripple of |I|^2 across the band.
+    swapped order serves XPM on the whole band and SPM on the two halves
+    of its band, split at f2 = 0, where the phase slope changes sign; on
+    the reference grid both converge at the first refinement.  The direct
+    order serves only pairs whose phase slope changes sign elsewhere in
+    the band, or nearly so, which happens near zero dispersion, for SPM
+    and XPM alike.  Its limit: forced onto ordinary XPM pairs, it stops
+    1e-5 to 1e-4 relative short of the tolerance after 3 refinements,
+    because its fixed f2 rule does not resolve the interference ripple of
+    |I|^2 across the band.
     """
     if not isinstance(rho, TaylorProfile):
         raise ValidationError(

@@ -457,6 +457,18 @@ def test_eta_total_rejects_mismatched_fit():
         eta_total(cfg, fit)
 
 
+@pytest.mark.parametrize("bad", [0.0, -50e9, math.inf, math.nan])
+def test_eta_total_rejects_bad_bandwidth(bad):
+    """A hand-built link skips the scenario validation; the kernel itself
+    refuses a channel without a positive, finite bandwidth and names it,
+    where it used to return eta_spm = inf and a negative XPM eta."""
+    grid = WdmGrid((Channel(193.0e12, 100e9, (1e-3,)),
+                    Channel(193.1e12, bad, (1e-3,))))
+    cfg = LinkConfig(span=_span(), span_count=1, grid=grid)
+    with pytest.raises(ValidationError, match=r"channel\(s\) \[1\]"):
+        eta_total(cfg, _fit_report(_per_channel_params(2)))
+
+
 def test_degenerate_pair_bookkeeping():
     """beta2 = 0 with offsets summing to zero makes one pair degenerate;
     it is skipped and reported rather than poisoning the totals."""

@@ -33,7 +33,7 @@ from ramangn import closedform, oracle
 from ramangn.errors import (NumericalError, ProfileDomainError,
                             ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
-                            _filon_moments)
+                            _filon_moments, _gl_rule)
 from ramangn.profile import ChannelFit, FitReport, ProfileParams
 
 from conftest import ALPHA_02_DB_KM
@@ -49,6 +49,35 @@ def _channel(i):
 # ---------------------------------------------------------------------------
 # oscillatory moments
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 8, 27, 64, 512, 2048])
+def test_gl_rule_matches_leggauss(n):
+    """Nodes agree with numpy's eigenvalue rule to rounding; the weights
+    sum to 2 and integrate even powers exactly.  ``leggauss``'s own
+    endpoint weights are off by up to about 6e-8 relative at n = 2048,
+    which bounds the weight comparison."""
+    x, w = _gl_rule(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, xr, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, wr, rtol=1e-7)
+    assert abs(w.sum() - 2.0) <= 1e-15
+    for m in range(0, min(2 * n, 20), 2):
+        assert np.sum(w * x ** m) == pytest.approx(2.0 / (m + 1), rel=1e-13)
+
+
+def test_gl_rule_memory_is_linear():
+    """n = 4096 in well under the 128 MiB of a dense n x n matrix."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x, w = _gl_rule.__wrapped__(4096)  # bypass the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.size == w.size == 4096
+    assert peak < 8 * 2 ** 20
+
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 3.9, 4.1, 40.0, 4000.0])
 def test_filon_moments_match_weighted_quadrature(theta):
@@ -222,18 +251,57 @@ def test_direct_integration_order_converges(fixed_params, reference_span,
 
 def test_integration_order_per_pair(fixed_params, reference_span):
     """The swapped (phi, f2) order serves every XPM pair of rows 0, 19 and
-    39 of the reference grid, and the direct order every SPM channel."""
+    39 of the reference grid as one piece, and every SPM channel as two
+    pieces split at f2 = 0, where the phase slope changes sign."""
     rho = TaylorProfile(fixed_params, _L)
     for i in range(40):
         spm = _PairEngine(rho, reference_span, _channel(i), _channel(i),
                           _F_REF)
-        assert spm._sw is None, i
+        assert spm._sw is not None and spm._sw["zero"] == 0.0, i
     for i in (0, 19, 39):
         for k in range(40):
             if k != i:
                 xpm = _PairEngine(rho, reference_span, _channel(i),
                                   _channel(k), _F_REF)
                 assert xpm._sw is not None, (i, k)
+                assert xpm._sw["zero"] is None, (i, k)
+
+
+@pytest.mark.parametrize("i", [0, 19, 39])
+def test_spm_split_order_matches_direct_order(fixed_params, reference_span,
+                                              monkeypatch, i):
+    """SPM on the two pieces converges at the first refinement and matches
+    the direct order, which needs all three, to 1e-7."""
+    rho = TaylorProfile(fixed_params, _L)
+    split = eta_spm_numeric(_channel(i), rho, reference_span,
+                            QuadratureSpec(max_refinements=1), f_ref=_F_REF)
+    monkeypatch.setattr(_PairEngine, "eta_swapped",
+                        lambda self, level: None)
+    direct = eta_spm_numeric(_channel(i), rho, reference_span,
+                             QuadratureSpec(), f_ref=_F_REF)
+    assert split.converged and direct.converged
+    assert split.error_estimate <= oracle._REL_TOL_ETA * split.value
+    assert split.value == pytest.approx(direct.value, rel=1e-7)
+
+
+def _gauss_64x64(engine):
+    """J over the pair's (f1, f2) domain by a Gauss rule: 32 f2 nodes on
+    each side of the kink where the f1 window starts clipping, 64 f1 nodes
+    over the window at each f2."""
+    t32, w32 = np.polynomial.legendre.leggauss(32)
+    t64, w64 = np.polynomial.legendre.leggauss(64)
+    half, kink = engine.b_k / 2, (engine.b_k - engine.b_i) / 2
+    f2, w2 = [], []
+    for lo, hi in ((-half, kink), (kink, half)):
+        f2.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t32)
+        w2.append(0.5 * (hi - lo) * w32)
+    f2, w2 = np.concatenate(f2), np.concatenate(w2)
+    lo, hi = engine._f1_window(f2)
+    f1 = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t64).ravel()
+    w = (w2[:, None] * 0.5 * (hi - lo)[:, None] * w64).ravel()
+    f2 = np.repeat(f2, 64)
+    phi = engine._phi_of(f1, *engine._phase_coeffs(f2))
+    return np.sum(w * np.abs(engine._i_of_phi(f1, f2, phi)) ** 2)
 
 
 @pytest.mark.parametrize("pair", [(39, 13), (9, 39)])
@@ -250,24 +318,26 @@ def test_direct_order_near_zero_dispersion(fixed_params, reference_span,
     assert engine._sw is None
     est = eta_xpm_numeric(ch_i, ch_k, rho, span, f_ref=_F_REF)
     assert est.converged
-    # f2: 32 nodes on each side of the kink where the f1 window starts
-    # clipping; f1: 64 nodes over the window at each f2
-    t32, w32 = np.polynomial.legendre.leggauss(32)
-    t64, w64 = np.polynomial.legendre.leggauss(64)
-    half, kink = engine.b_k / 2, (engine.b_k - engine.b_i) / 2
-    f2, w2 = [], []
-    for lo, hi in ((-half, kink), (kink, half)):
-        f2.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t32)
-        w2.append(0.5 * (hi - lo) * w32)
-    f2, w2 = np.concatenate(f2), np.concatenate(w2)
-    lo, hi = engine._f1_window(f2)
-    f1 = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t64).ravel()
-    w = (w2[:, None] * 0.5 * (hi - lo)[:, None] * w64).ravel()
-    f2 = np.repeat(f2, 64)
-    phi = engine._phi_of(f1, *engine._phase_coeffs(f2))
-    j2d = np.sum(w * np.abs(engine._i_of_phi(f1, f2, phi)) ** 2)
     assert est.value == pytest.approx(
-        32.0 / 27.0 * span.gamma ** 2 / engine.b_k ** 2 * j2d, rel=1e-9)
+        32.0 / 27.0 * span.gamma ** 2 / engine.b_k ** 2
+        * _gauss_64x64(engine), rel=1e-9)
+
+
+def test_spm_direct_order_near_zero_dispersion(fixed_params, reference_span):
+    """At beta2 = -0.5 ps^2/km the phase slope of channel 25 changes sign
+    a second time, near f2 = 37 GHz, so one piece is not monotone and its
+    SPM falls back to the direct order.  It converges, and matches a
+    64 x 64 Gauss rule in (f1, f2)."""
+    span = replace(reference_span, beta2=-0.5e-27)
+    rho = TaylorProfile(fixed_params, _L)
+    ch = _channel(25)
+    engine = _PairEngine(rho, span, ch, ch, _F_REF)
+    assert engine._sw is None
+    est = eta_spm_numeric(ch, rho, span, f_ref=_F_REF)
+    assert est.converged
+    assert est.value == pytest.approx(
+        16.0 / 27.0 * span.gamma ** 2 / engine.b_k ** 2
+        * _gauss_64x64(engine), rel=1e-9)
 
 
 def test_profile_domain_refusal_names_the_pair(data_dir):
@@ -296,6 +366,24 @@ def test_profile_domain_refusal_names_the_pair(data_dir):
                         TaylorProfile(fit.channel_fits[39].params,
                                       span.length),
                         span, scenario.quadrature, f_ref=grid.band_center)
+
+
+@pytest.mark.parametrize("name", [
+    "stress_forward_only.json", "stress_forward_and_backward.json",
+    "stress_strong_pump.json", "stress_wideband_100ch.json"])
+def test_stress_middle_row_within_criterion_5(data_dir, name):
+    """The middle row of every stress scenario inside the profile's domain
+    (all but the three-pump one) converges and stays within criterion 5's
+    0.5 dB per-row bound."""
+    scenario = parse_scenario(os.path.join(data_dir, name))
+    link = scenario.link
+    fit = fit_profile(solve_power_evolution(link, steps=scenario.solver_steps),
+                      link)
+    row = link.grid.n_channels // 2
+    report = oracle.compare_closed_vs_oracle(
+        link, fit, spec=scenario.quadrature, channels=(row,))
+    assert report.converged[row]
+    assert abs(report.delta_db[row]) <= 0.5
 
 
 def test_eta_oracle_rejects_identical_pair(fixed_params, reference_span):
