@@ -9,11 +9,13 @@ adaptive quadrature.
 The 2D eta integrals are highly oscillatory (phase phi * zeta with
 phi L up to ~1e4 rad), so the inner zeta integral is evaluated with a
 panel-wise Filon rule (exact integration of a local polynomial fit of the
-smooth profile factor against e^{j phi zeta}), and the outer spectral
-integral switches, beyond a phase-rate threshold, to an integration-by-parts
-endpoint expansion whose smooth and single-ripple parts are integrated
-separately.  Every node count grows with the refinement level, and the
-change between two levels is reported as the error estimate; an estimate
+smooth profile factor against e^{j phi zeta}).  Where the phase is
+monotone in f1 over each piece of the band, the spectral integral runs in
+the swapped (phi, f2) order and switches, beyond a phase-rate threshold, to
+an integration-by-parts endpoint expansion whose smooth and single-ripple
+parts are integrated separately; other pairs take one tensor Gauss-Legendre
+rule in (f1, f2).  Every node count grows with the refinement level, and
+the change between two levels is reported as the error estimate; an estimate
 refines until that change meets ``_REL_TOL_ETA``, which every SPM and XPM
 estimate of the reference grid does at the first refinement.
 
@@ -327,7 +329,6 @@ _K_SERIES = 10  # endpoint-expansion order
 _SPLIT_FACTOR = 20.0  # phase-rate multiple separating inner/outer regions
 _N_ZETA_DEG = 10  # polynomial degree per zeta panel
 _NODE_BLOCK = 512  # (f1, phi) nodes per block of the zeta-integral kernel
-_F2_BLOCK = 256  # f2 nodes per batch of the direct-order integration
 _GRADE_DEPTH = 14  # halvings of the inner phase segment next to a zero ...
 _GRADE_STEP = 4  # ... plus this many more per refinement level
 
@@ -342,7 +343,7 @@ class _PairEngine:
     """Evaluates the 2D integral of |I(f1, f2)|^2 for one channel pair.
 
     Two integration orders: the swapped (phi, f2) order (``eta_swapped``)
-    and the direct (f1, f2) order (``j_of_f2``, through ``_eta_once``).
+    and the direct (f1, f2) order, one tensor Gauss rule (``eta_direct``).
     The constructor builds what every refinement level shares; ``_sw`` is
     None where the swapped order does not apply.  The phase slope vanishes
     with d2 = f2 + f_k - f_i, so SPM's band splits at f2 = 0 into two
@@ -396,7 +397,7 @@ class _PairEngine:
                    np.max(np.abs(hi * xp / u_hi)))
         return self.p.alpha + 2.0 * rate
 
-    # -- phase -------------------------------------------------------------
+    # -- phase and windows -------------------------------------------------
 
     def _phase_coeffs(self, f2):
         b2, b3 = self.span.beta2, self.span.beta3
@@ -405,6 +406,25 @@ class _PairEngine:
              * (b2 + math.pi * b3 * (f2 + self.fi_off + self.fk_off)))
         b = -4.0 * math.pi ** 2 * d2 * math.pi * b3
         return a, b
+
+    def _f1_window(self, f2):
+        """f1 range whose product f1 + f2 stays inside channel k's band."""
+        return (np.maximum(-self.b_i / 2, -self.b_k / 2 - f2),
+                np.minimum(self.b_i / 2, self.b_k / 2 - f2))
+
+    def _phi_of(self, f1, a, b):
+        return a * f1 + b * f1 * f1
+
+    def _f1_of_phi(self, phi, a, b):
+        if np.all(b == 0.0):
+            return phi / a
+        disc = np.sqrt(a * a + 4.0 * b * phi)
+        return 2.0 * phi / (a + np.sign(a) * disc)
+
+    def _f2_window(self, f1):
+        """f2 range of channel k's band whose f1 + f2 stays inside it too."""
+        return (np.maximum(-self.b_k / 2, -self.b_k / 2 - f1),
+                np.minimum(self.b_k / 2, self.b_k / 2 - f1))
 
     # -- zeta panels (shared per refinement level) --------------------------
 
@@ -582,109 +602,41 @@ class _PairEngine:
 
     # -- direct (f1, f2) integration order -----------------------------------
 
-    def _f1_window(self, f2):
-        """f1 range whose product f1 + f2 stays inside channel k's band."""
-        return (np.maximum(-self.b_i / 2, -self.b_k / 2 - f2),
-                np.minimum(self.b_i / 2, self.b_k / 2 - f2))
+    def eta_direct(self, level: int) -> float:
+        """Full 2D integral by one tensor Gauss rule, f1 outer, f2 inner.
 
-    def _phi_of(self, f1, a, b):
-        return a * f1 + b * f1 * f1
-
-    def _f1_of_phi(self, phi, a, b):
-        if np.all(b == 0.0):
-            return phi / a
-        disc = np.sqrt(a * a + 4.0 * b * phi)
-        return 2.0 * phi / (a + np.sign(a) * disc)
-
-    def j_of_f2(self, f2s: np.ndarray) -> np.ndarray:
-        """J(f2) at every node of ``f2s`` by direct quadrature in f1.
-
-        Where phi(f1) is monotone over the window, |phi| beyond phi_split
-        is integrated in the phase variable with the endpoint expansion;
-        the rest by Gauss nodes in f1.  The per-node plans are built in
-        Python and all nodes are evaluated in one batch.
+        The f1 panels split at f1 = 0, where the f2 window switches the
+        bound that clips it, so the integrand is smooth on each panel; each
+        f1 node carries Gauss nodes in f2 over its window.  Each direction
+        gets about one node per four radians of the largest phase variation
+        along it (on a 129 x 129 grid), times 1.5 per level.  The phase
+        slope in f1 carries the channel offset f_k - f_i, so f1 is the
+        outer direction: the window edges move with f1 and would carry
+        that slope into the inner direction.  The nodes are taken
+        _NODE_BLOCK at a time, so no temporary grows with n1 x n2.
         """
-        f2s = np.asarray(f2s, dtype=float)
-        lo, hi = self._f1_window(f2s)
-        lo = np.broadcast_to(lo, f2s.shape)
-        hi = np.broadcast_to(hi, f2s.shape)
-        a_all, b_all = self._phase_coeffs(f2s)
-        ps = self.phi_split
-        segs = []  # (owner, f1 lo, f1 hi, Gauss size)
-        panels = []  # (owner, phi lo, phi hi)
-        for j in range(f2s.size):
-            x0, x1 = float(lo[j]), float(hi[j])
-            if x0 >= x1:
-                continue
-            a, b = float(a_all[j]), float(b_all[j])
-            f1_ext = max(abs(x0), abs(x1))
-            if a == 0.0 or abs(2.0 * b * f1_ext) >= 0.5 * abs(a):
-                cands = [x0, x1]
-                if b != 0.0 and x0 < -a / (2 * b) < x1:
-                    cands.append(-a / (2 * b))
-                phis = [self._phi_of(f, a, b) for f in cands]
-                span = (max(phis) - min(phis)) * self.length
-                segs.append((j, x0, x1, _gl_size(48 + 0.85 * span)))
-                continue
-            phi_x0, phi_x1 = self._phi_of(x0, a, b), self._phi_of(x1, a, b)
-            p_min, p_max = min(phi_x0, phi_x1), max(phi_x0, phi_x1)
-            # inner |phi| <= ps: Gauss nodes in f1
-            in_lo, in_hi = max(p_min, -ps), min(p_max, ps)
-            if in_lo < in_hi:
-                f1a = self._f1_of_phi(in_lo, a, b)
-                f1b = self._f1_of_phi(in_hi, a, b)
-                span = (in_hi - in_lo) * self.length
-                segs.append((j, min(f1a, f1b), max(f1a, f1b),
-                             _gl_size(32 + 0.85 * span)))
-            # outer regions: octave panels growing away from |phi| = ps
-            for p_lo, p_hi in ((max(ps, p_min), p_max),
-                               (p_min, min(-ps, p_max))):
-                if p_lo >= p_hi:
-                    continue
-                edges = (_octave_edges(p_lo, p_hi) if p_lo > 0.0
-                         else _octave_edges(p_hi, p_lo))
-                for e0, e1 in zip(edges[:-1], edges[1:]):
-                    panels.append((j, min(e0, e1), max(e0, e1)))
-        out = np.zeros(f2s.size)
-        if segs:
-            owner, x0, x1, sizes = (np.array(v) for v in zip(*segs))
-            rules = [_gl_rule(int(n)) for n in sizes]
-            t = np.concatenate([r[0] for r in rules])
-            w = np.concatenate([r[1] for r in rules])
-            c, h = 0.5 * (x1 + x0), 0.5 * (x1 - x0)
-            own = np.repeat(owner, sizes)
-            f1 = np.repeat(c, sizes) + np.repeat(h, sizes) * t
-            phi = self._phi_of(f1, a_all[own], b_all[own])
-            ivals = self._i_of_phi(f1, f2s[own], phi)
-            out += np.bincount(own, weights=np.repeat(h, sizes) * w
-                               * np.abs(ivals) ** 2, minlength=f2s.size)
-        if panels:
-            owner, e0, e1 = (np.array(v) for v in zip(*panels))
-            c, h = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
-            phi = (c[:, None] + h[:, None] * _gl_rule(8)[0]).ravel()
-            smooth, cross = self._outer_panels(
-                phi, np.repeat(f2s[owner], 8), 1.0, np.arange(phi.size),
-                phi.size)
-            vals = _phase_panels(h, c * self.length, h * self.length,
-                                 smooth.reshape(-1, 8), cross.reshape(-1, 8))
-            out += np.bincount(owner, weights=vals, minlength=f2s.size)
-        return out
-
-    def _outer_panels(self, phi, f2, weight, owner, n_phi: int):
-        """The ``_phase_panels`` inputs (|U|^2 + |V|^2 and U V*, over
-        |dphi/df1|) of nodes (phi, f2) with f2 weight ``weight``, summed
-        into phase node ``owner`` of ``n_phi``."""
-        a, b = self._phase_coeffs(f2)
-        f1 = self._f1_of_phi(phi, a, b)
-        u, v = self._endpoint_uv(f1, f2, phi)
-        jac = weight / np.abs(a + 2.0 * b * f1)
-        smooth = np.bincount(owner, weights=(np.abs(u) ** 2 + np.abs(v) ** 2)
-                             * jac, minlength=n_phi)
-        cross = u * np.conj(v) * jac
-        ripple = (np.bincount(owner, weights=cross.real, minlength=n_phi)
-                  + 1j * np.bincount(owner, weights=cross.imag,
-                                     minlength=n_phi))
-        return smooth, ripple
+        lim = min(self.b_i / 2, self.b_k)
+        total = 0.0
+        for e0, e1 in ((-lim, 0.0), (0.0, lim)):
+            f1 = np.linspace(e0, e1, 129)[:, None]
+            lo, hi = self._f2_window(f1)
+            f2 = lo + (hi - lo) * np.linspace(0.0, 1.0, 129)
+            phi = self._phi_of(f1, *self._phase_coeffs(f2)) * self.length
+            n1, n2 = (_gl_size(1.5 ** level * (8 + 0.25 * np.max(np.sum(
+                np.abs(np.diff(phi, axis=ax)), axis=ax)))) for ax in (0, 1))
+            t1, w1 = _gl_rule(n1)
+            t2, w2 = _gl_rule(n2)
+            for q in range(0, n1 * n2, _NODE_BLOCK):
+                j1, j2 = np.divmod(np.arange(q, min(q + _NODE_BLOCK,
+                                                    n1 * n2)), n2)
+                f1 = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * t1[j1]
+                lo, hi = self._f2_window(f1)
+                f2 = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t2[j2]
+                phi = self._phi_of(f1, *self._phase_coeffs(f2))
+                weight = 0.25 * (e1 - e0) * (hi - lo) * w1[j1] * w2[j2]
+                total += float(np.sum(
+                    weight * np.abs(self._i_of_phi(f1, f2, phi)) ** 2))
+        return total
 
     # -- swapped (phi, f2) integration order ---------------------------------
     #
@@ -900,6 +852,22 @@ class _PairEngine:
         tvals = np.bincount(owner, weights=w_b * hv, minlength=phis.size)
         return float(np.sum(h * wq * tvals))
 
+    def _outer_panels(self, phi, f2, weight, owner, n_phi: int):
+        """The ``_phase_panels`` inputs (|U|^2 + |V|^2 and U V*, over
+        |dphi/df1|) of nodes (phi, f2) with f2 weight ``weight``, summed
+        into phase node ``owner`` of ``n_phi``."""
+        a, b = self._phase_coeffs(f2)
+        f1 = self._f1_of_phi(phi, a, b)
+        u, v = self._endpoint_uv(f1, f2, phi)
+        jac = weight / np.abs(a + 2.0 * b * f1)
+        smooth = np.bincount(owner, weights=(np.abs(u) ** 2 + np.abs(v) ** 2)
+                             * jac, minlength=n_phi)
+        cross = u * np.conj(v) * jac
+        ripple = (np.bincount(owner, weights=cross.real, minlength=n_phi)
+                  + 1j * np.bincount(owner, weights=cross.imag,
+                                     minlength=n_phi))
+        return smooth, ripple
+
     def _outer_side(self, side: int, criticals: np.ndarray, p_far: float,
                     nf2: int, density: float) -> float:
         """Outer |phi| in [phi_split, |p_far|]: endpoint series + Filon."""
@@ -958,72 +926,28 @@ class _PairEngine:
         return total
 
 
-def _eta_once(engine: _PairEngine, level: int, spm: bool) -> float:
-    """One full direct-order (f1, f2) integration pass at a given level.
-
-    The zeta panelling and f1 node counts are sized analytically (arc
-    length, phase cycle count) with ample margin, so refinement levels
-    double only the f2 resolution -- the one direction whose residual
-    (interference ripple of |I|^2 across the interfering channel's band)
-    is not bounded a priori.  For SPM the f2 panels are graded toward 0,
-    where the phase vanishes.
-    """
-    b_k = engine.b_k
-    if not spm:
-        n_panels = 2 * (1 << level)
-        edges = np.linspace(-b_k / 2, b_k / 2, n_panels + 1)
-        # J(f2) has derivative kinks where the window starts clipping
-        kink = (b_k - engine.b_i) / 2.0
-        extra = [v for v in (kink, -kink) if -b_k / 2 < v < b_k / 2]
-        edges = np.union1d(edges, extra)
-        t, w = _gl_rule(12)
-    else:
-        # |f2| graded geometrically toward 0 where the phase vanishes
-        n_halvings = 8
-        mags = b_k / 2 / 2.0 ** np.arange(n_halvings + 1)
-        base_edges = np.concatenate([-mags, [0.0], mags[::-1]])
-        if level:
-            parts = 1 << level
-            pieces = [np.linspace(e0, e1, parts + 1)[:-1]
-                      for e0, e1 in zip(base_edges[:-1], base_edges[1:])]
-            edges = np.concatenate(pieces + [base_edges[-1:]])
-        else:
-            edges = base_edges
-        t, w = _gl_rule(8)
-    c = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    h = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    f2s = (c + h * t).ravel()
-    weights = (h * w).ravel()
-    total = 0.0
-    for s in range(0, f2s.size, _F2_BLOCK):
-        blk = slice(s, s + _F2_BLOCK)
-        total += float(np.sum(weights[blk] * engine.j_of_f2(f2s[blk])))
-    return total
-
-
 def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
                       rho: TaylorProfile, span: FiberSpan,
                       spec: QuadratureSpec, f_ref: float) -> EtaEstimate:
     """Refine one pair's eta until two levels agree to ``_REL_TOL_ETA``.
 
     Each level integrates in the swapped (phi, f2) order where the pair
-    allows it, else in the direct (f1, f2) order (``_eta_once``).  The
+    allows it, else in the direct (f1, f2) order (``eta_direct``).  The
     swapped order serves XPM on the whole band and SPM on the two halves
     of its band, split at f2 = 0, where the phase slope changes sign; on
     the reference grid both converge at the first refinement.  The direct
     order serves only pairs whose phase slope changes sign elsewhere in
     the band, or nearly so, which happens near zero dispersion, for SPM
-    and XPM alike.  Its limit: forced onto ordinary XPM pairs, it stops
-    1e-5 to 1e-4 relative short of the tolerance after 3 refinements,
-    because its fixed f2 rule does not resolve the interference ripple of
-    |I|^2 across the band.
+    and XPM alike.  Its tensor Gauss rule shares no endpoint expansion
+    with the swapped order and converges at the first refinement too, but
+    its node count grows with the phase range: on channels 19 and 25 of
+    the reference grid it takes about 40 times as long.
     """
     if not isinstance(rho, TaylorProfile):
         raise ValidationError(
             "the eta oracle requires a TaylorProfile evaluator"
         )
     engine = _PairEngine(rho, span, channel_i, channel_k, f_ref)
-    spm = channel_k.center_frequency == channel_i.center_frequency
     p_i = channel_i.launch_power_per_span[0]
     p_k = channel_k.launch_power_per_span[0]
     pref = (32.0 / 27.0 * span.gamma ** 2 / channel_k.bandwidth ** 2
@@ -1034,7 +958,7 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
     for level in range(spec.max_refinements + 1):
         j2d = engine.eta_swapped(level)
         if j2d is None:
-            j2d = _eta_once(engine, level, spm)
+            j2d = engine.eta_direct(level)
         value = pref * j2d
         if prev is not None:
             err = abs(value - prev)

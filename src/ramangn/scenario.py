@@ -101,9 +101,16 @@ def _reject_unknown(node: dict, path: str) -> None:
 
 
 def _number(value: Any, path: str) -> float:
+    """A finite JSON number; ``json`` also reads NaN, Infinity and 1e400."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _quantity(value: Any, path: str) -> float:

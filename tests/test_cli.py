@@ -94,6 +94,19 @@ def test_unknown_key_exits_2(tmp_path):
     assert _run(["solve", "--scenario", str(path)]) == 2
 
 
+def test_non_finite_number_exits_2(minimal_scenario_path, tmp_path, capsys):
+    """A NaN gamma used to run through nli to an all-NaN report, exit 0."""
+    with open(minimal_scenario_path) as fh:
+        payload = json.load(fh)
+    payload["span"]["gamma"]["value"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    assert _run(["nli", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "span.gamma.value: expected a finite number" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "nli_report.csv").exists()
+
+
 def test_validation_failure_exits_3(data_dir, tmp_path):
     base = json.loads(
         open(os.path.join(data_dir, "minimal.json")).read())

@@ -222,31 +222,39 @@ def test_eta_spm_frozen_value(fixed_params, reference_span):
 def test_swapped_and_direct_integration_orders_agree(fixed_params,
                                                      reference_span,
                                                      monkeypatch):
-    """Force the direct (f1-then-f2) fallback and compare with the default
-    swapped-order evaluation of the same pair."""
+    """Force the direct (f1, f2) fallback onto an ordinary XPM pair: the
+    tensor Gauss rule converges at the first refinement and matches the
+    default swapped-order evaluation to 1e-8."""
     rho = TaylorProfile(fixed_params, _L)
-    spec = QuadratureSpec()
+    spec = QuadratureSpec(max_refinements=1)
     default = eta_xpm_numeric(_channel(19), _channel(25), rho,
                               reference_span, spec, f_ref=_F_REF)
     monkeypatch.setattr(_PairEngine, "eta_swapped",
                         lambda self, level: None)
     fallback = eta_xpm_numeric(_channel(19), _channel(25), rho,
                                reference_span, spec, f_ref=_F_REF)
-    assert default.converged
-    assert fallback.value == pytest.approx(default.value, rel=1e-4)
+    assert default.converged and fallback.converged
+    assert fallback.value == pytest.approx(default.value, rel=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="the direct-order fallback stops at "
-                   "max_refinements on pair (19, 25) with an error estimate "
-                   "of about 2.2e-4")
-def test_direct_integration_order_converges(fixed_params, reference_span,
-                                            monkeypatch):
-    monkeypatch.setattr(_PairEngine, "eta_swapped",
-                        lambda self, level: None)
-    fallback = eta_xpm_numeric(_channel(19), _channel(25),
-                               TaylorProfile(fixed_params, _L),
-                               reference_span, QuadratureSpec(), f_ref=_F_REF)
-    assert fallback.converged
+def test_direct_order_memory_is_bounded(fixed_params, reference_span):
+    """The tensor rule takes its nodes a block at a time: on pair (19, 20)
+    level 3 has about 9 times the nodes of level 0, and its peak memory
+    stays within 2x of level 0's."""
+    import tracemalloc
+
+    engine = _PairEngine(TaylorProfile(fixed_params, _L), reference_span,
+                         _channel(19), _channel(20), _F_REF)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for level in (0, 3):
+            tracemalloc.reset_peak()
+            engine.eta_direct(level)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_integration_order_per_pair(fixed_params, reference_span):
@@ -270,18 +278,22 @@ def test_integration_order_per_pair(fixed_params, reference_span):
 @pytest.mark.parametrize("i", [0, 19, 39])
 def test_spm_split_order_matches_direct_order(fixed_params, reference_span,
                                               monkeypatch, i):
-    """SPM on the two pieces converges at the first refinement and matches
-    the direct order, which needs all three, to 1e-7."""
+    """SPM on the two pieces and in the forced direct order both converge
+    at the first refinement, and agree to 1e-7; for channel 19 the direct
+    order lands on the frozen value to 1e-12."""
     rho = TaylorProfile(fixed_params, _L)
-    split = eta_spm_numeric(_channel(i), rho, reference_span,
-                            QuadratureSpec(max_refinements=1), f_ref=_F_REF)
+    spec = QuadratureSpec(max_refinements=1)
+    split = eta_spm_numeric(_channel(i), rho, reference_span, spec,
+                            f_ref=_F_REF)
     monkeypatch.setattr(_PairEngine, "eta_swapped",
                         lambda self, level: None)
-    direct = eta_spm_numeric(_channel(i), rho, reference_span,
-                             QuadratureSpec(), f_ref=_F_REF)
+    direct = eta_spm_numeric(_channel(i), rho, reference_span, spec,
+                             f_ref=_F_REF)
     assert split.converged and direct.converged
     assert split.error_estimate <= oracle._REL_TOL_ETA * split.value
     assert split.value == pytest.approx(direct.value, rel=1e-7)
+    if i == 19:
+        assert direct.value == pytest.approx(_FROZEN_SPM_19, rel=1e-12)
 
 
 def _gauss_64x64(engine):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -279,3 +280,33 @@ def test_non_mapping_root_rejected(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ScenarioError):
         parse_scenario(str(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("keys, path", [
+    (("span", "gamma", "value"), "span.gamma.value"),
+    (("span", "length_km"), "span.length_km"),
+    (("pumps", 0, "power_w"), "pumps[0].power_w"),
+    (("coherence_epsilon",), "coherence_epsilon"),
+    (("budget", "snr_ase_db", 1), "budget.snr_ase_db[1]"),
+])
+def test_non_finite_number_rejected(tmp_path, keys, path, value):
+    """json reads the literals NaN, Infinity and -Infinity; each is refused
+    with its key path instead of reaching the link."""
+    payload = _base_payload()
+    payload["pumps"] = [{
+        "frequency": {"value": 206.6, "unit": "THz"},
+        "power_w": 0.6,
+        "direction": "backward",
+        "attenuation": {"value": 0.2, "unit": "dB/km"},
+    }]
+    payload["coherence_epsilon"] = 0.0
+    payload["budget"] = {"snr_ase_db": [20.0, 23.0]}
+    parse_scenario(_write(tmp_path, payload))
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(path)}: expected a finite "):
+        parse_scenario(_write(tmp_path, payload))
