@@ -21,10 +21,9 @@ from .closedform import (ClosedFormTerms, NliReport, assemble_snr,
                          mu_closed)
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
                      SnrBudget, WdmGrid, link_diagnostics, validate_link)
-from .errors import (DegenerateDispersionError, DegenerateTiltError,
-                     DivergenceError, GateFailure, NumericalError,
-                     ProfileDomainError, RamanGnError, ScenarioError,
-                     UnitError, ValidationError)
+from .errors import (DegenerateDispersionError, DivergenceError,
+                     GateFailure, NumericalError, ProfileDomainError,
+                     RamanGnError, ScenarioError, UnitError, ValidationError)
 from .oracle import (ComparisonReport, EtaEstimate, IdentityReport,
                      QuadratureSpec, TaylorProfile, compare_closed_vs_oracle,
                      eta_spm_numeric, eta_xpm_numeric, mu_numeric,

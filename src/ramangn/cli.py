@@ -17,8 +17,9 @@ sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
          dependence of the SNR arithmetic (SNR_NLI falls exactly 2 dB per
          +1 dB of launch power).
 
-``nli``, ``compare`` and ``sweep`` refuse an unconverged profile fit: they
-exit 4 and name every channel whose fit did not converge.
+``nli``, ``compare`` and ``sweep`` first pass the fit through one gate,
+``_converged_fit``: it exits 4 naming every channel whose fit did not
+converge, else every channel whose profile leaves its domain.
 
 Exit codes: 0 success, 2 scenario/parse error, 3 validation error,
 4 numerical failure, 5 gate failure.
@@ -38,15 +39,15 @@ import numpy as np
 
 from .closedform import assemble_snr, eta_total
 from .domain import Channel, LinkConfig, WdmGrid, format_float, write_csv
-from .errors import (GateFailure, NumericalError, RamanGnError, ScenarioError,
-                     UnitError, ValidationError)
+from .errors import (GateFailure, NumericalError, ProfileDomainError,
+                     RamanGnError, ScenarioError, UnitError, ValidationError)
 from .oracle import compare_closed_vs_oracle
-from .profile import fit_profile
+from .profile import fit_profile, pair_offsets, profile_margin
 from .raman import evolution_to_csv, solve_power_evolution
 from .scenario import Scenario, parse_scenario
 
-def _out_dir(scenario: Scenario, args) -> str:
-    directory = args.out or scenario.output_directory or "."
+def _out_dir(args) -> str:
+    directory = args.out or "."
     os.makedirs(directory, exist_ok=True)
     return directory
 
@@ -62,18 +63,33 @@ def _fit(scenario: Scenario, args):
 
 
 def _converged_fit(scenario: Scenario, args):
-    """The profile fit, or NumericalError naming every unconverged channel."""
+    """The fit, if every channel's converged and its profile is positive on
+    the pairs (i, k) it serves as channel k, SPM included, as in the oracle;
+    1 - x d is linear in d, so the hull of their offsets decides.  Else
+    NumericalError or ProfileDomainError naming every such channel."""
     report = _fit(scenario, args)
     unconverged = list(report.unconverged_channels)
     if unconverged:
         raise NumericalError(
             f"profile fit did not converge on channel(s) {unconverged}")
+    grid, length = scenario.link.grid, scenario.link.span.length
+    fits = report.channel_fits
+    lo, hi = pair_offsets(grid.frequencies[:, None], grid.bandwidths[:, None],
+                          grid.frequencies, grid.bandwidths,
+                          np.array([cf.params.f_hat for cf in fits]))
+    outside = [k for k, (cf, d_lo, d_hi) in enumerate(
+                   zip(fits, lo.min(axis=0), hi.max(axis=0)))
+               if profile_margin(cf.params, length, d_lo, d_hi)[0] <= 0.0]
+    if outside:
+        raise ProfileDomainError(
+            f"linearized profile is non-positive on the frequencies served "
+            f"by channel(s) {outside}")
     return report
 
 
 def cmd_solve(scenario: Scenario, args) -> int:
     evolution = _solve(scenario, args)
-    path = os.path.join(_out_dir(scenario, args), "power_evolution.csv")
+    path = os.path.join(_out_dir(args), "power_evolution.csv")
     evolution_to_csv(evolution, path)
     print(f"solved {evolution.n_lines} lines over "
           f"{evolution.z_grid.size} z samples -> {path}")
@@ -82,7 +98,7 @@ def cmd_solve(scenario: Scenario, args) -> int:
 
 def cmd_fit(scenario: Scenario, args) -> int:
     report = _fit(scenario, args)
-    path = os.path.join(_out_dir(scenario, args), "fit_report.json")
+    path = os.path.join(_out_dir(args), "fit_report.json")
     report.to_json(path)
     rms = [cf.rms_db for cf in report.channel_fits]
     print(f"fitted {len(rms)} channels: "
@@ -96,7 +112,7 @@ def cmd_nli(scenario: Scenario, args) -> int:
     fit = _converged_fit(scenario, args)
     report = eta_total(scenario.link, fit)
     report = assemble_snr(report, scenario.budget, scenario.link.grid)
-    directory = _out_dir(scenario, args)
+    directory = _out_dir(args)
     csv_path = os.path.join(directory, "nli_report.csv")
     json_path = os.path.join(directory, "nli_report.json")
     report.to_csv(csv_path)
@@ -114,7 +130,7 @@ def cmd_compare(scenario: Scenario, args) -> int:
     report = compare_closed_vs_oracle(scenario.link, fit,
                                       spec=scenario.quadrature)
     elapsed = time.perf_counter() - t0
-    path = os.path.join(_out_dir(scenario, args), "comparison.csv")
+    path = os.path.join(_out_dir(args), "comparison.csv")
     report.to_csv(path)
     worst = report.max_abs_delta_db
     unconverged = np.flatnonzero(~report.converged).tolist()
@@ -177,7 +193,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         rows += [(off, str(i)) + row for i, row in enumerate(zip(
             report.frequencies, report.launch_powers, snr_nli_db,
             report.snr_total_db))]
-    path = os.path.join(_out_dir(scenario, args), "sweep.csv")
+    path = os.path.join(_out_dir(args), "sweep.csv")
     write_csv(("offset_db", "channel", "f_i_hz", "launch_power_w",
                "snr_nli_db", "snr_db"), rows, path)
     print(f"swept {len(offsets)} offsets x "
@@ -203,8 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True,
                         help="path to the JSON scenario file")
     parser.add_argument("--out", default=None,
-                        help="output directory (default: scenario setting "
-                             "or current directory)")
+                        help="output directory (default: current directory)")
     parser.add_argument("--gate-db", type=float, default=None,
                         help="compare: fail (exit 5) if max |delta| exceeds "
                              "this many dB or an oracle row did not converge")

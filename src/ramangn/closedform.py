@@ -40,11 +40,10 @@ import numpy as np
 
 from .domain import (Channel, FiberSpan, LinkConfig, SnrBudget, WdmGrid,
                      freeze_arrays, write_csv, write_json)
-from .errors import (DegenerateDispersionError, DegenerateTiltError,
-                     NumericalError, ValidationError)
+from .errors import (DegenerateDispersionError, NumericalError,
+                     ValidationError)
 from .profile import ProfileParams
 
-_TILT_EPS = 1e-12
 _PHI_EPS = 1e-30
 _XPM_PREF = 32.0 / 27.0
 _SPM_PREF = 16.0 / 27.0
@@ -88,29 +87,16 @@ def _terms_arrays(params: Sequence[ProfileParams], f, length: float):
     ``params[i]`` is channel i's fit and ``f[i]`` its absolute frequency.
     Returns a dict of per-channel arrays: ``alpha`` of shape (n,) and
     ``upsilon``, ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one
-    column per tilt term.
-
-    Raises
-    ------
-    DegenerateTiltError
-        If a channel's total tilt factor T is numerically zero (its
-        linearized profile crosses zero inside the span).
+    column per tilt term.  T, the constant term, may be zero: the profile's
+    domain is ``profile.profile_margin``'s to decide, in the CLI's fit gate.
     """
     (alpha, c_f, c_b, alpha_f, alpha_b, p_f, p_b,
      f_hat) = np.array([_PARAM_COLUMNS(p) for p in params], dtype=float).T
-    f = np.asarray(f, dtype=float)
-    delta = f - f_hat
+    delta = np.asarray(f, dtype=float) - f_hat
     t_f = -p_f * c_f * delta / alpha_f
     t_b = -p_b * c_b * delta / alpha_b
     e_b = np.exp(-alpha_b * length)
     t_total = 1.0 + t_f - t_b * e_b
-    bad = np.flatnonzero(np.abs(t_total) < _TILT_EPS)
-    if bad.size:
-        raise DegenerateTiltError(
-            f"total tilt factor T = {t_total[bad[0]]:.3e} is numerically "
-            f"zero for channel(s) {bad.tolist()} (f = {f[bad[0]]:.6e} Hz); "
-            "the linearized profile crosses zero inside the span"
-        )
     e_a = np.exp(-alpha * length)
     ones = np.ones_like(alpha)
     return dict(
@@ -128,12 +114,6 @@ def closed_form_terms(params: ProfileParams, f_i: float, length: float
     """Tilt decomposition for a channel at absolute frequency ``f_i``.
 
     The one-channel view of ``_terms_arrays``.
-
-    Raises
-    ------
-    DegenerateTiltError
-        If the total tilt factor T is numerically zero (the linearized
-        profile crosses zero inside the span).
     """
     t = _terms_arrays((params,), (f_i,), length)
     return ClosedFormTerms(length=length,
@@ -465,6 +445,9 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
     so the kernels are evaluated once whatever the per-span powers.  Equal
     powers in every span give n^{1+epsilon} S_i and n sum_k K_ik
     (P_k/P_i)^2.
+
+    Like the fit's convergence, its domain (``profile.profile_margin``) is
+    checked once per command by the CLI's fit gate, not here.
     """
     if fit.n_channels != config.grid.n_channels:
         raise ValidationError(

@@ -43,18 +43,13 @@ class DivergenceError(NumericalError):
         super().__init__(message)
 
 
-class DegenerateTiltError(NumericalError):
-    """The fitted tilt factor T is (numerically) zero: the linearized
-    profile crosses zero inside the span and the closed form is undefined."""
-
-
 class DegenerateDispersionError(NumericalError):
     """A phase-mismatch factor vanishes (zero-dispersion channel pair)."""
 
 
 class ProfileDomainError(NumericalError):
-    """The linearized power profile became non-positive inside the
-    integration domain; the quadrature oracle refuses to continue."""
+    """The linearized profile is non-positive on frequencies a fit serves
+    (``profile.profile_margin``); the fit gate and the oracle refuse it."""
 
 
 class GateFailure(RamanGnError):

@@ -36,8 +36,8 @@ import numpy as np
 
 from .domain import Channel, FiberSpan, freeze_arrays, write_csv
 from .errors import NumericalError, ProfileDomainError, ValidationError
-from .profile import (ProfileParams, eval_profile_taylor, tilt_derivative,
-                      tilt_integral)
+from .profile import (ProfileParams, eval_profile_taylor, pair_offsets,
+                      profile_margin, tilt_derivative, tilt_integral)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -372,29 +372,21 @@ class _PairEngine:
         return tilt_integral(self.p, zeta, self.length)
 
     def _scan_profile(self) -> float:
-        """alpha + 2 max |d x' / (1 - x d)| over zeta and the offsets d of
-        the pair's frequencies from f_hat; ProfileDomainError if 1 - x d
-        reaches 0 (both checked at the extreme d on 2049 points)."""
-        d1 = self.fi_abs - self.p.f_hat
-        lo1, hi1 = d1 - self.b_i / 2, d1 + self.b_i / 2
-        d2 = self.fk_abs - self.p.f_hat
-        lo2, hi2 = d2 - self.b_k / 2, d2 + self.b_k / 2
-        lo3, hi3 = lo1 + lo2 - d1 + 0.0, hi1 + hi2 - d1  # f1+f2+fk - f_hat
-        lo = min(lo1, lo2, lo3, d1)
-        hi = max(hi1, hi2, hi3, d1)
+        """alpha + 2 max |d x' / (1 - x d)| over zeta (2049 points) and the
+        extreme offsets d of the pair's frequencies from f_hat;
+        ProfileDomainError if 1 - x d reaches 0 (``profile_margin``)."""
+        lo, hi = pair_offsets(self.fi_abs, self.b_i, self.fk_abs, self.b_k,
+                              self.p.f_hat)
+        margin, z_min = profile_margin(self.p, self.length, lo, hi)
+        if margin <= 0.0:
+            raise ProfileDomainError(
+                f"linearized profile factor 1 - x d falls to {margin:.3e} at "
+                f"zeta = {z_min:.6e} m for a frequency inside the channel "
+                f"pair f_i = {self.fi_abs:.6e} Hz, f_k = {self.fk_abs:.6e} Hz")
         z = np.linspace(0.0, self.length, 2049)
         x = self._x_of(z)
-        u_lo, u_hi = 1.0 - x * lo, 1.0 - x * hi
-        bad = np.flatnonzero(np.minimum(u_lo, u_hi) <= 0.0)
-        if bad.size:
-            raise ProfileDomainError(
-                f"linearized profile is non-positive at zeta = "
-                f"{z[bad[0]]:.6e} m for a frequency inside the channel pair "
-                f"f_i = {self.fi_abs:.6e} Hz, f_k = {self.fk_abs:.6e} Hz"
-            )
         xp = tilt_derivative(self.p, z, self.length)
-        rate = max(np.max(np.abs(lo * xp / u_lo)),
-                   np.max(np.abs(hi * xp / u_hi)))
+        rate = max(np.max(np.abs(d * xp / (1.0 - x * d))) for d in (lo, hi))
         return self.p.alpha + 2.0 * rate
 
     # -- phase and windows -------------------------------------------------
@@ -705,19 +697,14 @@ class _PairEngine:
         }
 
     def _criticals(self, side: int) -> np.ndarray:
-        """Phase values where D(phi) changes shape (panel/segment edges)."""
+        """Phase values where D(phi) changes shape: the bounds of the extreme
+        phase's monotone runs (its ends and turning points) and the kinks."""
         sw = self._sw
         f2d = sw["f2d"]
         p = sw["p_hi"] if side > 0 else sw["p_lo"]
-        idx = {0, f2d.size - 1}
-        s = np.sign(np.diff(p))
-        flips = np.nonzero(s[1:] * s[:-1] < 0)[0] + 1
-        idx.update(int(j) for j in flips)
+        idx = {0} | {e for _, e, _ in sw["runs"][side]}
         kink = (self.b_k - self.b_i) / 2
-        for v in (kink, -kink):
-            j = int(np.searchsorted(f2d, v))
-            if j < f2d.size and f2d[j] == v:
-                idx.add(j)
+        idx.update(np.flatnonzero((f2d == kink) | (f2d == -kink)).tolist())
         vals = p[sorted(idx)]
         return np.unique(vals[side * vals > 0.0])
 

@@ -144,6 +144,34 @@ def eval_profile_taylor(params: ProfileParams, z, f_i: float, length: float):
     return out if out.ndim else float(out)
 
 
+def pair_offsets(f_i, b_i, f_k, b_k, f_hat):
+    """(lo, hi): the offsets from ``f_hat`` at which the pair (channel under
+    test i, interferer k) evaluates the profile: both bands, f1 + f2 + f_k
+    over both, and f_i.  Broadcasts."""
+    d1, d2 = f_i - f_hat, f_k - f_hat
+    lo1, hi1 = d1 - b_i / 2, d1 + b_i / 2
+    lo2, hi2 = d2 - b_k / 2, d2 + b_k / 2
+    lo3, hi3 = lo1 + lo2 - d1 + 0.0, hi1 + hi2 - d1
+    return (np.minimum(np.minimum(lo1, lo2), np.minimum(lo3, d1)),
+            np.maximum(np.maximum(hi1, hi2), np.maximum(hi3, d1)))
+
+
+def profile_margin(params: ProfileParams, length: float, d_lo, d_hi):
+    """(m, z): the least m of 1 - x(z) d over z in [0, L] and d in [d_lo,
+    d_hi], and a z where it is taken; a power profile needs m > 0.  The
+    factor is linear in d; x(0) = 0 and x' = C_f P_f e^{-alpha_f z} + C_b P_b
+    e^{-alpha_b (L - z)} is monotone: x's extremes lie at 0, L and x' = 0."""
+    a, b = params.c_f * params.p_f, params.c_b * params.p_b
+    z = [0.0, length]
+    if a * b < 0.0:
+        z.append(np.clip((math.log(-a / b) + params.alpha_b * length)
+                         / (params.alpha_f + params.alpha_b), 0.0, length))
+    u = 1.0 - np.multiply.outer(tilt_integral(params, np.array(z), length),
+                                (d_lo, d_hi))
+    j = int(np.argmin(u))
+    return float(u.flat[j]), float(z[j // 2])
+
+
 @dataclass(frozen=True)
 class ChannelFit:
     """Fit result for one channel."""

@@ -36,8 +36,7 @@ Top-level structure::
       "solver": {"steps": 1000},
       "fit": {"n_random_starts": 24, "n_polish": 12,  # opt-in multistart
               "max_iterations": 200},
-      "quadrature": {"max_refinements": 3},
-      "output": {"directory": "results"}
+      "quadrature": {"max_refinements": 3}
     }
 
 ``budget`` may also be the string ``"infinite"`` (the default);
@@ -48,7 +47,7 @@ launch power per span (a single value is broadcast).  The ``solver``,
 ``fit`` and ``quadrature`` keys shown are every run control a scenario
 sets; the fitter's seed grid and the oracle's tolerances are constants
 (see :func:`~ramangn.profile.fit_profile` and
-:class:`~ramangn.oracle.QuadratureSpec`).
+:class:`~ramangn.oracle.QuadratureSpec`); the output directory is ``--out``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
                      SnrBudget, WdmGrid, validate_link)
@@ -74,7 +73,6 @@ class Scenario:
     solver_steps: int = 1000
     fit_overrides: dict = field(default_factory=dict)
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
-    output_directory: Optional[str] = None
 
 
 def _require_mapping(node: Any, path: str) -> dict:
@@ -301,17 +299,10 @@ def parse_scenario(path) -> Scenario:
     quadrature = _parse_quadrature(_take(root, "quadrature", "<root>", {}),
                                    "quadrature")
 
-    output = dict(_require_mapping(_take(root, "output", "<root>", {}),
-                                   "output"))
-    out_dir = _take(output, "directory", "output", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ScenarioError("output.directory: expected a string path")
-    _reject_unknown(output, "output")
     _reject_unknown(root, "<root>")
 
     link = LinkConfig(span=span, span_count=span_count, grid=grid,
                       pumps=pumps, coherence_epsilon=epsilon)
     validate_link(link)
     return Scenario(link=link, budget=budget, solver_steps=steps,
-                    fit_overrides=fit_overrides, quadrature=quadrature,
-                    output_directory=out_dir)
+                    fit_overrides=fit_overrides, quadrature=quadrature)

@@ -278,6 +278,29 @@ def test_unconverged_fit_exits_4_naming_the_channels(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["nli"], ["sweep", "--sweep=0:0:1"], ["compare", "--gate-db", "1.0"]])
+def test_out_of_domain_profile_exits_4_naming_the_channels(
+        data_dir, tmp_path, capsys, monkeypatch, command):
+    """The three-pump stress fit converges, but the profiles of channels
+    29-39 turn non-positive on the pairs they serve, which the oracle
+    refuses too: the fit gate exits 4 before the oracle runs or a file is
+    written."""
+    from ramangn import cli
+
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("compare reached the oracle")
+
+    monkeypatch.setattr(cli, "compare_closed_vs_oracle", oracle_must_not_run)
+    scenario = os.path.join(data_dir, "stress_three_backward_pumps.json")
+    rc = _run([command[0], "--scenario", scenario, "--out", str(tmp_path)]
+              + command[1:])
+    assert rc == 4
+    assert (f"non-positive on the frequencies served by channel(s) "
+            f"{list(range(29, 40))}") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_reports_unconverged_channels(unconverged_fit_scenario, tmp_path,
                                           capsys):
     rc = _run(["fit", "--scenario", unconverged_fit_scenario,

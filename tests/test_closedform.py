@@ -24,9 +24,10 @@ from ramangn import (
     mu_closed,
 )
 from ramangn.closedform import _phi_pair
-from ramangn.errors import (DegenerateDispersionError, DegenerateTiltError,
-                            NumericalError, ValidationError)
-from ramangn.profile import ProfileParams, tilt_integral
+from ramangn.errors import (DegenerateDispersionError, NumericalError,
+                            ValidationError)
+from ramangn.oracle import TaylorProfile, mu_numeric
+from ramangn.profile import ProfileParams, profile_margin, tilt_integral
 
 from conftest import ALPHA_02_DB_KM
 
@@ -81,13 +82,26 @@ def test_terms_collapse_without_raman_tilt():
     assert terms.kappa_b[0] == 1.0
 
 
-def test_degenerate_tilt_detected():
-    # choose c_b so the total tilt factor crosses zero exactly
+def test_zero_tilt_factor_is_accepted():
+    """T, the constant tilt term, is zero here, yet the profile factor
+    1 - x d runs from 1 to about 27.5 over the span: T does not decide the
+    profile's domain, and the closed form is exact on it."""
     p0 = _params(c_f=0.0)
-    d = 193.4e12 - p0.f_hat
+    f_i = 193.4e12
+    d = f_i - p0.f_hat
     c_b = -p0.alpha_b * math.exp(p0.alpha_b * _L) / (p0.p_b * d)
-    with pytest.raises(DegenerateTiltError):
-        closed_form_terms(_params(c_f=0.0, c_b=c_b), 193.4e12, _L)
+    params = _params(c_f=0.0, c_b=c_b)
+    terms = closed_form_terms(params, f_i, _L)
+    assert abs(terms.upsilon[0]) < 1e-12
+    factor = 1.0 - tilt_integral(params, np.linspace(0.0, _L, 257), _L) * d
+    assert factor.min() == pytest.approx(1.0)
+    assert factor.max() == pytest.approx(27.5, rel=1e-2)
+    assert profile_margin(params, _L, d, d)[0] == pytest.approx(1.0)
+    rho = TaylorProfile(params, _L)
+    for phi in (1e-5, 3.3e-4, -2e-3):
+        numeric = mu_numeric(f_i, f_i, f_i, rho, phi, _L)
+        assert float(mu_closed(phi, terms)) == pytest.approx(numeric,
+                                                             rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,61 @@ def test_taylor_is_linearization_of_exact():
     assert not np.allclose(taylor, exact, rtol=1e-9)
 
 
+_C_R = 2.8e-17  # Raman slope of the test links; the fitter's box is 10 C_r
+
+
+def _grid_margin(params, d_lo, d_hi):
+    """The least 1 - x d over a dense z grid and the offsets d_lo, d_hi."""
+    x = tilt_integral(params, np.linspace(0.0, _L, 100_001), _L)
+    return np.min(1.0 - np.multiply.outer(x, (d_lo, d_hi)))
+
+
+@given(
+    c_f=st.floats(min_value=-10.0, max_value=10.0),
+    c_b=st.floats(min_value=-10.0, max_value=10.0),
+    rate_f=st.floats(min_value=0.2, max_value=5.0),
+    rate_b=st.floats(min_value=0.2, max_value=5.0),
+    p_f=st.floats(min_value=1e-3, max_value=1.0),
+    p_b=st.floats(min_value=0.0, max_value=1.0),
+    d=st.lists(st.floats(min_value=-20e12, max_value=20e12), min_size=2,
+               max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_profile_margin_matches_a_dense_grid(c_f, c_b, rate_f, rate_b, p_f,
+                                             p_b, d):
+    """The exact least value of 1 - x d is the dense grid's, from below;
+    the draws cover both sign patterns of the two tilt terms, so the
+    stationary point of x falls inside the span as often as not."""
+    a = ALPHA_02_DB_KM
+    params = _params(c_f=c_f * _C_R, c_b=c_b * _C_R, alpha_f=rate_f * a,
+                     alpha_b=rate_b * a, p_f=p_f, p_b=p_b)
+    d_lo, d_hi = sorted(d)
+    margin, z_min = profile.profile_margin(params, _L, d_lo, d_hi)
+    on_grid = _grid_margin(params, d_lo, d_hi)
+    scale = 1e-9 * (1.0 + (abs(params.c_f * p_f) + abs(params.c_b * p_b))
+                    * _L * max(abs(d_lo), abs(d_hi)))
+    assert margin <= on_grid + scale
+    assert on_grid - margin <= scale
+    x_at = tilt_integral(params, z_min, _L)
+    assert min(1.0 - x_at * d_lo, 1.0 - x_at * d_hi) == pytest.approx(
+        margin, abs=scale)
+
+
+@pytest.mark.parametrize("c_f, c_b", [(2.0, -3.0), (-2.0, 3.0)])
+def test_profile_margin_finds_the_stationary_point(c_f, c_b):
+    """With opposite tilt terms x turns once inside the span (a maximum
+    for c_f > 0, a minimum for c_f < 0), and the margin is taken there."""
+    params = _params(c_f=c_f * _C_R, c_b=c_b * _C_R, p_f=0.5, p_b=0.5)
+    d = 5e12 if c_f > 0 else -5e12
+    margin, z_min = profile.profile_margin(params, _L, d, d)
+    assert 0.0 < z_min < _L
+    assert tilt_derivative(params, z_min, _L) == pytest.approx(
+        0.0, abs=1e-12 * abs(params.c_f * params.p_f))
+    on_grid = _grid_margin(params, d, d)
+    assert on_grid - margin < 1e-9
+    assert margin < 1.0 - tilt_integral(params, _L, _L) * d
+
+
 def _synthetic_setup(params_true, n_ch=3, first=193.0e12, spacing=0.5e12):
     """A link plus a PowerEvolution generated exactly from the model."""
     span = FiberSpan(length=_L, beta2=-21.7e-27, beta3=0.0, gamma=1.2e-3,

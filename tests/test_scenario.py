@@ -76,6 +76,15 @@ def test_unknown_root_key_rejected(tmp_path):
         parse_scenario(_write(tmp_path, payload))
 
 
+def test_output_directory_is_not_a_scenario_key(tmp_path):
+    """Where outputs go is the CLI's ``--out``; a scenario cannot set it."""
+    payload = _base_payload()
+    payload["output"] = {"directory": "results"}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(_write(tmp_path, payload))
+    assert str(info.value) == "<root>: unknown key(s) 'output'"
+
+
 def test_unknown_nested_key_reports_path(tmp_path):
     payload = _base_payload()
     payload["span"]["lenght_km"] = 80.0
@@ -239,7 +248,6 @@ def test_documented_example_parses(tmp_path):
     assert sc.fit_overrides == {"max_iterations": 200, "n_polish": 12,
                                 "n_random_starts": 24}
     assert sc.quadrature.max_refinements == 3
-    assert sc.output_directory == "results"
 
 
 def test_fit_start_counts_accept_zero(tmp_path):
