@@ -20,7 +20,7 @@ from .closedform import (ClosedFormTerms, NliReport, assemble_snr,
                          closed_form_terms, eta_spm, eta_total, eta_xpm_pair,
                          mu_closed)
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
-                     SnrBudget, WdmGrid, link_diagnostics, validate_link)
+                     SnrBudget, WdmGrid)
 from .errors import (DegenerateDispersionError, DivergenceError,
                      GateFailure, NumericalError, ProfileDomainError,
                      RamanGnError, ScenarioError, UnitError, ValidationError)

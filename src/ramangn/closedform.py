@@ -322,7 +322,7 @@ def eta_spm(
             "self-channel phase factor phi_i is zero (dispersion-free); "
             "the SPM closed form is undefined"
         )
-    if channel_i.bandwidth <= 0 or span.length <= 0:
+    if not (channel_i.bandwidth > 0 and span.length > 0):
         raise ValidationError("SPM needs positive bandwidth and span length")
     return float(n ** (1.0 + epsilon)
                  * _spm_eta(span, phi_i, channel_i.bandwidth,
@@ -395,27 +395,24 @@ def _kernel(config: LinkConfig, fit):
 
     Returns (spm, xpm, degenerate_pairs): ``spm[i]`` is channel i's SPM
     eta and ``xpm[i, k]`` interferer k's XPM eta onto channel i, both for
-    one span and equal powers P_k = P_i; degenerate pairs hold 0.
+    one span and equal powers P_k = P_i; degenerate pairs hold 0.  It
+    re-checks nothing that ``LinkConfig`` checks when built.
     """
     span = config.span
     grid = config.grid
     length = span.length
     f_off = grid.frequencies - grid.band_center
     b = grid.bandwidths
-    bad = np.flatnonzero(~(np.isfinite(b) & (b > 0.0)))
-    if bad.size:
-        raise ValidationError(f"channel(s) {bad.tolist()}: bandwidth must "
-                              f"be positive and finite")
     t = _terms_arrays([cf.params for cf in fit.channel_fits],
                       grid.frequencies, length)
     contracted = _contract(t["upsilon"], t["alpha_l"], t["kappa_f"],
                            t["kappa_b"], t["alpha"], length)
 
     phi_i = _phi_self(span, f_off)
-    if np.any(phi_i == 0.0):
+    zero = np.flatnonzero(phi_i == 0.0)
+    if zero.size:
         raise DegenerateDispersionError(
-            "phi_i vanishes for at least one channel"
-        )
+            f"phi_i vanishes for channel(s) {zero.tolist()}")
     spm = _spm_eta(span, phi_i, b, contracted)
 
     # pair (i, k) on axes (0, 1): the tilt decomposition is the
@@ -446,8 +443,10 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
     powers in every span give n^{1+epsilon} S_i and n sum_k K_ik
     (P_k/P_i)^2.
 
-    Like the fit's convergence, its domain (``profile.profile_margin``) is
-    checked once per command by the CLI's fit gate, not here.
+    The link was checked when built.  Like the fit's convergence, its
+    domain (``profile.profile_margin``) is checked once per command by the
+    CLI's fit gate, not here.  A zero phi_i (beta2 = beta3 = 0, say) raises
+    DegenerateDispersionError naming the channels.
     """
     if fit.n_channels != config.grid.n_channels:
         raise ValidationError(
@@ -473,13 +472,11 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
 
 
 def assemble_snr(eta: NliReport, budget: SnrBudget, grid: WdmGrid) -> NliReport:
-    """Complete a report with SNR_NLI and the reciprocal-sum total SNR."""
+    """Complete a report with SNR_NLI and the reciprocal-sum total SNR; the
+    budget's entries were checked when it was built."""
     n = eta.n_channels
     p_i = eta.launch_powers
     snr_ase, snr_trx = budget.as_arrays(n)
-    for name, arr in (("snr_ase", snr_ase), ("snr_trx", snr_trx)):
-        if np.any(arr <= 0.0) or np.any(np.isnan(arr)):
-            raise ValidationError(f"{name} entries must be positive")
     with np.errstate(divide="ignore"):
         snr_nli = 1.0 / (eta.eta_total * p_i ** 2)
     inv = 1.0 / snr_nli + 1.0 / snr_ase + 1.0 / snr_trx

@@ -1,8 +1,8 @@
-"""Domain types, link validation and the shared text format and writers.
+"""Domain types, validated when built, and the shared text format and writers.
 
 All quantities are SI (Hz, W, m, Np/m ...).  Objects are immutable after
-construction and safe to share across threads; ``validate_link`` is a pure
-function and idempotent.
+construction and safe to share across threads.  ``LinkConfig`` and
+``SnrBudget`` refuse invalid and non-finite values when built.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -137,7 +137,9 @@ class FiberSpan:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """A transmission link: one span type repeated ``span_count`` times."""
+    """A transmission link: one span type repeated ``span_count`` times,
+    refused when built (``ValidationError`` listing every diagnostic) if it
+    breaks an invariant or holds a NaN or infinite number."""
 
     span: FiberSpan
     span_count: int
@@ -147,6 +149,9 @@ class LinkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pumps", tuple(self.pumps))
+        diags = _link_diagnostics(self)
+        if diags:
+            raise ValidationError(diags)
 
     def pumps_by_direction(self, direction: Direction) -> Tuple[Pump, ...]:
         return tuple(p for p in self.pumps if p.direction is direction)
@@ -157,7 +162,9 @@ class SnrBudget:
     """Linear-scale SNR contributions external to the NLI model.
 
     Entries may be ``math.inf`` (contribution absent), a scalar broadcast to
-    every channel, or a per-channel sequence.
+    every channel, or a per-channel sequence.  The constructor refuses an
+    entry that is not positive (NaN included), ``as_arrays`` a per-channel
+    entry of the wrong length, each with ``ValidationError``.
     """
 
     snr_ase: Union[float, Tuple[float, ...]] = math.inf
@@ -165,57 +172,72 @@ class SnrBudget:
 
     def __post_init__(self):
         for name in ("snr_ase", "snr_trx"):
-            v = getattr(self, name)
-            if isinstance(v, Sequence) and not isinstance(v, str):
-                object.__setattr__(self, name, tuple(float(x) for x in v))
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(arr > 0.0):
+                raise ValidationError(f"{name} entries must be positive")
+            if arr.ndim:
+                object.__setattr__(self, name, tuple(arr.tolist()))
 
     def as_arrays(self, n_channels: int):
         out = []
         for name in ("snr_ase", "snr_trx"):
-            v = getattr(self, name)
-            arr = np.broadcast_to(np.asarray(v, dtype=float), (n_channels,)).copy()
-            out.append(arr)
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim and arr.size != n_channels:
+                raise ValidationError(f"{name}: {arr.size} entries for "
+                                      f"{n_channels} channel(s)")
+            out.append(np.broadcast_to(arr, (n_channels,)).copy())
         return tuple(out)
 
 
-def link_diagnostics(config: LinkConfig) -> list:
-    """Return the list of violated invariants (empty when valid)."""
+def _non_finite(label: str, record, names) -> list:
+    """One diagnostic per named field of ``record`` that is not finite."""
+    return [f"{label}{name} must be finite, got {getattr(record, name)}"
+            for name in names if not math.isfinite(getattr(record, name))]
+
+
+def _link_diagnostics(config: LinkConfig) -> list:
+    """Violated invariants (empty when valid); NaN fails every test."""
     diags = []
     grid = config.grid
     n_spans = config.span_count
     span = config.span
 
-    if n_spans < 1:
+    if not n_spans >= 1:
         diags.append(f"span count must be >= 1, got {n_spans}")
     eps = config.coherence_epsilon
     if not (0.0 <= eps <= 1.0):
         diags.append(f"coherence epsilon must lie in [0, 1], got {eps}")
 
-    if span.length <= 0:
+    diags += _non_finite("span ", span, [f.name for f in fields(span)])
+    if not span.length > 0:
         diags.append(f"span length must be positive, got {span.length}")
-    if span.gamma < 0:
+    if not span.gamma >= 0:
         diags.append(f"nonlinear coefficient must be >= 0, got {span.gamma}")
-    if span.attenuation <= 0:
+    if not span.attenuation > 0:
         diags.append(f"span attenuation must be positive, got "
                      f"{span.attenuation}")
 
     if grid.n_channels == 0:
         diags.append("grid has no channels")
     for i, ch in enumerate(grid.channels):
-        if ch.bandwidth <= 0:
+        diags += _non_finite(f"channel {i}: ", ch,
+                             ("center_frequency", "bandwidth"))
+        if not ch.bandwidth > 0:
             diags.append(f"channel {i}: bandwidth must be positive")
         if len(ch.launch_power_per_span) != n_spans:
             diags.append(
                 f"channel {i}: {len(ch.launch_power_per_span)} launch powers "
                 f"for {n_spans} spans"
             )
-        if any(p <= 0 for p in ch.launch_power_per_span):
+        if not all(p > 0 for p in ch.launch_power_per_span):
             diags.append(f"channel {i}: non-positive launch power")
+        if not all(map(math.isfinite, ch.launch_power_per_span)):
+            diags.append(f"channel {i}: non-finite launch power")
 
     chans = grid.channels
     for i in range(len(chans) - 1):
         lo, hi = chans[i], chans[i + 1]
-        if hi.center_frequency <= lo.center_frequency:
+        if not hi.center_frequency > lo.center_frequency:
             diags.append(f"overlapping channels at index {i},{i + 1}: "
                          "frequencies not strictly increasing")
         elif (hi.center_frequency - lo.center_frequency
@@ -223,35 +245,21 @@ def link_diagnostics(config: LinkConfig) -> list:
             diags.append(f"overlapping channels at index {i},{i + 1}: "
                          "spectral overlap")
 
-    if chans:
-        f_top = max(c.center_frequency + 0.5 * c.bandwidth for c in chans)
-    else:
-        f_top = -math.inf
+    f_top = max((c.center_frequency + 0.5 * c.bandwidth for c in chans),
+                default=-math.inf)
     for p_idx, pump in enumerate(config.pumps):
-        if pump.input_power < 0:
+        diags += _non_finite(f"pump {p_idx}: ", pump,
+                             ("frequency", "input_power", "attenuation"))
+        if not pump.input_power >= 0:
             diags.append(f"pump {p_idx}: negative pump power")
-        if pump.attenuation <= 0:
+        if not pump.attenuation > 0:
             diags.append(f"pump {p_idx}: attenuation must be positive")
-        if pump.frequency <= f_top:
+        if not pump.frequency > f_top:
             diags.append(
                 f"pump {p_idx}: frequency inside or below the signal band"
             )
 
     return diags
-
-
-def validate_link(config: LinkConfig) -> LinkConfig:
-    """Return ``config`` unchanged iff all invariants hold.
-
-    Raises
-    ------
-    ValidationError
-        carrying the full diagnostics list otherwise.
-    """
-    diags = link_diagnostics(config)
-    if diags:
-        raise ValidationError(diags)
-    return config
 
 
 def format_float(value) -> str:

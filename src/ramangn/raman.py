@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Direction, LinkConfig, validate_link, write_csv
+from .domain import Direction, LinkConfig, write_csv
 from .errors import DivergenceError, ValidationError
 
 _MAX_RETRIES = 3
@@ -71,7 +71,7 @@ def solve_power_evolution(
     Parameters
     ----------
     config:
-        Validated link description.
+        The link to integrate.
     span_index:
         Which span's launch powers to use.
     steps:
@@ -83,7 +83,6 @@ def solve_power_evolution(
     ``FiberSpan.gain_at``, the same C_r that ``fit_profile`` bounds its
     slopes by.
     """
-    validate_link(config)
     if steps < 100:
         raise ValidationError(f"steps must be >= 100, got {steps}")
     if not (0 <= span_index < config.span_count):

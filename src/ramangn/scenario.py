@@ -34,8 +34,7 @@ Top-level structure::
       "budget": {"snr_ase_db": 20.0, "snr_trx_db": "infinite"},
       "coherence_epsilon": 0.0,
       "solver": {"steps": 1000},
-      "fit": {"n_random_starts": 24, "n_polish": 12,  # opt-in multistart
-              "max_iterations": 200},
+      "fit": {"max_iterations": 200},
       "quadrature": {"max_refinements": 3}
     }
 
@@ -45,8 +44,8 @@ channel.  In the explicit-channel form each channel is
 ``{"center": Q, "bandwidth": Q, "launch_power": Q or [Q, ...]}`` with one
 launch power per span (a single value is broadcast).  The ``solver``,
 ``fit`` and ``quadrature`` keys shown are every run control a scenario
-sets; the fitter's seed grid and the oracle's tolerances are constants
-(see :func:`~ramangn.profile.fit_profile` and
+sets; the fitter's seed grid and start counts and the oracle's tolerances
+are constants (see :func:`~ramangn.profile.fit_profile` and
 :class:`~ramangn.oracle.QuadratureSpec`); the output directory is ``--out``.
 """
 
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Tuple
 
 from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
-                     SnrBudget, WdmGrid, validate_link)
+                     SnrBudget, WdmGrid)
 from .errors import ScenarioError, UnitError, ValidationError
 from .oracle import QuadratureSpec
 from .units import convert_units, db_to_linear
@@ -237,16 +236,12 @@ def _parse_budget(node: Any, path: str, n_channels: int) -> SnrBudget:
     return SnrBudget(snr_ase=ase, snr_trx=trx)
 
 
-# Smallest accepted value per fit key: 0 extra starts is the fitter's default.
-_FIT_KEYS = {"n_random_starts": 0, "n_polish": 0, "max_iterations": 1}
-
-
 def _parse_fit(node: Any, path: str) -> dict:
     node = dict(_require_mapping(node, path))
     out = {}
-    for key in sorted(_FIT_KEYS.keys() & node.keys()):
-        out[key] = _int_at_least(node.pop(key), f"{path}.{key}",
-                                 _FIT_KEYS[key])
+    if "max_iterations" in node:
+        out["max_iterations"] = _int_at_least(
+            node.pop("max_iterations"), f"{path}.max_iterations")
     _reject_unknown(node, path)
     return out
 
@@ -303,6 +298,5 @@ def parse_scenario(path) -> Scenario:
 
     link = LinkConfig(span=span, span_count=span_count, grid=grid,
                       pumps=pumps, coherence_epsilon=epsilon)
-    validate_link(link)
     return Scenario(link=link, budget=budget, solver_steps=steps,
                     fit_overrides=fit_overrides, quadrature=quadrature)

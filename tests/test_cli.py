@@ -80,8 +80,19 @@ def test_sweep_requires_range(data_dir, tmp_path, capsys):
     scenario = os.path.join(data_dir, "lumped_9ch.json")
     assert _run(["sweep", "--scenario", scenario,
                  "--out", str(tmp_path)]) == 2
+    for bad in ("nonsense", "a:b:c", "0:1:0", "1:0:1"):
+        assert _run(["sweep", "--scenario", scenario, "--out", str(tmp_path),
+                     f"--sweep={bad}"]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_stops_at_hi(data_dir, tmp_path):
+    """A step that does not divide hi - lo stops short of hi."""
+    scenario = os.path.join(data_dir, "lumped_9ch.json")
     assert _run(["sweep", "--scenario", scenario, "--out", str(tmp_path),
-                 "--sweep", "nonsense"]) == 2
+                 "--sweep=0:1:0.6"]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert sorted({float(line.split(",")[0]) for line in lines}) == [0.0, 0.6]
 
 
 def test_missing_scenario_exits_2(tmp_path):

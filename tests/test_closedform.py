@@ -473,13 +473,23 @@ def test_eta_total_rejects_mismatched_fit():
 
 @pytest.mark.parametrize("bad", [0.0, -50e9, math.inf, math.nan])
 def test_eta_total_rejects_bad_bandwidth(bad):
-    """A hand-built link skips the scenario validation; the kernel itself
-    refuses a channel without a positive, finite bandwidth and names it,
-    where it used to return eta_spm = inf and a negative XPM eta."""
+    """A channel without a positive, finite bandwidth used to give eta_spm =
+    inf and a negative XPM eta; no link that holds one can be built, so
+    eta_total never sees it."""
     grid = WdmGrid((Channel(193.0e12, 100e9, (1e-3,)),
                     Channel(193.1e12, bad, (1e-3,))))
-    cfg = LinkConfig(span=_span(), span_count=1, grid=grid)
-    with pytest.raises(ValidationError, match=r"channel\(s\) \[1\]"):
+    with pytest.raises(ValidationError, match=r"channel 1: bandwidth must "):
+        LinkConfig(span=_span(), span_count=1, grid=grid)
+
+
+def test_eta_total_rejects_dispersion_free_span():
+    """beta2 = beta3 = 0 zeroes every channel's phi_i; the refusal names
+    the channels."""
+    cfg = LinkConfig(span=_span(beta2=0.0, beta3=0.0), span_count=1,
+                     grid=WdmGrid((Channel(193.0e12, 100e9, (1e-3,)),
+                                   Channel(193.1e12, 100e9, (1e-3,)))))
+    with pytest.raises(DegenerateDispersionError,
+                       match=r"phi_i vanishes for channel\(s\) \[0, 1\]"):
         eta_total(cfg, _fit_report(_per_channel_params(2)))
 
 

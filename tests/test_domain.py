@@ -1,6 +1,8 @@
-"""Link-description invariants, diagnostics, and small helpers."""
+"""Link-description invariants, checked when a link is built, and small
+helpers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from ramangn import (
     Pump,
     SnrBudget,
     WdmGrid,
-    link_diagnostics,
-    validate_link,
 )
 from ramangn.errors import ValidationError
 
@@ -35,9 +35,17 @@ def _grid(n=3, first=193.0e12, spacing=100e9, bw=100e9, power=1e-3, spans=1):
     return WdmGrid(channels)
 
 
+def _diagnostics(**link):
+    """The diagnostics a ``LinkConfig`` built from ``link`` is refused with."""
+    with pytest.raises(ValidationError) as info:
+        LinkConfig(**link)
+    assert str(info.value) == "; ".join(info.value.diagnostics)
+    return info.value.diagnostics
+
+
 def test_valid_link_has_no_diagnostics(lumped_scenario):
-    assert link_diagnostics(lumped_scenario.link) == []
-    assert validate_link(lumped_scenario.link) is lumped_scenario.link
+    link = lumped_scenario.link
+    assert replace(link) == link
 
 
 def test_grid_properties():
@@ -51,38 +59,34 @@ def test_grid_properties():
 
 def test_non_positive_launch_power_diagnosed():
     grid = WdmGrid((Channel(193.0e12, 100e9, (0.0,)),))
-    cfg = LinkConfig(span=_span(), span_count=1, grid=grid)
-    diags = link_diagnostics(cfg)
-    assert any("non-positive launch power" in d for d in diags)
-    with pytest.raises(ValidationError) as exc_info:
-        validate_link(cfg)
-    assert exc_info.value.diagnostics
+    diags = _diagnostics(span=_span(), span_count=1, grid=grid)
+    assert diags == ["channel 0: non-positive launch power"]
 
 
 def test_overlapping_channels_diagnosed():
     channels = (Channel(193.0e12, 100e9, (1e-3,)),
                 Channel(193.05e12, 100e9, (1e-3,)))
-    cfg = LinkConfig(span=_span(), span_count=1, grid=WdmGrid(channels))
-    assert any("overlap" in d for d in link_diagnostics(cfg))
+    diags = _diagnostics(span=_span(), span_count=1, grid=WdmGrid(channels))
+    assert any("overlap" in d for d in diags)
 
 
 def test_unordered_channels_diagnosed():
     channels = (Channel(193.2e12, 100e9, (1e-3,)),
                 Channel(193.0e12, 100e9, (1e-3,)))
-    cfg = LinkConfig(span=_span(), span_count=1, grid=WdmGrid(channels))
-    assert any("not strictly increasing" in d for d in link_diagnostics(cfg))
+    diags = _diagnostics(span=_span(), span_count=1, grid=WdmGrid(channels))
+    assert any("not strictly increasing" in d for d in diags)
 
 
 def test_span_count_power_mismatch_diagnosed():
-    cfg = LinkConfig(span=_span(), span_count=2, grid=_grid(spans=1))
-    assert any("launch powers" in d for d in link_diagnostics(cfg))
+    diags = _diagnostics(span=_span(), span_count=2, grid=_grid(spans=1))
+    assert any("launch powers" in d for d in diags)
 
 
 def test_pump_inside_band_diagnosed():
     pump = Pump(193.1e12, 0.5, Direction.BACKWARD, ALPHA_02_DB_KM)
-    cfg = LinkConfig(span=_span(), span_count=1, grid=_grid(), pumps=(pump,))
-    assert any("inside or below the signal band" in d
-               for d in link_diagnostics(cfg))
+    diags = _diagnostics(span=_span(), span_count=1, grid=_grid(),
+                         pumps=(pump,))
+    assert any("inside or below the signal band" in d for d in diags)
 
 
 def test_pumps_by_direction():
@@ -104,9 +108,8 @@ def test_attenuation_is_one_span_number():
     """The span's loss is one number for every channel, so a non-positive
     value is one span diagnostic, whatever the channel count."""
     assert _span().attenuation == ALPHA_02_DB_KM
-    cfg = LinkConfig(span=_span(attenuation=0.0), span_count=1,
-                     grid=_grid(n=5))
-    diags = link_diagnostics(cfg)
+    diags = _diagnostics(span=_span(attenuation=0.0), span_count=1,
+                         grid=_grid(n=5))
     assert [d for d in diags if "attenuation" in d] == [
         "span attenuation must be positive, got 0.0"]
 
@@ -121,6 +124,72 @@ def test_snr_budget_broadcast_and_sequence():
 
 
 def test_coherence_epsilon_bounds_diagnosed():
-    cfg = LinkConfig(span=_span(), span_count=1, grid=_grid(),
-                     coherence_epsilon=1.5)
-    assert any("coherence epsilon" in d for d in link_diagnostics(cfg))
+    diags = _diagnostics(span=_span(), span_count=1, grid=_grid(),
+                         coherence_epsilon=1.5)
+    assert diags == ["coherence epsilon must lie in [0, 1], got 1.5"]
+
+
+def _link_with(record, name, value):
+    """A valid three-channel, one-pump link with ``name`` of ``record``
+    (the span, channel 1, the pump or the link itself) set to ``value``."""
+    link = dict(span=_span(raman_slope=2.8e-17), span_count=1, grid=_grid(),
+                pumps=(Pump(206.6e12, 0.5, Direction.BACKWARD,
+                            ALPHA_02_DB_KM),))
+    if record == "span":
+        link["span"] = replace(link["span"], **{name: value})
+    elif record == "channel":
+        channels = list(link["grid"].channels)
+        if name == "launch_power_per_span":
+            value = (value,)
+        channels[1] = replace(channels[1], **{name: value})
+        link["grid"] = WdmGrid(channels)
+    elif record == "pump":
+        link["pumps"] = (replace(link["pumps"][0], **{name: value}),)
+    else:
+        link[name] = value
+    return link
+
+
+def test_hand_built_link_is_valid():
+    assert LinkConfig(**_link_with("link", "coherence_epsilon", 1.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("record, name, named", [
+    ("span", "length", "span length"),
+    ("span", "beta2", "span beta2"),
+    ("span", "beta3", "span beta3"),
+    ("span", "gamma", "span gamma"),
+    ("span", "attenuation", "span attenuation"),
+    ("span", "raman_slope", "span raman_slope"),
+    ("channel", "center_frequency", "channel 1: center_frequency"),
+    ("channel", "bandwidth", "channel 1: bandwidth"),
+    ("channel", "launch_power_per_span", "channel 1: non-finite launch power"),
+    ("pump", "frequency", "pump 0: frequency"),
+    ("pump", "input_power", "pump 0: input_power"),
+    ("pump", "attenuation", "pump 0: attenuation"),
+    ("link", "coherence_epsilon", "coherence epsilon"),
+])
+def test_non_finite_field_refused_when_built(record, name, named, value):
+    """A NaN (or infinite) number in a hand-built link used to reach the
+    closed form and give NaN SNRs; the link refuses it when built, naming
+    the field."""
+    diags = _diagnostics(**_link_with(record, name, value))
+    assert any(named in d for d in diags), diags
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0, -math.inf, math.nan,
+                                   (1.0, math.nan)])
+@pytest.mark.parametrize("name", ["snr_ase", "snr_trx"])
+def test_snr_budget_refuses_non_positive_entries(name, entry):
+    with pytest.raises(ValidationError) as info:
+        SnrBudget(**{name: entry})
+    assert info.value.diagnostics == [f"{name} entries must be positive"]
+
+
+def test_snr_budget_of_wrong_length_named():
+    """A per-channel entry of the wrong length used to raise numpy's
+    broadcast error."""
+    with pytest.raises(ValidationError,
+                       match=r"^snr_ase: 3 entries for 9 channel\(s\)$"):
+        SnrBudget(snr_ase=(10.0, 20.0, 30.0)).as_arrays(9)

@@ -213,6 +213,8 @@ def test_solver_fit_quadrature_sections(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("fit", "n_grid", 4),
     ("fit", "rng_seed", 7),
+    ("fit", "n_random_starts", 24),
+    ("fit", "n_polish", 12),
     ("quadrature", "rel_tol_mu", 1e-8),
     ("quadrature", "rel_tol_eta", 1e-5),
     ("quadrature", "abs_tol", 0.0),
@@ -220,8 +222,9 @@ def test_solver_fit_quadrature_sections(tmp_path):
     ("quadrature", "include_window", False),
 ])
 def test_fixed_run_controls_are_rejected(tmp_path, section, key, value):
-    """The seed grid, the random-start seed and the oracle tolerances are
-    constants; a scenario that sets one is refused with the key's path."""
+    """The seed grid, the random-start seed, the start counts and the
+    oracle tolerances are constants; a scenario that sets one is refused
+    with the key's path."""
     payload = _base_payload()
     payload[section] = {key: value}
     with pytest.raises(ScenarioError) as info:
@@ -245,23 +248,24 @@ def test_documented_example_parses(tmp_path):
     sc = parse_scenario(str(path))
     assert sc.link.grid.n_channels == 40
     assert sc.solver_steps == 1000
-    assert sc.fit_overrides == {"max_iterations": 200, "n_polish": 12,
-                                "n_random_starts": 24}
+    assert sc.fit_overrides == {"max_iterations": 200}
     assert sc.quadrature.max_refinements == 3
 
 
-def test_fit_start_counts_accept_zero(tmp_path):
+@pytest.mark.parametrize("section, key, value, message", [
+    ("fit", "max_iterations", 0,
+     "fit.max_iterations: expected an integer >= 1, got 0"),
+    ("quadrature", "max_refinements", 11,
+     "quadrature: max_refinements must lie in [1, 10]"),
+], ids=["fit.max_iterations=0", "quadrature.max_refinements=11"])
+def test_run_control_out_of_range_rejected(tmp_path, section, key, value,
+                                           message):
+    """Refused as a scenario error (exit 2), not a validation error."""
     payload = _base_payload()
-    payload["fit"] = {"n_random_starts": 0, "n_polish": 0}
-    sc = parse_scenario(_write(tmp_path, payload))
-    assert sc.fit_overrides == {"n_polish": 0, "n_random_starts": 0}
-    for key in ("n_random_starts", "n_polish"):
-        payload["fit"] = {key: -1}
-        with pytest.raises(ScenarioError, match=f"fit.{key}"):
-            parse_scenario(_write(tmp_path, payload))
-    payload["fit"] = {"max_iterations": 0}
-    with pytest.raises(ScenarioError, match="fit.max_iterations"):
+    payload[section] = {key: value}
+    with pytest.raises(ScenarioError) as info:
         parse_scenario(_write(tmp_path, payload))
+    assert str(info.value) == message
 
 
 def test_unknown_fit_key_rejected(tmp_path):
@@ -290,7 +294,9 @@ def test_non_mapping_root_rejected(tmp_path):
         parse_scenario(str(path))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(10 ** 400, id="400-digit-integer")])
 @pytest.mark.parametrize("keys, path", [
     (("span", "gamma", "value"), "span.gamma.value"),
     (("span", "length_km"), "span.length_km"),
@@ -299,8 +305,9 @@ def test_non_mapping_root_rejected(tmp_path):
     (("budget", "snr_ase_db", 1), "budget.snr_ase_db[1]"),
 ])
 def test_non_finite_number_rejected(tmp_path, keys, path, value):
-    """json reads the literals NaN, Infinity and -Infinity; each is refused
-    with its key path instead of reaching the link."""
+    """json reads the literals NaN, Infinity and -Infinity, and integers
+    too large for a float; each is refused with its key path instead of
+    reaching the link."""
     payload = _base_payload()
     payload["pumps"] = [{
         "frequency": {"value": 206.6, "unit": "THz"},
