@@ -19,7 +19,7 @@ sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
 
 ``nli``, ``compare`` and ``sweep`` first pass the fit through one gate,
 ``_converged_fit``: it exits 4 naming every channel whose fit did not
-converge, else every channel whose profile leaves its domain.
+converge and every channel whose profile leaves its domain.
 
 Exit codes: 0 success, 2 scenario/parse error, 3 validation error,
 4 numerical failure, 5 gate failure.
@@ -65,13 +65,11 @@ def _fit(scenario: Scenario, args):
 def _converged_fit(scenario: Scenario, args):
     """The fit, if every channel's converged and its profile is positive on
     the pairs (i, k) it serves as channel k, SPM included, as in the oracle;
-    1 - x d is linear in d, so the hull of their offsets decides.  Else
-    NumericalError or ProfileDomainError naming every such channel."""
+    1 - x d is linear in d, so the hull of their offsets decides.  Else one
+    error naming every channel that fails either test: ProfileDomainError
+    when some profile leaves its domain, which needs only the parameters,
+    converged or not, and NumericalError otherwise."""
     report = _fit(scenario, args)
-    unconverged = list(report.unconverged_channels)
-    if unconverged:
-        raise NumericalError(
-            f"profile fit did not converge on channel(s) {unconverged}")
     grid, length = scenario.link.grid, scenario.link.span.length
     fits = report.channel_fits
     lo, hi = pair_offsets(grid.frequencies[:, None], grid.bandwidths[:, None],
@@ -80,10 +78,18 @@ def _converged_fit(scenario: Scenario, args):
     outside = [k for k, (cf, d_lo, d_hi) in enumerate(
                    zip(fits, lo.min(axis=0), hi.max(axis=0)))
                if profile_margin(cf.params, length, d_lo, d_hi)[0] <= 0.0]
+    unconverged = list(report.unconverged_channels)
+    problems = []
+    if unconverged:
+        problems.append(
+            f"profile fit did not converge on channel(s) {unconverged}")
     if outside:
-        raise ProfileDomainError(
+        problems.append(
             f"linearized profile is non-positive on the frequencies served "
             f"by channel(s) {outside}")
+    if problems:
+        error = ProfileDomainError if outside else NumericalError
+        raise error("; ".join(problems))
     return report
 
 

@@ -196,7 +196,10 @@ def _non_finite(label: str, record, names) -> list:
 
 
 def _link_diagnostics(config: LinkConfig) -> list:
-    """Violated invariants (empty when valid); NaN fails every test."""
+    """Violated invariants (empty when valid).  Each test is written so
+    that NaN fails it, except that the launch-power sign, channel order,
+    overlap and band-top tests skip a non-finite number: it has its own
+    diagnostic, and theirs would only report its effects."""
     diags = []
     grid = config.grid
     n_spans = config.span_count
@@ -229,7 +232,7 @@ def _link_diagnostics(config: LinkConfig) -> list:
                 f"channel {i}: {len(ch.launch_power_per_span)} launch powers "
                 f"for {n_spans} spans"
             )
-        if not all(p > 0 for p in ch.launch_power_per_span):
+        if any(p <= 0 for p in ch.launch_power_per_span):
             diags.append(f"channel {i}: non-positive launch power")
         if not all(map(math.isfinite, ch.launch_power_per_span)):
             diags.append(f"channel {i}: non-finite launch power")
@@ -237,6 +240,9 @@ def _link_diagnostics(config: LinkConfig) -> list:
     chans = grid.channels
     for i in range(len(chans) - 1):
         lo, hi = chans[i], chans[i + 1]
+        if not (math.isfinite(lo.center_frequency)
+                and math.isfinite(hi.center_frequency)):
+            continue
         if not hi.center_frequency > lo.center_frequency:
             diags.append(f"overlapping channels at index {i},{i + 1}: "
                          "frequencies not strictly increasing")
@@ -245,7 +251,8 @@ def _link_diagnostics(config: LinkConfig) -> list:
             diags.append(f"overlapping channels at index {i},{i + 1}: "
                          "spectral overlap")
 
-    f_top = max((c.center_frequency + 0.5 * c.bandwidth for c in chans),
+    f_top = max((edge for edge in (c.center_frequency + 0.5 * c.bandwidth
+                                   for c in chans) if math.isfinite(edge)),
                 default=-math.inf)
     for p_idx, pump in enumerate(config.pumps):
         diags += _non_finite(f"pump {p_idx}: ", pump,

@@ -23,22 +23,20 @@ guess and a deterministic variable-projection seed grid by their scores
 (sums of squared residuals).  The ranking is exact but prunes: a seed's
 partial score over every ``_BOUND_STRIDES[i]``-th z sample is a lower
 bound of its score, the bounds are checked from coarse to fine samples,
-and only the seeds that no bound rules out are scored in full.  The seed
-residuals gather L_eff and Lb_eff from per-rate tables instead of taking
-exponentials per seed.
+and only the seeds that no bound rules out are scored in full.  The grid's
+rates are the same for every channel, so its effective lengths, Gram terms
+and per-rate L_eff and Lb_eff tables are built once per fit; the seed
+residuals gather from those tables instead of taking exponentials per seed.
 
 Every polish is one problem of a batched, bounded, projected
 Levenberg-Marquardt (``_polish``; More 1978, Kanzow, Yamashita & Fukushima
 2004): the residuals and Jacobians of all problems are evaluated as stacked
 arrays and their damped normal equations solved in one call per iteration.
 The Jacobian at a kept step is built from the terms of the residual that
-tested the step, so only exp(-alpha_f z) is new there.
-Round 1 polishes every channel's best-scored seed; each later round
-re-polishes, from the previous channel's current result, only the channels
-whose previous channel's result changed, until none does.  That fixed point
-is the result of fitting the channels in order, each warm-started from its
-predecessor.  Seeded random restarts and further polishes of the next-best
-seeds are opt-in.
+tested the step, so only exp(-alpha_f z) is new there.  All channels are
+polished in one such pass, each from its best-scored seed; a channel's
+result depends on its own starts only.  Seeded random restarts and further
+polishes of the next-best seeds are opt-in.
 """
 
 from __future__ import annotations
@@ -335,10 +333,44 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
     return residual, jacobian
 
 
-def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
-                  with_backward):
-    """Variable-projection seed grid, one row (alpha, c_f, c_b, alpha_f,
-    alpha_b) per candidate rate triple.
+def _seed_grid(length, z, p_f, p_b, ratios, alpha_phys, with_backward):
+    """The channel-invariant terms of the variable-projection seed grid,
+    which ``_varpro_seeds`` takes: (decay, col_f, col_b, gram, keep, rows).
+
+    The candidate rates are ``ratios * alpha_phys``.  ``decay`` holds the dB
+    loss _K_DB alpha z of each alpha, ``col_f`` and ``col_b`` the per-rate
+    columns P_f L_eff and P_b Lb_eff, ``gram`` their Gram terms (g_ff, g_bb,
+    g_fb, det).  Without a backward pump ``col_b`` is None, ``gram`` is
+    (g_ff,) and alpha_b keeps ``alpha_phys``.  ``keep`` marks the rate
+    triples whose normal equations are not singular, and ``rows`` holds
+    their rates as parameter vectors, alpha-major, then alpha_f, then
+    alpha_b, with zero slopes.
+    """
+    rates = ratios * alpha_phys
+    decay = _K_DB * np.outer(rates, z)
+    col_f = p_f * effective_length(z, rates[:, None])
+    g_ff = np.einsum("ij,ij->i", col_f, col_f)
+    if with_backward:
+        col_b = p_b * backward_effective_length(z, length, rates[:, None])
+        g_bb = np.einsum("ij,ij->i", col_b, col_b)
+        g_fb = col_f @ col_b.T  # (alpha_f, alpha_b)
+        det = g_ff[:, None] * g_bb[None, :] - g_fb * g_fb
+        gram, keep = (g_ff, g_bb, g_fb, det), det > 0
+        a, a_f, a_b = np.meshgrid(rates, rates, rates, indexing="ij")
+    else:
+        col_b, gram, keep = None, (g_ff,), g_ff > 0
+        a, a_f = np.meshgrid(rates, rates, indexing="ij")
+        a_b = np.full_like(a, alpha_phys)
+    keep = np.broadcast_to(keep, a.shape)
+    zero = np.zeros_like(a)
+    rows = np.stack((a, zero, zero, a_f, a_b), axis=-1)[keep]
+    return decay, col_f, col_b, gram, keep, rows
+
+
+def _varpro_seeds(grid, target_db, delta):
+    """Variable-projection seed grid of one channel, one row (alpha, c_f,
+    c_b, alpha_f, alpha_b) per candidate rate triple of ``grid``
+    (``_seed_grid``).
 
     For each candidate (alpha, alpha_f, alpha_b) the two slope coefficients
     enter the pre-log model linearly, so they are obtained by a tiny linear
@@ -347,60 +379,66 @@ def _varpro_seeds(length, z, target_db, delta, p_f, p_b, ratios, alpha_phys,
     rows and solved at once.  Rows run alpha-major, then alpha_f, then
     alpha_b; singular systems (det <= 0) are dropped.
     """
-    rates = ratios * alpha_phys
-    col_f = p_f * effective_length(z, rates[:, None])
-    u_target = 10.0 ** ((target_db + _K_DB * np.outer(rates, z)) / 10.0)
+    decay, col_f, col_b, gram, keep, rows = grid
+    u_target = 10.0 ** ((target_db + decay) / 10.0)
     y = (1.0 - u_target) / delta  # one de-trended target per alpha
-    g_ff = np.einsum("ij,ij->i", col_f, col_f)
     b_f = y @ col_f.T  # (alpha, alpha_f)
-    if not with_backward:
-        keep = np.broadcast_to(g_ff > 0, b_f.shape)
+    seeds = rows.copy()
+    if col_b is None:
+        (g_ff,) = gram
         with np.errstate(divide="ignore", invalid="ignore"):
-            c_f = b_f / g_ff
-        a, a_f = np.meshgrid(rates, rates, indexing="ij")
-        rows = (a, c_f, np.zeros_like(c_f), a_f, np.full_like(c_f, alpha_phys))
-        return np.stack(rows, axis=-1)[keep]
-    col_b = p_b * backward_effective_length(z, length, rates[:, None])
-    g_bb = np.einsum("ij,ij->i", col_b, col_b)
-    g_fb = col_f @ col_b.T  # (alpha_f, alpha_b)
+            seeds[:, 1] = (b_f / g_ff)[keep]
+        return seeds
+    g_ff, g_bb, g_fb, det = gram
     b_b = y @ col_b.T  # (alpha, alpha_b)
-    det = g_ff[:, None] * g_bb[None, :] - g_fb * g_fb
     b_f = b_f[:, :, None]
     b_b = b_b[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        c_f = (g_bb[None, None, :] * b_f - g_fb * b_b) / det
-        c_b = (g_ff[None, :, None] * b_b - g_fb * b_f) / det
-    keep = np.broadcast_to(det > 0, c_f.shape)
-    a, a_f, a_b = np.meshgrid(rates, rates, rates, indexing="ij")
-    return np.stack((a, c_f, c_b, a_f, a_b), axis=-1)[keep]
+        seeds[:, 1] = ((g_bb[None, None, :] * b_f - g_fb * b_b) / det)[keep]
+        seeds[:, 2] = ((g_ff[None, :, None] * b_b - g_fb * b_f) / det)[keep]
+    return seeds
 
 
-def _seed_levels(length, z, target_db, delta, p_f, p_b, free, base, seeds):
-    """The residuals of the rows of ``seeds`` at every level of
+def _full_vectors(free, base, seeds):
+    """The rows of ``seeds`` (the ``free`` entries) as whole parameter
+    vectors, the other entries at their ``base`` values."""
+    full = np.tile(base, (len(seeds), 1))
+    full[:, free] = seeds
+    return full
+
+
+def _rate_tables(length, z, p_b, full):
+    """(row_f, table_f, row_b, table_b): L_eff and Lb_eff tables with one
+    row per distinct alpha_f (alpha_b) value among the parameter vectors
+    ``full``, and the table row of each vector.  The tables are keyed by the
+    vectors' own values: clipping a grid rate onto the box may move it by an
+    ulp.  With P_b = 0 the backward pair is None."""
+    keys_f, row_f = np.unique(full[:, 3], return_inverse=True)
+    table_f = effective_length(z, keys_f[:, None])
+    if p_b == 0.0:
+        return row_f, table_f, None, None
+    keys_b, row_b = np.unique(full[:, 4], return_inverse=True)
+    return (row_f, table_f, row_b,
+            backward_effective_length(z, length, keys_b[:, None]))
+
+
+def _seed_levels(z, target_db, delta, p_f, p_b, full, tables):
+    """The residuals of the parameter vectors ``full`` at every level of
     ``_best_seeds``: one per ``_BOUND_STRIDES`` entry and one at full
     resolution, last.
 
-    Level i maps an index array k into ``seeds`` (rows of the ``free``
-    entries; the others keep their ``base`` values) to the (len(k),
-    n_z / stride) residual rows of those seeds on z[::stride], equal to
-    ``_residual_and_jac``'s.  L_eff and Lb_eff are gathered from per-rate
-    tables, one row per distinct alpha_f (alpha_b) value in the seeds, so
-    each exponential is taken once per rate and z sample.  The tables are
-    keyed by the seeds' own values: clipping a grid rate onto the box may
-    move it by an ulp.
+    Level i maps an index array k into ``full`` to the (len(k), n_z /
+    stride) residual rows of those vectors on z[::stride], equal to
+    ``_residual_and_jac``'s.  L_eff and Lb_eff are gathered from
+    ``tables``, which ``_rate_tables`` builds for these vectors' rates, so
+    each exponential is taken once per rate and z sample.
     """
-    full = np.tile(base, (len(seeds), 1))
-    full[:, free] = seeds
     a, cf, cb = (full[:, j, None] for j in range(3))
-    keys_f, row_f = np.unique(full[:, 3], return_inverse=True)
-    table_f = effective_length(z, keys_f[:, None])
-    if p_b != 0.0:
-        keys_b, row_b = np.unique(full[:, 4], return_inverse=True)
-        table_b = backward_effective_length(z, length, keys_b[:, None])
+    row_f, table_f, row_b, table_b = tables
 
     def level(step):
         zs, target, leff = z[::step], target_db[::step], table_f[:, ::step]
-        lbeff = table_b[:, ::step] if p_b != 0.0 else None
+        lbeff = None if table_b is None else table_b[:, ::step]
 
         def residual(k):
             x = _tilt(cf[k], cb[k], leff[row_f[k]],
@@ -618,21 +656,17 @@ def fit_profile(
     the z grid, every 64th, 16th and 4th sample in turn
     (``_BOUND_STRIDES``), and fully scores only the seeds that no bound
     rules out, so it picks the same seeds as a full scan (``_best_seeds``).
-    The seed residuals take L_eff and Lb_eff from tables with one row per
-    distinct rate of the grid (``_seed_levels``).  Every polish is a problem
-    of one batched projected Levenberg-Marquardt (``_polish``), whose
+    The grid's rates, and with them its effective lengths, Gram terms and
+    the L_eff and Lb_eff tables the seed residuals gather from (one row per
+    distinct rate), are the same for every channel and built once
+    (``_seed_grid``, ``_rate_tables``).  Every polish is a problem of one
+    batched projected Levenberg-Marquardt pass (``_polish``), whose
     Jacobian at a kept step reuses the terms of the residual that tested
-    it, run in rounds.  Round 1 polishes each channel's best-scored seed,
-    plus, opt-in, ``n_polish`` next-best seeds and ``n_random_starts``
-    uniform random starts drawn channel by channel from one generator
-    seeded with ``_RNG_SEED`` (for example 12 and 24); a channel's own
-    result is the polish of these with the lowest RMS, the first on a
-    tie.  Each later round polishes, from the previous channel's current
-    result, every channel whose previous channel's result changed, and
-    keeps that polish when its RMS is strictly below the channel's own
-    result.  The rounds stop when no result changes; that is the result of
-    fitting the channels in order, each also warm-started from its
-    predecessor's result.
+    it.  It polishes each channel's best-scored seed, plus, opt-in,
+    ``n_polish`` next-best seeds and ``n_random_starts`` uniform random
+    starts drawn channel by channel from one generator seeded with
+    ``_RNG_SEED`` (for example 12 and 24); a channel's result is the
+    polish of its own starts with the lowest RMS, the first on a tie.
 
     A polish stops after ``max_iterations`` residual evaluations.  A
     channel's ``n_eval`` counts the residual evaluations of its winning
@@ -657,12 +691,23 @@ def fit_profile(
     span = config.span
     length = span.length
     c_r = span.raman_slope
+    alpha_phys = span.attenuation
     p_f, p_b, f_hat = shared_fit_context(evolution, config)
     with_backward = p_b > 0.0
+    free, base, lo, hi, x_scale = _parameter_space(alpha_phys, c_r,
+                                                   with_backward)
+    # The seed grid's rates are the same for every channel, and so are its
+    # effective lengths, Gram terms and rate tables: the box clips every
+    # channel's seed rates alike.
+    grid = _seed_grid(length, z, p_f, p_b, np.geomspace(0.2, 5.0, _N_GRID),
+                      alpha_phys, with_backward)
+    rate_seeds = np.clip(np.vstack([base[free], grid[-1][:, free]]), lo, hi)
+    tables = _rate_tables(length, z, p_b,
+                          _full_vectors(free, base, rate_seeds))
 
     rng = np.random.default_rng(_RNG_SEED)
     fits = [None] * evolution.n_channels
-    channels, starts, owners = [], [], []
+    fitted, targets, deltas, starts, owners = [], [], [], [], []
     for ch_idx in range(evolution.n_channels):
         f_i = config.grid.channels[ch_idx].center_frequency
         rho = normalized_profile(evolution, ch_idx)
@@ -671,85 +716,59 @@ def fit_profile(
                 f"channel {ch_idx}: numeric profile is not strictly positive"
             )
         target_db = 10.0 * np.log10(rho)
-        alpha_phys = span.attenuation
-        free, base, lo, hi, x_scale = _parameter_space(alpha_phys, c_r,
-                                                       with_backward)
         delta = f_i - f_hat
         if c_r == 0.0 or delta == 0.0:
-            base[0], rms = _fit_exponential(z, target_db)
-            params = ProfileParams(*base.tolist(), p_f, p_b, f_hat)
+            full = base.copy()
+            full[0], rms = _fit_exponential(z, target_db)
+            params = ProfileParams(*full.tolist(), p_f, p_b, f_hat)
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
 
-        ratios = np.geomspace(0.2, 5.0, _N_GRID)
-        grid_seeds = _varpro_seeds(length, z, target_db, delta, p_f, p_b,
-                                   ratios, alpha_phys, with_backward)
+        grid_seeds = _varpro_seeds(grid, target_db, delta)
         seeds = np.clip(np.vstack([base[free], grid_seeds[:, free]]), lo, hi)
-        levels = _seed_levels(length, z, target_db, delta, p_f, p_b, free,
-                              base, seeds)
+        levels = _seed_levels(z, target_db, delta, p_f, p_b,
+                              _full_vectors(free, base, seeds), tables)
         order = _best_seeds(levels, len(seeds), 1 + n_polish)
         mine = [seeds[k] for k in order]
         mine += [lo + rng.random(len(free)) * (hi - lo)
                  for _ in range(n_random_starts)]
-        owners += [len(channels)] * len(mine)
+        owners += [len(fitted)] * len(mine)
         starts += mine
-        channels.append((ch_idx, target_db, delta, base, lo, hi, x_scale))
+        fitted.append(ch_idx)
+        targets.append(target_db)
+        deltas.append(delta)
 
-    if not channels:
+    if not fitted:
         return FitReport(tuple(fits))
-    fitted, targets, deltas, bases, lo, hi, x_scale = (
-        np.array(v) for v in zip(*channels))
+    fitted, targets, deltas = map(np.array, (fitted, targets, deltas))
+    owners, starts = np.array(owners), np.array(starts)
+    parts, failed = [], []
+    for first in range(0, len(owners), _POLISH_BLOCK):
+        block = owners[first:first + _POLISH_BLOCK]
+        x0 = starts[first:first + _POLISH_BLOCK]
 
-    def polish(owner, x0):
-        """Polish start x0[k] on fitted channel owner[k]; returns the
-        arrays (x, rms, nfev, converged) over the starts."""
-        parts, failed = [], []
-        for first in range(0, len(owner), _POLISH_BLOCK):
-            block = owner[first:first + _POLISH_BLOCK]
+        def problem(rows, block=block):
+            ch = block[rows]
+            return _residual_and_jac(length, z, targets[ch], deltas[ch, None],
+                                     p_f, p_b, free, base[:, None, None])
 
-            def problem(rows):
-                ch = block[rows]
-                return _residual_and_jac(
-                    length, z, targets[ch], deltas[ch, None], p_f, p_b,
-                    free, bases[ch].T[:, :, None])
-
-            *result, bad = _polish(problem, x0[first:first + _POLISH_BLOCK],
-                                   lo[block], hi[block], x_scale[block],
-                                   max_iterations)
-            parts.append(result)
-            failed += fitted[block[bad]].tolist()
-        if failed:
-            raise NumericalError(
-                f"profile fit failed on channel(s) {sorted(set(failed))}: "
-                "non-finite residual, Jacobian or damped step")
-        return [np.concatenate(column) for column in zip(*parts)]
-
-    # pool = [x, rms, nfev, converged] of every polish so far; own[c] (the
-    # best of channel c's own starts) and best[c] index into it.
-    owners = np.array(owners)
-    pool = polish(owners, np.array(starts))
-    own = np.empty(len(fitted), dtype=int)
-    for c in range(len(fitted)):
-        mine = np.flatnonzero(owners == c)
-        own[c] = mine[np.argmin(pool[1][mine])]
-    best = own.copy()
-    pending = np.arange(1, len(fitted))
-    while pending.size:
-        x0 = np.clip(pool[0][best[pending - 1]], lo[pending], hi[pending])
-        trial = polish(pending, x0)
-        index = len(pool[0]) + np.arange(len(pending))
-        pool = [np.concatenate(v) for v in zip(pool, trial)]
-        new = np.where(trial[1] < pool[1][own[pending]], index, own[pending])
-        moved = np.any(pool[0][new] != pool[0][best[pending]], axis=1)
-        best[pending] = new
-        pending = pending[moved] + 1
-        pending = pending[pending < len(fitted)]
+        *result, bad = _polish(problem, x0, *(np.broadcast_to(v, x0.shape)
+                                              for v in (lo, hi, x_scale)),
+                               max_iterations)
+        parts.append(result)
+        failed += fitted[block[bad]].tolist()
+    if failed:
+        raise NumericalError(
+            f"profile fit failed on channel(s) {sorted(set(failed))}: "
+            "non-finite residual, Jacobian or damped step")
+    x, rms, nfev, converged = (np.concatenate(v) for v in zip(*parts))
 
     for c, ch_idx in enumerate(fitted):
-        k = best[c]
-        full = bases[c].copy()
-        full[free] = pool[0][k]
+        mine = np.flatnonzero(owners == c)
+        k = mine[np.argmin(rms[mine])]
+        full = base.copy()
+        full[free] = x[k]
         params = ProfileParams(*full.tolist(), p_f, p_b, f_hat)
-        fits[ch_idx] = ChannelFit(params, float(pool[1][k]), int(pool[2][k]),
-                                  bool(pool[3][k]))
+        fits[ch_idx] = ChannelFit(params, float(rms[k]), int(nfev[k]),
+                                  bool(converged[k]))
     return FitReport(tuple(fits))

@@ -178,6 +178,27 @@ def test_non_finite_field_refused_when_built(record, name, named, value):
     assert any(named in d for d in diags), diags
 
 
+@pytest.mark.parametrize("name, value, expected", [
+    ("center_frequency", math.nan,
+     ["channel 1: center_frequency must be finite, got nan"]),
+    ("center_frequency", math.inf,
+     ["channel 1: center_frequency must be finite, got inf"]),
+    ("center_frequency", -math.inf,
+     ["channel 1: center_frequency must be finite, got -inf"]),
+    ("launch_power_per_span", math.nan,
+     ["channel 1: non-finite launch power"]),
+    ("launch_power_per_span", -math.inf,
+     ["channel 1: non-positive launch power",
+      "channel 1: non-finite launch power"]),
+])
+def test_non_finite_channel_value_gets_only_its_own_diagnostics(
+        name, value, expected):
+    """A non-finite frequency used to add "overlapping channels" for both
+    of its pairs and "pump 0: frequency inside or below the signal band",
+    and a NaN launch power "non-positive launch power"."""
+    assert _diagnostics(**_link_with("channel", name, value)) == expected
+
+
 @pytest.mark.parametrize("entry", [0.0, -1.0, -math.inf, math.nan,
                                    (1.0, math.nan)])
 @pytest.mark.parametrize("name", ["snr_ase", "snr_trx"])

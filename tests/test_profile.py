@@ -26,7 +26,8 @@ from ramangn import (
 )
 from ramangn import profile
 from ramangn.profile import (ChannelFit, ProfileParams, _best_seeds,
-                             _parameter_space, _polish, _residual_and_jac,
+                             _full_vectors, _parameter_space, _polish,
+                             _rate_tables, _residual_and_jac, _seed_grid,
                              _seed_levels, _seed_scores, _varpro_seeds,
                              shared_fit_context)
 from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
@@ -329,9 +330,18 @@ def _polish_one(inp, x0):
 
 
 def _grid_seeds(inp, ratios):
-    return _varpro_seeds(inp["length"], inp["z"], inp["target_db"],
-                         inp["delta"], inp["p_f"], inp["p_b"], ratios,
-                         inp["alpha_phys"], inp["with_backward"])
+    grid = _seed_grid(inp["length"], inp["z"], inp["p_f"], inp["p_b"],
+                      ratios, inp["alpha_phys"], inp["with_backward"])
+    return _varpro_seeds(grid, inp["target_db"], inp["delta"])
+
+
+def _levels(inp, seeds):
+    """``_seed_levels`` of ``seeds`` (rows of the free entries), with rate
+    tables built for those seeds' own rates."""
+    full = _full_vectors(inp["free"], inp["base"], seeds)
+    tables = _rate_tables(inp["length"], inp["z"], inp["p_b"], full)
+    return _seed_levels(inp["z"], inp["target_db"], inp["delta"], inp["p_f"],
+                        inp["p_b"], full, tables)
 
 
 def _penalty_seeds(cfg, inp):
@@ -369,9 +379,7 @@ def test_batched_seed_scores_match_residual(edge_pair):
     inp = _fit_inputs(cfg, evo, 1)
     seeds = _penalty_seeds(cfg, inp)
     assert len(seeds) > 32  # more than one scoring block
-    levels = _seed_levels(inp["length"], inp["z"], inp["target_db"],
-                          inp["delta"], inp["p_f"], inp["p_b"],
-                          inp["free"], inp["base"], seeds)
+    levels = _levels(inp, seeds)
     residual = _problem(inp)[0]
     everyone = np.arange(len(seeds))
     rows, terms = residual(seeds.T[:, :, None])
@@ -477,9 +485,8 @@ def test_every_polish_stays_inside_the_bounds(edge_pair, monkeypatch):
 
     monkeypatch.setattr(profile, "_polish", spy)
     report = fit_profile(evo, cfg, n_random_starts=24, n_polish=12)
-    # Round 1: 1 + 12 + 24 starts per channel; round 2: channel 1 from
-    # channel 0's result.
-    assert sum(len(x0) for x0, _, _, _ in calls) == 2 * (1 + 12 + 24) + 1
+    # 1 + 12 + 24 starts per channel, polished once each.
+    assert sum(len(x0) for x0, _, _, _ in calls) == 2 * (1 + 12 + 24)
     for x0, lo, hi, x in calls:
         assert np.all((lo <= x0) & (x0 <= hi))
         assert np.all((lo <= x) & (x <= hi))
@@ -549,21 +556,16 @@ def test_damped_steps_isolate_a_singular_system():
     np.testing.assert_array_equal(h[2], [-0.5, 0.0, -0.5])
 
 
-def _sequential_fit(cfg, evo):
+def _solo_fit(cfg, evo):
     """fit_profile at its defaults, one problem at a time: each channel
-    polishes its best-scored seed, then the previous channel's result, and
-    keeps the better of the two."""
-    fits, previous = [], None
+    polishes its best-scored seed alone, with its own seed grid and rate
+    tables."""
+    fits = []
     for ch in range(evo.n_channels):
         levels, seeds, inp = _selection_problem(cfg, evo, ch, None)
         (first,) = _best_seeds(levels, len(seeds), 1)
         best = _polish_one(inp, seeds[first])
-        if previous is not None:
-            warm = _polish_one(inp, np.clip(previous, inp["lo"], inp["hi"]))
-            if warm[1] < best[1]:
-                best = warm
         assert not best[4]
-        previous = best[0]
         full = inp["base"].copy()
         full[inp["free"]] = best[0]
         params = ProfileParams(*full.tolist(), inp["p_f"], inp["p_b"],
@@ -573,18 +575,17 @@ def _sequential_fit(cfg, evo):
     return tuple(fits)
 
 
-def test_rounds_match_a_sequential_warm_start_chain(edge_pair):
+def test_batched_fit_matches_solo_polishes(edge_pair):
     cfg, evo = edge_pair
-    assert fit_profile(evo, cfg).channel_fits == _sequential_fit(cfg, evo)
+    assert fit_profile(evo, cfg).channel_fits == _solo_fit(cfg, evo)
 
 
-def test_rounds_match_a_sequential_warm_start_chain_on_a_strong_pump(
-        data_dir):
+def test_batched_fit_matches_solo_polishes_on_a_strong_pump(data_dir):
     scenario = parse_scenario(
         os.path.join(data_dir, "stress_strong_pump.json"))
     cfg = scenario.link
     evo = solve_power_evolution(cfg, steps=scenario.solver_steps)
-    assert fit_profile(evo, cfg).channel_fits == _sequential_fit(cfg, evo)
+    assert fit_profile(evo, cfg).channel_fits == _solo_fit(cfg, evo)
 
 
 # Links the two-start default was not tuned on: three backward pumps (a fit
@@ -609,9 +610,7 @@ def _selection_problem(cfg, evo, ch, with_backward):
     free, base, lo, hi = inp["free"], inp["base"], inp["lo"], inp["hi"]
     grid = _grid_seeds(inp, np.geomspace(0.2, 5.0, 12))
     seeds = np.clip(np.vstack([base[free], grid[:, free]]), lo, hi)
-    levels = _seed_levels(inp["length"], inp["z"], inp["target_db"],
-                          inp["delta"], inp["p_f"], inp["p_b"], free, base,
-                          seeds)
+    levels = _levels(inp, seeds)
     return levels, seeds, inp
 
 

@@ -325,3 +325,39 @@ def test_non_finite_number_rejected(tmp_path, keys, path, value):
     with pytest.raises(ScenarioError,
                        match=f"^{re.escape(path)}: expected a finite "):
         parse_scenario(_write(tmp_path, payload))
+
+
+def _pump(**kwargs):
+    pump = {"frequency": {"value": 206.6, "unit": "THz"}, "power_w": 0.6,
+            "direction": "backward",
+            "attenuation": {"value": 0.2, "unit": "dB/km"}}
+    pump.update(kwargs)
+    return pump
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("span", "length_km"), "80",
+     "span.length_km: expected a number, got '80'"),
+    (("span", "attenuation", "unit"), 0.2,
+     "span.attenuation.unit: expected a unit tag string"),
+    (("pumps",), _pump(), "pumps: expected a list of pump objects"),
+    (("pumps",), [_pump(direction="sideways")],
+     "pumps[0].direction: expected 'forward' or 'backward', "
+     "got 'sideways'"),
+], ids=["string-number", "number-unit", "pumps-object", "sideways"])
+def test_malformed_value_exits_2_naming_its_key(tmp_path, capsys, keys,
+                                                 value, message):
+    from ramangn import cli
+
+    payload = _base_payload()
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = _write(tmp_path, payload)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(path)
+    assert cli.main(["solve", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not (tmp_path / "out").exists()
