@@ -40,7 +40,7 @@ import numpy as np
 from .closedform import assemble_snr, eta_total
 from .domain import Channel, LinkConfig, WdmGrid, format_float, write_csv
 from .errors import (GateFailure, NumericalError, ProfileDomainError,
-                     RamanGnError, ScenarioError, UnitError, ValidationError)
+                     ScenarioError, UnitError, ValidationError)
 from .oracle import compare_closed_vs_oracle
 from .profile import fit_profile, pair_offsets, profile_margin
 from .raman import evolution_to_csv, solve_power_evolution
@@ -253,9 +253,6 @@ def main(argv=None) -> int:
     except GateFailure as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 5
-    except RamanGnError as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

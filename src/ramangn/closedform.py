@@ -258,6 +258,15 @@ def _xpm_eta(span: FiberSpan, phi_ik, b_i, b_k, contracted):
     return _XPM_PREF * span.gamma ** 2 / (phi_ik * b_k) * total
 
 
+def _check_pair_records(span: FiberSpan, *channels: Channel) -> None:
+    """ValidationError unless the span length and every channel's bandwidth
+    are positive (NaN is not): the per-pair functions take records that no
+    ``LinkConfig`` has checked."""
+    if not (span.length > 0 and all(ch.bandwidth > 0 for ch in channels)):
+        raise ValidationError(
+            "SPM and XPM need positive bandwidths and span length")
+
+
 def eta_xpm_pair(
     channel_i: Channel,
     channel_k: Channel,
@@ -283,6 +292,7 @@ def eta_xpm_pair(
         If the pair phase factor vanishes (a pair ``eta_total`` reports
         in ``degenerate_pairs``).
     """
+    _check_pair_records(span, channel_i, channel_k)
     if channel_k.center_frequency == channel_i.center_frequency:
         raise ValidationError("XPM pair requires distinct channels")
     f_i = channel_i.center_frequency - f_ref
@@ -316,14 +326,13 @@ def eta_spm(
     Includes the n^{1+epsilon} coherent accumulation factor; the launch
     power is divided out (NLI power = return value times P_i^3).
     """
+    _check_pair_records(span, channel_i)
     phi_i = _phi_self(span, channel_i.center_frequency - f_ref)
     if phi_i == 0.0:
         raise DegenerateDispersionError(
             "self-channel phase factor phi_i is zero (dispersion-free); "
             "the SPM closed form is undefined"
         )
-    if not (channel_i.bandwidth > 0 and span.length > 0):
-        raise ValidationError("SPM needs positive bandwidth and span length")
     return float(n ** (1.0 + epsilon)
                  * _spm_eta(span, phi_i, channel_i.bandwidth,
                             terms.contracted))

@@ -196,10 +196,10 @@ def _non_finite(label: str, record, names) -> list:
 
 
 def _link_diagnostics(config: LinkConfig) -> list:
-    """Violated invariants (empty when valid).  Each test is written so
-    that NaN fails it, except that the launch-power sign, channel order,
-    overlap and band-top tests skip a non-finite number: it has its own
-    diagnostic, and theirs would only report its effects."""
+    """Violated invariants (empty when valid).  A non-finite field has its
+    own diagnostic, so the sign, order, overlap and band tests let NaN pass
+    or skip it: theirs would only report its effects.  The span count and
+    the coherence epsilon have no finiteness test, and NaN fails theirs."""
     diags = []
     grid = config.grid
     n_spans = config.span_count
@@ -212,11 +212,11 @@ def _link_diagnostics(config: LinkConfig) -> list:
         diags.append(f"coherence epsilon must lie in [0, 1], got {eps}")
 
     diags += _non_finite("span ", span, [f.name for f in fields(span)])
-    if not span.length > 0:
+    if span.length <= 0:
         diags.append(f"span length must be positive, got {span.length}")
-    if not span.gamma >= 0:
+    if span.gamma < 0:
         diags.append(f"nonlinear coefficient must be >= 0, got {span.gamma}")
-    if not span.attenuation > 0:
+    if span.attenuation <= 0:
         diags.append(f"span attenuation must be positive, got "
                      f"{span.attenuation}")
 
@@ -225,7 +225,7 @@ def _link_diagnostics(config: LinkConfig) -> list:
     for i, ch in enumerate(grid.channels):
         diags += _non_finite(f"channel {i}: ", ch,
                              ("center_frequency", "bandwidth"))
-        if not ch.bandwidth > 0:
+        if ch.bandwidth <= 0:
             diags.append(f"channel {i}: bandwidth must be positive")
         if len(ch.launch_power_per_span) != n_spans:
             diags.append(
@@ -257,11 +257,11 @@ def _link_diagnostics(config: LinkConfig) -> list:
     for p_idx, pump in enumerate(config.pumps):
         diags += _non_finite(f"pump {p_idx}: ", pump,
                              ("frequency", "input_power", "attenuation"))
-        if not pump.input_power >= 0:
+        if pump.input_power < 0:
             diags.append(f"pump {p_idx}: negative pump power")
-        if not pump.attenuation > 0:
+        if pump.attenuation <= 0:
             diags.append(f"pump {p_idx}: attenuation must be positive")
-        if not pump.frequency > f_top:
+        if pump.frequency <= f_top:
             diags.append(
                 f"pump {p_idx}: frequency inside or below the signal band"
             )

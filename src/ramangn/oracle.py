@@ -277,12 +277,10 @@ def _monotone_runs(p: np.ndarray):
     """Index ranges [s, e] on which p is monotone: [(s, e, rising), ...].
 
     Consecutive runs share their end point; flat steps belong to the run
-    they sit in.
+    they sit in.  ``p`` must not be constant.
     """
     step = np.sign(np.diff(p))
     moving = np.flatnonzero(step)
-    if moving.size == 0:
-        return [(0, p.size - 1, True)]
     last = np.searchsorted(moving, np.arange(step.size), side="right") - 1
     step = step[moving[np.maximum(last, 0)]]
     bounds = np.concatenate([[0], np.flatnonzero(step[1:] != step[:-1]) + 1,
@@ -664,7 +662,9 @@ class _PairEngine:
         0), ``zero`` is that f2 and it splits the band into two pieces with
         slopes of opposite sign; every phase phi != 0 stays away from the
         zero, so each interval of D(phi) lies in one piece.  Otherwise
-        ``zero`` is None and the band is one piece.
+        ``zero`` is None and the band is one piece.  Every f1 window holds
+        f1 = 0, where phi = 0, and phi is monotone across it, so p_hi >= 0 >=
+        p_lo, strictly off the band edges and ``zero``: neither is constant.
         """
         bk2 = self.b_k / 2
         f2d = np.linspace(-bk2, bk2, 2049)
@@ -790,15 +790,14 @@ class _PairEngine:
         return rows[keep], left[keep], right[keep]
 
     def _f2_batch(self, phis: np.ndarray, side: int, nf2: int):
-        """Gather f2 Gauss nodes of D(phi) for every phi; flat arrays.
+        """Gather f2 Gauss nodes of D(phi) for every phi; flat arrays, empty
+        when no phi has a D(phi).
 
         With a zero of the slope in the band, the nodes are Gauss nodes in
         s = ln|f2 - zero|: df2 = |f2 - zero| ds cancels the 1 / |a| of the
         phase Jacobian, which grows without bound toward the zero.
         """
         rows, left, right = self._domain_edges(phis, side)
-        if rows.size == 0:
-            return None
         tg, wg = _gl_rule(nf2)
         zero = self._sw["zero"]
         if zero is not None:
@@ -828,10 +827,7 @@ class _PairEngine:
         c = np.repeat(0.5 * (e1 + e0), sizes)
         h = np.repeat(0.5 * (e1 - e0), sizes)
         phis = side * c + h * tq
-        batch = self._f2_batch(phis, side, nf2)
-        if batch is None:
-            return 0.0
-        phi_b, f2_b, w_b, owner = batch
+        phi_b, f2_b, w_b, owner = self._f2_batch(phis, side, nf2)
         a, b = self._phase_coeffs(f2_b)
         f1 = self._f1_of_phi(phi_b, a, b)
         ivals = self._i_of_phi(f1, f2_b, phi_b[::nf2], nf2)
@@ -873,10 +869,8 @@ class _PairEngine:
                  for x0, x1 in zip(edges[:-1], edges[1:])]))
         c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         phis = side * (c[:, None] + h[:, None] * _gl_rule(8)[0]).ravel()
-        batch = self._f2_batch(phis, side, nf2)
-        if batch is None:
-            return 0.0
-        smooth, cross = self._outer_panels(*batch, phis.size)
+        smooth, cross = self._outer_panels(*self._f2_batch(phis, side, nf2),
+                                           phis.size)
         vals = _phase_panels(h, side * c * self.length, side * h * self.length,
                              smooth.reshape(-1, 8), cross.reshape(-1, 8))
         return float(np.sum(vals))
@@ -898,8 +892,6 @@ class _PairEngine:
         for side in (1, -1):
             p = self._sw["p_hi"] if side > 0 else self._sw["p_lo"]
             p_far = float(p.max() if side > 0 else p.min())
-            if side * p_far <= 0.0:
-                continue
             crits = self._criticals(side)
             lim_in = min(ps, abs(p_far))
             e = sorted({0.0, lim_in}
@@ -968,8 +960,6 @@ def eta_xpm_numeric(channel_i: Channel, channel_k: Channel,
     spec = spec or QuadratureSpec()
     if channel_k.center_frequency == channel_i.center_frequency:
         raise ValidationError("XPM oracle requires distinct channels")
-    if span.gamma == 0.0:
-        return EtaEstimate(0.0, 0.0, True)
     return _eta_pair_numeric(channel_i, channel_k, rho, span, spec, f_ref)
 
 
@@ -982,8 +972,6 @@ def eta_spm_numeric(channel_i: Channel, rho: TaylorProfile, span: FiberSpan,
     the grid's band center (``FiberSpan``).
     """
     spec = spec or QuadratureSpec()
-    if span.gamma == 0.0:
-        return EtaEstimate(0.0, 0.0, True)
     est = _eta_pair_numeric(channel_i, channel_i, rho, span, spec, f_ref)
     return EtaEstimate(0.5 * est.value, 0.5 * est.error_estimate,
                        est.converged)

@@ -537,7 +537,8 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
     """Batched projected Levenberg-Marquardt, one problem per row of ``x0``.
 
     ``problem(rows)`` returns the (residual, jacobian) pair of
-    ``_residual_and_jac`` for those rows, with per-row parameters, so that
+    ``_residual_and_jac`` for those rows (none, once every row has stopped
+    before a step), with per-row parameters, so that
     the residual's terms index by row: the Jacobian at a kept step is built
     from the terms of the residual that tested it.  Each problem minimizes
     its sum of squared residuals S over the box [lo, hi], in ``scale``
@@ -580,9 +581,6 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
         converged[rows[stop]] = True
         keep = ~(stop | bad)
         rows, xr, gr, h = rows[keep], xr[keep], gr[keep], h[keep]
-        if not rows.size:
-            break
-
         sr = scale[rows]
         x_new = np.clip(xr + h * sr, lo[rows], hi[rows])
         step = (x_new - xr) / sr

@@ -2,13 +2,16 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from ramangn.cli import main
+from ramangn.errors import RamanGnError
 
 
 def _run(args):
@@ -116,6 +119,28 @@ def test_non_finite_number_exits_2(minimal_scenario_path, tmp_path, capsys):
     assert "span.gamma.value: expected a finite number" in (
         capsys.readouterr().err)
     assert not (tmp_path / "nli_report.csv").exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(_subclasses(RamanGnError),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_has_an_exit_code(monkeypatch, capsys, error):
+    """``main`` catches every error class of the package with exit 2-5: a
+    subclass that none of its handlers names escapes and fails here."""
+    from ramangn import cli
+
+    def parse_scenario(path):
+        raise error("cannot go on")
+
+    monkeypatch.setattr(cli, "parse_scenario", parse_scenario)
+    assert _run(["solve", "--scenario", "unread.json"]) in (2, 3, 4, 5)
+    assert capsys.readouterr().err.endswith(": cannot go on\n")
 
 
 def test_validation_failure_exits_3(data_dir, tmp_path):
@@ -293,10 +318,10 @@ def test_unconverged_fit_exits_4_naming_the_channels(
     ["nli"], ["sweep", "--sweep=0:0:1"], ["compare", "--gate-db", "1.0"]])
 def test_out_of_domain_profile_exits_4_naming_the_channels(
         data_dir, tmp_path, capsys, monkeypatch, command):
-    """The three-pump stress fit converges, but the profiles of channels
-    29-39 turn non-positive on the pairs they serve, which the oracle
-    refuses too: the fit gate exits 4 before the oracle runs or a file is
-    written."""
+    """The three-pump stress fit does not converge on channels 30-32, and
+    the profiles of channels 29-39 turn non-positive on the pairs they
+    serve, which the oracle refuses too: the fit gate exits 4 naming both
+    lists before the oracle runs or a file is written."""
     from ramangn import cli
 
     def oracle_must_not_run(*args, **kwargs):
@@ -330,3 +355,17 @@ def test_console_script_entry_point(minimal_scenario_path, tmp_path):
     )
     assert proc.returncode == 0
     assert "solved" in proc.stdout
+
+
+def test_cli_module_run_as_script_exits_with_the_status_of_main(
+        tmp_path, monkeypatch):
+    """``python -m ramangn.cli`` passes ``main``'s return value to
+    ``sys.exit``; the same path as ``test_console_script_entry_point``, in
+    this process."""
+    monkeypatch.setattr(sys, "argv", [
+        "ramangn", "solve", "--scenario", str(tmp_path / "nope.json")])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+        # runpy warns that ramangn.cli is imported already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("ramangn.cli", run_name="__main__")
+    assert info.value.code == 2

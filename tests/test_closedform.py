@@ -246,6 +246,31 @@ def test_xpm_requires_distinct_channels():
         eta_xpm_pair(ch, ch, terms, span, 1, f_ref=193.4e12)
 
 
+@pytest.mark.parametrize("value", [0.0, math.nan, -50e9])
+@pytest.mark.parametrize("kind, field", [
+    ("spm", "bandwidth_i"), ("spm", "length"), ("xpm", "bandwidth_i"),
+    ("xpm", "bandwidth_k"), ("xpm", "length")])
+def test_per_pair_eta_refuses_bad_records(kind, field, value):
+    """Hand-built records reach the per-pair functions unchecked: an
+    interferer bandwidth of 0, NaN or -50 GHz used to give eta_xpm_pair
+    inf, nan and -5.39 where eta_spm refused the same records."""
+    span = _span()
+    ch_i = Channel(193.0e12, 100e9, (1e-3,))
+    ch_k = Channel(193.5e12, 100e9, (1e-3,))
+    terms = closed_form_terms(_params(), ch_k.center_frequency, _L)
+    if field == "length":
+        span = replace(span, length=value)
+    elif field == "bandwidth_i":
+        ch_i = replace(ch_i, bandwidth=value)
+    else:
+        ch_k = replace(ch_k, bandwidth=value)
+    with pytest.raises(ValidationError, match="positive bandwidths and span"):
+        if kind == "spm":
+            eta_spm(ch_i, terms, span, 1, f_ref=193.4e12)
+        else:
+            eta_xpm_pair(ch_i, ch_k, terms, span, 1, f_ref=193.4e12)
+
+
 # ---------------------------------------------------------------------------
 # whole-grid accumulation
 # ---------------------------------------------------------------------------
@@ -541,3 +566,12 @@ def test_report_csv_is_deterministic():
         "f_i_hz,eta_spm_per_w2,eta_xpm_per_w2,eta_total_per_w2,"
         "snr_nli_db,snr_db"
     )
+
+
+def test_report_csv_without_snr_writes_nan():
+    """``eta_total``'s report carries no SNR until ``assemble_snr``; its CSV
+    keeps the SNR columns, as nan."""
+    cfg = _pumped_link(3)
+    rows = eta_total(cfg, _fit_report(_per_channel_params(3))).to_csv()
+    assert [row.split(",")[4:] for row in rows.splitlines()[1:]] == (
+        [["nan", "nan"]] * 3)

@@ -190,13 +190,53 @@ def test_non_finite_field_refused_when_built(record, name, named, value):
     ("launch_power_per_span", -math.inf,
      ["channel 1: non-positive launch power",
       "channel 1: non-finite launch power"]),
+    ("bandwidth", math.nan, ["channel 1: bandwidth must be finite, got nan"]),
+    ("span.length", math.nan, ["span length must be finite, got nan"]),
+    ("span.length", -math.inf,
+     ["span length must be finite, got -inf",
+      "span length must be positive, got -inf"]),
+    ("span.gamma", math.nan, ["span gamma must be finite, got nan"]),
+    ("span.attenuation", math.nan,
+     ["span attenuation must be finite, got nan"]),
+    ("pump.frequency", math.nan, ["pump 0: frequency must be finite, got nan"]),
+    ("pump.input_power", math.nan,
+     ["pump 0: input_power must be finite, got nan"]),
+    ("pump.attenuation", math.nan,
+     ["pump 0: attenuation must be finite, got nan"]),
 ])
 def test_non_finite_channel_value_gets_only_its_own_diagnostics(
         name, value, expected):
     """A non-finite frequency used to add "overlapping channels" for both
     of its pairs and "pump 0: frequency inside or below the signal band",
-    and a NaN launch power "non-positive launch power"."""
-    assert _diagnostics(**_link_with("channel", name, value)) == expected
+    and a NaN launch power "non-positive launch power".  The span and pump
+    fields (``record.name``) likewise: a NaN span length used to add "must
+    be positive" too."""
+    record, _, name = name.rpartition(".")
+    assert _diagnostics(**_link_with(record or "channel", name,
+                                     value)) == expected
+
+
+@pytest.mark.parametrize("record, name, value, expected", [
+    ("span", "length", 0.0, "span length must be positive, got 0.0"),
+    ("span", "gamma", -1e-3,
+     "nonlinear coefficient must be >= 0, got -0.001"),
+    ("span", "attenuation", 0.0,
+     "span attenuation must be positive, got 0.0"),
+    ("channel", "bandwidth", -50e9, "channel 1: bandwidth must be positive"),
+    ("pump", "input_power", -0.1, "pump 0: negative pump power"),
+    ("pump", "attenuation", 0.0, "pump 0: attenuation must be positive"),
+])
+def test_wrong_sign_diagnosed(record, name, value, expected):
+    assert _diagnostics(**_link_with(record, name, value)) == [expected]
+
+
+def test_link_without_spans_or_channels_diagnosed():
+    """The scenario parser refuses both first; a hand-built link reaches
+    the domain's own diagnostics."""
+    assert "span count must be >= 1, got 0" in _diagnostics(
+        span=_span(), span_count=0, grid=_grid())
+    assert _diagnostics(span=_span(), span_count=1,
+                        grid=WdmGrid(())) == ["grid has no channels"]
 
 
 @pytest.mark.parametrize("entry", [0.0, -1.0, -math.inf, math.nan,

@@ -34,7 +34,8 @@ from ramangn.errors import (NumericalError, ProfileDomainError,
                             ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
                             _filon_moments, _gl_rule)
-from ramangn.profile import ChannelFit, FitReport, ProfileParams
+from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
+                             pair_offsets, profile_margin)
 
 from conftest import ALPHA_02_DB_KM
 
@@ -403,6 +404,46 @@ def test_eta_oracle_rejects_identical_pair(fixed_params, reference_span):
     with pytest.raises(ValidationError):
         eta_xpm_numeric(_channel(5), _channel(5), rho, reference_span,
                         f_ref=_F_REF)
+
+
+def test_eta_oracle_rejects_a_plain_callable(fixed_params, reference_span):
+    rho = TaylorProfile(fixed_params, _L)
+    with pytest.raises(ValidationError, match="requires a TaylorProfile"):
+        eta_xpm_numeric(_channel(5), _channel(6), rho.__call__,
+                        reference_span, f_ref=_F_REF)
+
+
+def test_eta_oracle_of_a_span_without_nonlinearity(fixed_params,
+                                                   reference_span):
+    """gamma = 0 needs no shortcut: the integral is scaled by 0 at every
+    level, which converges at the first refinement."""
+    span = replace(reference_span, gamma=0.0)
+    rho = TaylorProfile(fixed_params, _L)
+    zero = EtaEstimate(0.0, 0.0, True)
+    assert eta_xpm_numeric(_channel(19), _channel(25), rho, span,
+                           f_ref=_F_REF) == zero
+    assert eta_spm_numeric(_channel(19), rho, span, f_ref=_F_REF) == zero
+
+
+def test_g_tilde_refuses_a_product_rounded_below_zero(fixed_params,
+                                                      reference_span):
+    """A backward-only profile that leaves the pair (0, 39) a margin of
+    1.1e-16 at z = L passes the exact domain rule, but the expanded cubic
+    of ``_g_tilde`` rounds the product at the window edge f1 = -B_i / 2
+    below zero at that node (32 of these 51 points on x86-64): the refusal
+    guards its square root."""
+    params = replace(fixed_params, c_f=0.0, c_b=-4.715796046978568e-18)
+    ch_i, ch_k = _channel(0), _channel(39)
+    lo, hi = pair_offsets(ch_i.center_frequency, ch_i.bandwidth,
+                          ch_k.center_frequency, ch_k.bandwidth,
+                          params.f_hat)
+    assert 0.0 < profile_margin(params, _L, lo, hi)[0] < 1e-15
+    engine = _PairEngine(TaylorProfile(params, _L), reference_span, ch_i,
+                         ch_k, _F_REF)
+    f2 = np.linspace(0.0, 50e9, 51)
+    with pytest.raises(ProfileDomainError,
+                       match=r"non-positive at zeta = 8\.000000e\+04 m"):
+        engine._g_tilde(np.full(f2.size, -50e9), f2)
 
 
 def test_quadrature_spec_validation():

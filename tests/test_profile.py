@@ -281,6 +281,19 @@ def test_non_finite_target_fails_naming_every_channel():
         fit_profile(evo, cfg)
 
 
+def test_non_positive_sample_refused_naming_the_channel():
+    """A hand-built evolution with a zero power has no dB target."""
+    cfg, evo = _synthetic_setup(_params())
+    powers = evo.powers.copy()
+    powers[1, 100] = 0.0
+    evo = PowerEvolution(z_grid=evo.z_grid, powers=powers,
+                         frequencies=evo.frequencies, n_channels=3,
+                         span_index=0)
+    with pytest.raises(ValidationError, match=r"^channel 1: numeric profile "
+                                              r"is not strictly positive$"):
+        fit_profile(evo, cfg)
+
+
 # Channels 0 and 39 of the reference grid: the band edges, where the tilt is
 # strongest, with its 0.6 W backward pump or a 0.3 W forward pump instead.
 @pytest.fixture(scope="module", params=["backward", "forward"])
@@ -544,6 +557,31 @@ def test_failed_problem_leaves_the_rest_of_the_batch_intact(edge_pair):
     assert failed.tolist() == [True, False]
     np.testing.assert_array_equal(x[1], alone[0])
     assert (rms[1], nfev[1], converged[1]) == alone[1:4]
+
+
+def test_polish_started_at_the_minimum_returns_it():
+    """A linear least-squares problem started at its minimum, where J^T r
+    is 0 but r is not: every row stops on the gradient test before its
+    first step, with x unchanged after one evaluation."""
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    b = np.array([1.0, 2.0, 3.0])
+
+    def problem(rows):
+        def residual(pvec):
+            return (a @ pvec[:, :, 0]).T - b, ()
+
+        def jacobian(pvec, terms):
+            return np.broadcast_to(a.T, (pvec.shape[1],) + a.T.shape)
+        return residual, jacobian
+
+    x0 = np.array([[1.0, 2.0], [1.0, 2.0]])
+    box = np.ones_like(x0)
+    x, rms, nfev, converged, failed = _polish(problem, x0, -10.0 * box,
+                                              10.0 * box, box, 50)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(rms, math.sqrt(3.0))
+    assert nfev.tolist() == [1, 1]
+    assert converged.all() and not failed.any()
 
 
 def test_damped_steps_isolate_a_singular_system():

@@ -344,7 +344,9 @@ def _pump(**kwargs):
     (("pumps",), [_pump(direction="sideways")],
      "pumps[0].direction: expected 'forward' or 'backward', "
      "got 'sideways'"),
-], ids=["string-number", "number-unit", "pumps-object", "sideways"])
+    (("grid",), {"channels": []}, "grid.channels: expected a non-empty list"),
+], ids=["string-number", "number-unit", "pumps-object", "sideways",
+        "no-channels"])
 def test_malformed_value_exits_2_naming_its_key(tmp_path, capsys, keys,
                                                  value, message):
     from ramangn import cli
