@@ -19,6 +19,12 @@ frequency offsets from ``f_ref``, the frequency at which beta2/beta3 are
 quoted.  The kernel is launch-power free; ``eta_total`` evaluates it once
 and applies the per-span powers as sum_j P_{k,j}^2.
 
+Every sum over the three tilt terms runs one channel (or channel-pair)
+plane at a time, in numpy's own order for a length-3 reduction, ((t0 + t1)
++ t2) (``_sum3``; ``_xpm_eta`` adds its three arctan planes the same way):
+numpy reduces a short trailing axis slowly, and this order keeps every bit
+of ``np.sum(..., axis=-1)``.
+
 Sign note: the sin-weighted tail term appears in several published variants
 with an inconsistent sign.  The implementation below uses the sign that
 reproduces the unambiguous complex-modulus form of the link function
@@ -191,6 +197,13 @@ def mu_closed(phi, terms: ClosedFormTerms):
     return out if out.ndim else float(out)
 
 
+def _sum3(x):
+    """Sum over the last axis, of length 3 (the tilt terms), as
+    ``np.sum(x, axis=-1)`` adds it, ((x0 + x1) + x2), without numpy's slow
+    reduction over a short trailing axis."""
+    return x[..., 0] + x[..., 1] + x[..., 2]
+
+
 def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
     """Contract the SPM/XPM bracket's (l, l') double sum, per channel.
 
@@ -212,10 +225,10 @@ def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
     e_al = np.exp(-np.abs(alpha_l * length))
     # w (kf kf' + kb kb') and w (kf kb' + kb kf') are symmetric in (l, l'),
     # w (kf kb' - kb kf') antisymmetric: each pairwise sum folds onto l.
-    weight = 4.0 * np.sum(w * (kf * kf_t + kb * kb_t), axis=-1)
-    sym = np.sum(w * (kf * kb_t + kb * kf_t), axis=-1)
-    anti = np.sum(w * (kf * kb_t - kb * kf_t), axis=-1)
-    tail = 2.0 * np.sum(e_al * (np.sign(alpha_l) * sym - anti), axis=-1)
+    weight = 4.0 * _sum3(w * (kf * kf_t + kb * kb_t))
+    sym = _sum3(w * (kf * kb_t + kb * kf_t))
+    anti = _sum3(w * (kf * kb_t - kb * kf_t))
+    tail = 2.0 * _sum3(e_al * (np.sign(alpha_l) * sym - anti))
     # A vanishing rate only occurs in zero-weight terms or at the atan/asinh
     # limit points; a subnormal stand-in saturates those arguments to +-inf,
     # their limiting value (the overflow in the divide is intended).
@@ -237,8 +250,7 @@ def _spm_eta(span: FiberSpan, phi_i, b_i, contracted):
                          / (8.0 * math.pi * rate))
     log_w = np.log(np.sqrt(np.abs(phi_i) * span.length / (2.0 * math.pi))
                    * b_i)
-    total = (np.sum(ash * weight, axis=-1)
-             - 4.0 * log_w * np.sign(phi_i) * tail)
+    total = _sum3(ash * weight) - 4.0 * log_w * np.sign(phi_i) * tail
     return _SPM_PREF * math.pi * span.gamma ** 2 / (b_i ** 2 * phi_i) * total
 
 
@@ -250,11 +262,12 @@ def _xpm_eta(span: FiberSpan, phi_ik, b_i, b_k, contracted):
     broadcast against the contraction's channel axes (the interferer k).
     """
     weight, tail, rate = contracted
-    phi_ik = np.asarray(phi_ik)
+    x = phi_ik * b_i
+    # one (i, k) plane per term, added in ``_sum3``'s order
     with np.errstate(over="ignore"):
-        at = np.arctan(phi_ik[..., None] * np.asarray(b_i)[..., None]
-                       / (2.0 * rate))
-    total = np.sum(at * weight, axis=-1) - math.pi * np.sign(phi_ik) * tail
+        t0, t1, t2 = (np.arctan(x / (2.0 * rate[..., l])) * weight[..., l]
+                      for l in range(3))
+    total = t0 + t1 + t2 - math.pi * np.sign(phi_ik) * tail
     return _XPM_PREF * span.gamma ** 2 / (phi_ik * b_k) * total
 
 
@@ -410,10 +423,10 @@ def _kernel(config: LinkConfig, fit):
     span = config.span
     grid = config.grid
     length = span.length
-    f_off = grid.frequencies - grid.band_center
+    f = grid.frequencies
+    f_off = f - grid.band_center
     b = grid.bandwidths
-    t = _terms_arrays([cf.params for cf in fit.channel_fits],
-                      grid.frequencies, length)
+    t = _terms_arrays([cf.params for cf in fit.channel_fits], f, length)
     contracted = _contract(t["upsilon"], t["alpha_l"], t["kappa_f"],
                            t["kappa_b"], t["alpha"], length)
 
@@ -428,13 +441,14 @@ def _kernel(config: LinkConfig, fit):
     # interferer's, since the spectral integrand collapses to channel k's
     # power profile
     phi_ik = _phi_pair(span, f_off[:, None], f_off[None, :])
-    off_diag = ~np.eye(grid.n_channels, dtype=bool)
-    degenerate = off_diag & (np.abs(phi_ik) < _PHI_EPS)
-    valid = off_diag & ~degenerate
-    phi_safe = np.where(valid, phi_ik, 1.0)
-    xpm = np.where(valid, _xpm_eta(span, phi_safe, b[:, None], b[None, :],
-                                   contracted), 0.0)
-    pairs = tuple((int(i), int(k)) for i, k in zip(*np.nonzero(degenerate)))
+    # skipped: the diagonal (phi_ii is exactly 0) and the degenerate pairs
+    skip = np.abs(phi_ik) < _PHI_EPS
+    phi_ik[skip] = 1.0
+    xpm = _xpm_eta(span, phi_ik, b[:, None], b[None, :], contracted)
+    xpm[skip] = 0.0
+    i, k = np.divmod(np.flatnonzero(skip), skip.shape[1])
+    off_diag = i != k
+    pairs = tuple(zip(i[off_diag].tolist(), k[off_diag].tolist()))
     return spm, xpm, pairs
 
 
@@ -465,7 +479,8 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
     grid = config.grid
     n = config.span_count
     spm, xpm, pairs = _kernel(config, fit)
-    powers = np.array([grid.launch_powers(j) for j in range(n)])
+    # (spans, channels), C-contiguous: the span sum runs in span order
+    powers = grid._power_matrix
     p2 = np.sum(powers ** 2, axis=0)
     p_ref = powers[0]
     e_spm = spm * n ** config.coherence_epsilon * p2 / p_ref ** 2

@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Tuple, Union
 
 import numpy as np
@@ -52,7 +53,8 @@ class Channel:
 
 @dataclass(frozen=True)
 class WdmGrid:
-    """Ordered set of channels, ascending in center frequency."""
+    """Ordered set of channels, ascending in center frequency.  Its
+    arrays are built on first use, once, and are read-only."""
 
     channels: Tuple[Channel, ...]
 
@@ -63,13 +65,13 @@ class WdmGrid:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        return np.array([c.center_frequency for c in self.channels])
+        return _read_only([c.center_frequency for c in self.channels])
 
-    @property
+    @cached_property
     def bandwidths(self) -> np.ndarray:
-        return np.array([c.bandwidth for c in self.channels])
+        return _read_only([c.bandwidth for c in self.channels])
 
     @property
     def band_center(self) -> float:
@@ -77,8 +79,15 @@ class WdmGrid:
         f = self.frequencies
         return 0.5 * (f[0] + f[-1])
 
+    @cached_property
+    def _power_matrix(self) -> np.ndarray:
+        """Launch powers, one C-contiguous row per span.  Built on first
+        use, so that a ragged grid reaches ``LinkConfig``'s diagnostic."""
+        return _read_only(np.array(
+            [c.launch_power_per_span for c in self.channels]).T.copy())
+
     def launch_powers(self, span_index: int) -> np.ndarray:
-        return np.array([c.launch_power_per_span[span_index] for c in self.channels])
+        return self._power_matrix[span_index]
 
     def total_launch_power(self, span_index: int) -> float:
         return float(self.launch_powers(span_index).sum())
@@ -276,16 +285,21 @@ def format_float(value) -> str:
     return f"{value:.8e}"
 
 
+def _read_only(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only array (not copied if already an array of
+    that dtype)."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def freeze_arrays(obj, names, dtype=float) -> None:
     """Replace each named attribute of the frozen dataclass ``obj`` by a
     read-only ``dtype`` array; ``None`` attributes stay ``None``."""
     for name in names:
         arr = getattr(obj, name)
-        if arr is None:
-            continue
-        arr = np.asarray(arr, dtype=dtype)
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        if arr is not None:
+            object.__setattr__(obj, name, _read_only(arr, dtype))
 
 
 def write_text(text: str, path_or_buf=None) -> str:

@@ -23,7 +23,8 @@ from ramangn import (
     eta_xpm_pair,
     mu_closed,
 )
-from ramangn.closedform import _phi_pair
+from ramangn.closedform import (_check_rate_sums, _contract, _phi_pair,
+                                _phi_self, _spm_eta, _terms_arrays, _xpm_eta)
 from ramangn.errors import (DegenerateDispersionError, NumericalError,
                             ValidationError)
 from ramangn.oracle import TaylorProfile, mu_numeric
@@ -455,6 +456,158 @@ def test_contracted_bracket_matches_double_sum(pumped):
                                           spm=True))
         assert eta_spm(ch_i, terms_i, span, 1, f_ref=f_ref) == \
             pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# summation order: the term sums add as np.sum(..., axis=-1) does, and the
+# span sum runs in span order, so outputs keep every bit
+# ---------------------------------------------------------------------------
+
+def _contract_by_np_sum(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
+    """``_contract`` with every term sum written as ``np.sum(axis=-1)``."""
+    ab = _check_rate_sums(upsilon, alpha_l, alpha)
+    w = upsilon[..., :, None] * upsilon[..., None, :] / ab
+    kf, kf_t = kappa_f[..., :, None], kappa_f[..., None, :]
+    kb, kb_t = kappa_b[..., :, None], kappa_b[..., None, :]
+    e_al = np.exp(-np.abs(alpha_l * length))
+    weight = 4.0 * np.sum(w * (kf * kf_t + kb * kb_t), axis=-1)
+    sym = np.sum(w * (kf * kb_t + kb * kf_t), axis=-1)
+    anti = np.sum(w * (kf * kb_t - kb * kf_t), axis=-1)
+    tail = 2.0 * np.sum(e_al * (np.sign(alpha_l) * sym - anti), axis=-1)
+    return weight, tail, np.where(alpha_l == 0.0, 1e-300, alpha_l)
+
+
+def _spm_by_np_sum(span, phi_i, b_i, contracted):
+    weight, tail, rate = contracted
+    phi_i, b_i = np.asarray(phi_i), np.asarray(b_i)
+    with np.errstate(over="ignore"):
+        ash = np.arcsinh(3.0 * phi_i[..., None] * b_i[..., None] ** 2
+                         / (8.0 * math.pi * rate))
+    log_w = np.log(np.sqrt(np.abs(phi_i) * span.length / (2.0 * math.pi))
+                   * b_i)
+    total = (np.sum(ash * weight, axis=-1)
+             - 4.0 * log_w * np.sign(phi_i) * tail)
+    return 16.0 / 27.0 * math.pi * span.gamma ** 2 / (b_i ** 2 * phi_i) * total
+
+
+def _xpm_by_np_sum(span, phi_ik, b_i, b_k, contracted):
+    weight, tail, rate = contracted
+    phi_ik = np.asarray(phi_ik)
+    with np.errstate(over="ignore"):
+        at = np.arctan(phi_ik[..., None] * np.asarray(b_i)[..., None]
+                       / (2.0 * rate))
+    total = np.sum(at * weight, axis=-1) - math.pi * np.sign(phi_ik) * tail
+    return 32.0 / 27.0 * span.gamma ** 2 / (phi_ik * b_k) * total
+
+
+def _eta_total_by_np_sum(cfg, fit):
+    """``eta_total``'s arrays from the references above, with the power
+    matrix stacked span by span."""
+    span, grid = cfg.span, cfg.grid
+    f = np.array([c.center_frequency for c in grid.channels])
+    b = np.array([c.bandwidth for c in grid.channels])
+    f_off = f - 0.5 * (f[0] + f[-1])
+    t = _terms_arrays([cf.params for cf in fit.channel_fits], f, span.length)
+    contracted = _contract_by_np_sum(t["upsilon"], t["alpha_l"],
+                                     t["kappa_f"], t["kappa_b"], t["alpha"],
+                                     span.length)
+    spm = _spm_by_np_sum(span, _phi_self(span, f_off), b, contracted)
+    phi_ik = _phi_pair(span, f_off[:, None], f_off[None, :])
+    valid = ~np.eye(f.size, dtype=bool) & (np.abs(phi_ik) >= 1e-30)
+    xpm = np.where(valid, _xpm_by_np_sum(span, np.where(valid, phi_ik, 1.0),
+                                         b[:, None], b[None, :], contracted),
+                   0.0)
+    powers = np.array([[c.launch_power_per_span[j] for c in grid.channels]
+                       for j in range(cfg.span_count)])
+    p2 = np.sum(powers ** 2, axis=0)
+    e_spm = (spm * cfg.span_count ** cfg.coherence_epsilon * p2
+             / powers[0] ** 2)
+    e_xpm = xpm @ p2 / powers[0] ** 2
+    return e_spm, e_xpm, e_spm + e_xpm
+
+
+def _random_params(rng, pump_free):
+    """One fit per channel.  A pump-free channel has zero-weight terms and a
+    zero rate (alpha_l = alpha - alpha_b = 0: the 1e-300 stand-in)."""
+    a = ALPHA_02_DB_KM * rng.uniform(0.9, 1.1, len(pump_free))
+    return [
+        _params(alpha=a[i], c_f=0.0, c_b=0.0, alpha_f=a[i], alpha_b=a[i],
+                p_b=0.0) if free else
+        _params(alpha=a[i], c_f=rng.uniform(0.5e-18, 3e-18),
+                c_b=rng.uniform(0.5e-18, 2e-18),
+                alpha_f=a[i] * rng.uniform(1.0, 1.3),
+                alpha_b=a[i] * rng.uniform(0.5, 0.95),
+                p_f=rng.uniform(0.01, 0.2), p_b=rng.uniform(0.2, 0.8))
+        for i, free in enumerate(pump_free)]
+
+
+def _random_link(rng, n_ch, n_spans):
+    """``n_ch`` channels 50 GHz apart from 191 THz, each span's launch
+    powers drawn within +-3 dB of 1 mW."""
+    powers = 1e-3 * 10.0 ** (rng.uniform(-3.0, 3.0, (n_spans, n_ch)) / 10.0)
+    grid = WdmGrid(tuple(Channel(191.0e12 + 50e9 * i, 45e9,
+                                 tuple(powers[:, i])) for i in range(n_ch)))
+    return LinkConfig(span=_span(), span_count=n_spans, grid=grid,
+                      coherence_epsilon=0.05)
+
+
+def _assert_eta_total_keeps_np_sum_order(cfg, fit):
+    report = eta_total(cfg, fit)
+    expected = _eta_total_by_np_sum(cfg, fit)
+    for got, want in zip((report.eta_spm, report.eta_xpm, report.eta_total),
+                         expected):
+        assert np.array_equal(got, want)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    pump_free=st.lists(st.booleans(), min_size=1, max_size=6),
+    n_spans=st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_term_sums_keep_np_sum_order(seed, pump_free, n_spans):
+    """Contraction, SPM and XPM equal the np.sum references bit for bit, on
+    the grid and on one channel or pair, and so does eta_total."""
+    rng = np.random.default_rng(seed)
+    n = len(pump_free)
+    params = _random_params(rng, pump_free)
+    t = _terms_arrays(params, 191.0e12 + 50e9 * np.arange(n), _L)
+    args = (t["upsilon"], t["alpha_l"], t["kappa_f"], t["kappa_b"],
+            t["alpha"], _L)
+    contracted = _contract(*args)
+    expected = _contract_by_np_sum(*args)
+    assert all(map(np.array_equal, contracted, expected))
+    assert 1e-300 in contracted[2] or not any(pump_free)
+
+    span = _span()
+    # either sign, at the magnitudes of phi_ik and phi_i on C-band grids
+    phi_ik = (rng.choice([-1.0, 1.0], (n, n))
+              * 10.0 ** rng.uniform(-15.0, -11.0, (n, n)))
+    phi_i = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-26.0, -23.0, n)
+    b = rng.uniform(20e9, 100e9, n)
+    assert np.array_equal(_spm_eta(span, phi_i, b, contracted),
+                          _spm_by_np_sum(span, phi_i, b, expected))
+    assert np.array_equal(
+        _xpm_eta(span, phi_ik, b[:, None], b[None, :], contracted),
+        _xpm_by_np_sum(span, phi_ik, b[:, None], b[None, :], expected))
+
+    one = tuple(x[-1] for x in contracted)
+    assert _spm_eta(span, phi_i[0], b[0], one) == \
+        _spm_by_np_sum(span, phi_i[0], b[0], one)
+    assert _xpm_eta(span, phi_ik[0, -1], b[0], b[-1], one) == \
+        _xpm_by_np_sum(span, phi_ik[0, -1], b[0], b[-1], one)
+
+    _assert_eta_total_keeps_np_sum_order(_random_link(rng, n, n_spans),
+                                         _fit_report(params))
+
+
+def test_eta_total_keeps_np_sum_order_over_spans():
+    """Forty channels, ten spans at differing powers: every eta array
+    equals the reference bit for bit, the span sum included."""
+    rng = np.random.default_rng(20)
+    _assert_eta_total_keeps_np_sum_order(
+        _random_link(rng, 40, 10),
+        _fit_report(_random_params(rng, [False] * 40)))
 
 
 def test_rate_sum_guard_uses_each_channels_alpha():

@@ -57,6 +57,27 @@ def test_grid_properties():
     assert np.allclose(grid.bandwidths, 100e9)
 
 
+def test_grid_arrays_are_read_only_and_built_once():
+    grid = _grid(4, spans=3)
+    arrays = (grid.frequencies, grid.bandwidths, grid.launch_powers(1))
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert grid.frequencies is arrays[0]
+    assert grid.bandwidths is arrays[1]
+    assert np.shares_memory(grid.launch_powers(1), arrays[2])
+    assert np.array_equal(arrays[2], [1e-3] * 4)
+
+
+def test_ragged_launch_powers_get_the_link_diagnostic():
+    """The power matrix is built on first use, so the link's own check, not
+    numpy, reports a channel with the wrong number of spans."""
+    grid = WdmGrid((Channel(193.0e12, 100e9, (1e-3, 1e-3)),
+                    Channel(193.1e12, 100e9, (1e-3,))))
+    diags = _diagnostics(span=_span(), span_count=2, grid=grid)
+    assert diags == ["channel 1: 1 launch powers for 2 spans"]
+
+
 def test_non_positive_launch_power_diagnosed():
     grid = WdmGrid((Channel(193.0e12, 100e9, (0.0,)),))
     diags = _diagnostics(span=_span(), span_count=1, grid=grid)
