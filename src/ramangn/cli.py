@@ -71,12 +71,11 @@ def _converged_fit(scenario: Scenario, args):
     converged or not, and NumericalError otherwise."""
     report = _fit(scenario, args)
     grid, length = scenario.link.grid, scenario.link.span.length
-    fits = report.channel_fits
     lo, hi = pair_offsets(grid.frequencies[:, None], grid.bandwidths[:, None],
                           grid.frequencies, grid.bandwidths,
-                          np.array([cf.params.f_hat for cf in fits]))
+                          report._param_matrix[-1])  # the f_hat row
     outside = [k for k, (cf, d_lo, d_hi) in enumerate(
-                   zip(fits, lo.min(axis=0), hi.max(axis=0)))
+                   zip(report.channel_fits, lo.min(axis=0), hi.max(axis=0)))
                if profile_margin(cf.params, length, d_lo, d_hi)[0] <= 0.0]
     unconverged = list(report.unconverged_channels)
     problems = []

@@ -37,10 +37,9 @@ pumped and pump-free profiles and for both signs of phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from operator import attrgetter
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,20 +83,18 @@ class ClosedFormTerms:
                          self.kappa_b, self.alpha, self.length)
 
 
-_PARAM_COLUMNS = attrgetter(*(f.name for f in fields(ProfileParams)))
-
-
-def _terms_arrays(params: Sequence[ProfileParams], f, length: float):
+def _terms_arrays(params: np.ndarray, f, length: float):
     """Tilt decomposition of every channel at once.
 
-    ``params[i]`` is channel i's fit and ``f[i]`` its absolute frequency.
-    Returns a dict of per-channel arrays: ``alpha`` of shape (n,) and
-    ``upsilon``, ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one
-    column per tilt term.  T, the constant term, may be zero: the profile's
-    domain is ``profile.profile_margin``'s to decide, in the CLI's fit gate.
+    ``params`` is an (8, n) array with one row per ``ProfileParams`` field
+    in declaration order (``FitReport``'s parameter array), column i
+    channel i's fit, and ``f[i]`` channel i's absolute frequency.  Returns
+    a dict of per-channel arrays: ``alpha`` of shape (n,) and ``upsilon``,
+    ``alpha_l``, ``kappa_f``, ``kappa_b`` of shape (n, 3), one column per
+    tilt term.  T, the constant term, may be zero: the profile's domain is
+    ``profile.profile_margin``'s to decide, in the CLI's fit gate.
     """
-    (alpha, c_f, c_b, alpha_f, alpha_b, p_f, p_b,
-     f_hat) = np.array([_PARAM_COLUMNS(p) for p in params], dtype=float).T
+    alpha, c_f, c_b, alpha_f, alpha_b, p_f, p_b, f_hat = params
     delta = np.asarray(f, dtype=float) - f_hat
     t_f = -p_f * c_f * delta / alpha_f
     t_b = -p_b * c_b * delta / alpha_b
@@ -121,7 +118,8 @@ def closed_form_terms(params: ProfileParams, f_i: float, length: float
 
     The one-channel view of ``_terms_arrays``.
     """
-    t = _terms_arrays((params,), (f_i,), length)
+    t = _terms_arrays(np.array(astuple(params), dtype=float)[:, None],
+                      (f_i,), length)
     return ClosedFormTerms(length=length,
                            **{k: v[0] if v.ndim == 2 else float(v[0])
                               for k, v in t.items()})
@@ -426,7 +424,7 @@ def _kernel(config: LinkConfig, fit):
     f = grid.frequencies
     f_off = f - grid.band_center
     b = grid.bandwidths
-    t = _terms_arrays([cf.params for cf in fit.channel_fits], f, length)
+    t = _terms_arrays(fit._param_matrix, f, length)
     contracted = _contract(t["upsilon"], t["alpha_l"], t["kappa_f"],
                            t["kappa_b"], t["alpha"], length)
 
@@ -505,14 +503,5 @@ def assemble_snr(eta: NliReport, budget: SnrBudget, grid: WdmGrid) -> NliReport:
         snr_nli = 1.0 / (eta.eta_total * p_i ** 2)
     inv = 1.0 / snr_nli + 1.0 / snr_ase + 1.0 / snr_trx
     snr_total = 1.0 / inv
-    return NliReport(
-        frequencies=eta.frequencies,
-        launch_powers=eta.launch_powers,
-        eta_spm=eta.eta_spm,
-        eta_xpm=eta.eta_xpm,
-        eta_total=eta.eta_total,
-        degenerate_pairs=eta.degenerate_pairs,
-        snr_nli=snr_nli,
-        snr_total=snr_total,
-        snr_total_db=10.0 * np.log10(snr_total),
-    )
+    return replace(eta, snr_nli=snr_nli, snr_total=snr_total,
+                   snr_total_db=10.0 * np.log10(snr_total))

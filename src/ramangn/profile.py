@@ -42,12 +42,13 @@ polishes of the next-best seeds are opt-in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
-from .domain import LinkConfig, write_json
+from .domain import Direction, LinkConfig, _read_only, write_json
 from .errors import NumericalError, ValidationError
 from .raman import PowerEvolution, normalized_profile
 
@@ -182,7 +183,8 @@ class ChannelFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Per-channel profile fits for one span."""
+    """Per-channel profile fits for one span.  Its parameter array is
+    built on first use, once, and is read-only."""
 
     channel_fits: Tuple[ChannelFit, ...]
 
@@ -192,6 +194,14 @@ class FitReport:
     @property
     def n_channels(self) -> int:
         return len(self.channel_fits)
+
+    @cached_property
+    def _param_matrix(self) -> np.ndarray:
+        """The fits' ``ProfileParams``, one C-contiguous row per field in
+        declaration order (alpha, ..., f_hat), one column per channel."""
+        return _read_only([[getattr(cf.params, f.name)
+                            for cf in self.channel_fits]
+                           for f in fields(ProfileParams)], float)
 
     @property
     def unconverged_channels(self) -> Tuple[int, ...]:
@@ -221,8 +231,6 @@ def shared_fit_context(evolution: PowerEvolution, config: LinkConfig):
     pumps), P_b the total backward-pump power, f_hat the power-unweighted
     mean pump frequency or the band center when there are no pumps.
     """
-    from .domain import Direction
-
     span_index = evolution.span_index
     p_f = config.grid.total_launch_power(span_index)
     p_f += sum(p.input_power for p in config.pumps_by_direction(Direction.FORWARD))
@@ -641,12 +649,15 @@ def fit_profile(
     The per-channel objective is the sum of squared dB-domain residuals over
     the evolution's z grid.  The parameters are the vector (alpha, c_f, c_b,
     alpha_f, alpha_b): rates within a factor 5 of the intrinsic loss,
-    slopes within 10 C_r in magnitude.  (P_f, P_b, f_hat) come from the link
-    configuration and are held fixed.  Without a backward pump c_b is
-    unidentifiable: only (alpha, c_f, alpha_f) are fitted, c_b is pinned to
-    zero and alpha_b to the intrinsic loss.  Without Raman coupling (C_r =
-    0) and on a channel at f_hat, which sees no tilt, only alpha is fitted,
-    in closed form.
+    slopes within 10 C_r in magnitude.  The box is active, not only a
+    guard: alpha ends on its floor, alpha_phys / 5, on all 40 channels of
+    the backward-pumped reference, and alpha_f on 33 of 40 of its
+    forward-pumped variant, so the closed form's eta follows the floor.
+    (P_f, P_b, f_hat) come from the link configuration and are held fixed.
+    Without a backward pump c_b is unidentifiable: only (alpha, c_f,
+    alpha_f) are fitted, c_b is pinned to zero and alpha_b to the intrinsic
+    loss.  Without Raman coupling (C_r = 0) and on a channel at f_hat,
+    which sees no tilt, only alpha is fitted, in closed form.
 
     Each channel ranks the nominal guess and a 12^3 (12^2 without a
     backward pump, ``_N_GRID``) variable-projection seed grid by score.  The

@@ -256,7 +256,9 @@ def test_nli_output_is_byte_identical_to_the_stored_report(data_dir,
     (["sweep", "--sweep=-2:2:1"], "lumped_9ch.json", "sweep.csv",
      "lumped_9ch_sweep.csv"),
     (["compare"], None, "comparison.csv", "two_channel_comparison.csv"),
-], ids=["solve", "sweep", "compare"])
+    (["fit"], "forward_pumped.json", "fit_report.json",
+     "forward_pumped_fit_report.json"),
+], ids=["solve", "sweep", "compare", "fit"])
 def test_output_is_byte_identical_to_the_stored_file(
         data_dir, tiny_compare_scenario, tmp_path, command, scenario, output,
         golden):

@@ -1,7 +1,7 @@
 """Closed-form NLI machinery: tilt decomposition, link function, eta, SNR."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from ramangn import (
     eta_xpm_pair,
     mu_closed,
 )
+from ramangn import closedform, profile
 from ramangn.closedform import (_check_rate_sums, _contract, _phi_pair,
                                 _phi_self, _spm_eta, _terms_arrays, _xpm_eta)
 from ramangn.errors import (DegenerateDispersionError, NumericalError,
@@ -48,6 +49,12 @@ def _fit_report(params_list):
         ChannelFit(params=p, rms_db=0.0, n_eval=1, converged=True)
         for p in params_list
     ))
+
+
+def _param_rows(params_list):
+    """The (8, n) parameter array of ``_terms_arrays``, built here from the
+    records, independently of ``FitReport``'s."""
+    return np.array([astuple(p) for p in params_list], dtype=float).T
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +514,8 @@ def _eta_total_by_np_sum(cfg, fit):
     f = np.array([c.center_frequency for c in grid.channels])
     b = np.array([c.bandwidth for c in grid.channels])
     f_off = f - 0.5 * (f[0] + f[-1])
-    t = _terms_arrays([cf.params for cf in fit.channel_fits], f, span.length)
+    t = _terms_arrays(_param_rows(cf.params for cf in fit.channel_fits), f,
+                      span.length)
     contracted = _contract_by_np_sum(t["upsilon"], t["alpha_l"],
                                      t["kappa_f"], t["kappa_b"], t["alpha"],
                                      span.length)
@@ -571,7 +579,7 @@ def test_term_sums_keep_np_sum_order(seed, pump_free, n_spans):
     rng = np.random.default_rng(seed)
     n = len(pump_free)
     params = _random_params(rng, pump_free)
-    t = _terms_arrays(params, 191.0e12 + 50e9 * np.arange(n), _L)
+    t = _terms_arrays(_param_rows(params), 191.0e12 + 50e9 * np.arange(n), _L)
     args = (t["upsilon"], t["alpha_l"], t["kappa_f"], t["kappa_b"],
             t["alpha"], _L)
     contracted = _contract(*args)
@@ -608,6 +616,27 @@ def test_eta_total_keeps_np_sum_order_over_spans():
     _assert_eta_total_keeps_np_sum_order(
         _random_link(rng, 40, 10),
         _fit_report(_random_params(rng, [False] * 40)))
+
+
+def test_eta_total_over_one_fit_builds_its_parameter_array_once(
+        monkeypatch):
+    """A sweep's eta_total calls over one fit, at differing launch powers,
+    all read the fit's one parameter array; none rebuilds it."""
+    fit = _fit_report(_per_channel_params(4))
+    built, seen = [], []
+    read_only, terms_arrays = profile._read_only, closedform._terms_arrays
+    monkeypatch.setattr(profile, "_read_only",
+                        lambda *a: built.append(a) or read_only(*a))
+    monkeypatch.setattr(closedform, "_terms_arrays",
+                        lambda params, *a: seen.append(params)
+                        or terms_arrays(params, *a))
+    cfg = _pumped_link(4, spans=3)
+    for offset_db in (-2.0, 0.0, 2.0):
+        eta_total(_relinked(cfg, np.full((3, 4), 1e-3 * 10.0 ** (
+            offset_db / 10.0))), fit)
+    assert len(built) == 1
+    assert len(seen) == 3
+    assert all(params is fit._param_matrix for params in seen)
 
 
 def test_rate_sum_guard_uses_each_channels_alpha():

@@ -1,5 +1,6 @@
 """Semi-analytical profile model and the nonlinear least-squares fit."""
 
+import dataclasses
 import json
 import math
 import os
@@ -252,6 +253,22 @@ def test_fit_report_json_round_trip():
     assert payload["channels"][0]["params"]["alpha"] == pytest.approx(
         report.channel_fits[0].params.alpha
     )
+
+
+def test_fit_report_parameter_array_is_read_only_and_built_once(
+        reference_fit):
+    """One row per ``ProfileParams`` field, one column per channel, equal
+    to each channel's fields bit for bit; the same read-only array on every
+    access."""
+    _, fit = reference_fit
+    rows = fit._param_matrix
+    assert fit._param_matrix is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+    assert rows.shape == (8, fit.n_channels)
+    for k, cf in enumerate(fit.channel_fits):
+        want = np.array(dataclasses.astuple(cf.params), dtype=float)
+        assert rows[:, k].tobytes() == want.tobytes()
 
 
 def test_pump_free_fit_is_exact_on_exponential_data():
