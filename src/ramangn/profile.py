@@ -14,19 +14,24 @@ exponent and normalizes over the total bandwidth with a sinh factor.
 and the oracle build on them.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
-by damped least squares on the dB-domain residual.  A channel's parameters
-are one vector (alpha, c_f, c_b, alpha_f, alpha_b) addressed by position;
-without a backward pump only the subset (alpha, c_f, alpha_f) is free and
-c_b, alpha_b keep their fixed values.  The objective has many local minima
-once the pump gain is strong, so the fitter ranks the physical initial
-guess and a deterministic variable-projection seed grid by their scores
-(sums of squared residuals).  The ranking is exact but prunes: a seed's
-partial score over every ``_BOUND_STRIDES[i]``-th z sample is a lower
-bound of its score, the bounds are checked from coarse to fine samples,
-and only the seeds that no bound rules out are scored in full.  The grid's
-rates are the same for every channel, so its effective lengths, Gram terms
-and per-rate L_eff and Lb_eff tables are built once per fit; the seed
-residuals gather from those tables instead of taking exponentials per seed.
+by damped least squares on the dB-domain residual.  It ranks and polishes
+on a uniform sub-grid of the solver's z samples, every s-th sample with s
+the largest divisor of the step count that leaves ``_FIT_STEPS`` steps
+(``_fit_stride``): the same L2-integral estimate on fewer samples, z = L
+kept.  Each channel's RMS is taken on the solver's grid.  A channel's
+parameters are one vector (alpha, c_f, c_b, alpha_f, alpha_b) addressed by
+position; without a backward pump only the subset (alpha, c_f, alpha_f) is
+free and c_b, alpha_b keep their fixed values.  The objective has many
+local minima once the pump gain is strong, so the fitter ranks the
+physical initial guess and a deterministic variable-projection seed grid
+by their scores (sums of squared residuals).  The ranking is exact but
+prunes: a seed's partial score over every ``_BOUND_STRIDES[i]``-th sub-grid
+sample is a lower bound of its score, the bounds are checked from coarse
+to fine samples, and only the seeds that no bound rules out are scored in
+full.  The grid's rates are the same for every channel, so its effective
+lengths, Gram terms and per-rate L_eff and Lb_eff tables are built once per
+fit; the seed residuals gather from those tables instead of taking
+exponentials per seed.
 
 Every polish is one problem of a batched, bounded, projected
 Levenberg-Marquardt (``_polish``; More 1978, Kanzow, Yamashita & Fukushima
@@ -57,9 +62,11 @@ _K_DB = 10.0 / _LN10  # nepers -> dB
 _N_GRID = 12  # seed-grid ratios per rate, 0.2 to 5 times the nominal
 _RNG_SEED = 20260823  # seed of the opt-in random starts
 _SCORE_BLOCK = 32  # seeds per batched scoring pass
-# z samples per sample of each seed-score lower bound, coarse to fine; each
-# stride divides the one before, so every level sees the coarser samples.
-_BOUND_STRIDES = (64, 16, 4)
+_FIT_STEPS = 250  # least steps of the sub-grid the fit ranks and polishes on
+# Sub-grid samples per sample of each seed-score lower bound, coarse to fine;
+# each stride divides the one before, so every level sees the coarser
+# samples.
+_BOUND_STRIDES = (32, 8, 2)
 _CAP_SEEDS = 8  # seeds fully scored, at the least, to set the pruning cap
 _BOUND_MARGIN = 1e-9  # relative slack of the pruning test, far above rounding
 _POLISH_BLOCK = 256  # problems per batched polish, bounding its temporaries
@@ -234,7 +241,8 @@ def shared_fit_context(evolution: PowerEvolution, config: LinkConfig):
     span_index = evolution.span_index
     p_f = config.grid.total_launch_power(span_index)
     p_f += sum(p.input_power for p in config.pumps_by_direction(Direction.FORWARD))
-    p_b = sum(p.input_power for p in config.pumps_by_direction(Direction.BACKWARD))
+    p_b = sum((p.input_power
+               for p in config.pumps_by_direction(Direction.BACKWARD)), 0.0)
     if config.pumps:
         f_hat = float(np.mean([p.frequency for p in config.pumps]))
     else:
@@ -562,7 +570,7 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
     one at ``x0`` included.  Each row follows the same arithmetic whatever
     else is in the batch.
 
-    Returns (x, rms_db, nfev, converged, failed); ``failed`` marks rows
+    Returns (x, nfev, converged, failed); ``failed`` marks rows
     whose residual, Jacobian or damped solve was not finite, and those rows
     are dropped from the iteration.
     """
@@ -624,8 +632,14 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
         failed[rows[bad]] = True
         converged[rows[done]] = True
         rows = rows[~(done | bad) & (nfev[rows] < max_nfev)]
-    rms = np.sqrt(cost / r.shape[1])
-    return x, rms, nfev, converged, failed
+    return x, nfev, converged, failed
+
+
+def _fit_stride(n_steps):
+    """The largest divisor s of ``n_steps`` that leaves at least
+    ``_FIT_STEPS`` steps of the sub-grid z[::s]; 1 below 2 ``_FIT_STEPS``."""
+    return next((s for s in range(n_steps // _FIT_STEPS, 1, -1)
+                 if n_steps % s == 0), 1)
 
 
 def _fit_exponential(z, target_db):
@@ -647,12 +661,17 @@ def fit_profile(
     """Fit the linearized profile to an ODE solution, channel by channel.
 
     The per-channel objective is the sum of squared dB-domain residuals over
-    the evolution's z grid.  The parameters are the vector (alpha, c_f, c_b,
-    alpha_f, alpha_b): rates within a factor 5 of the intrinsic loss,
-    slopes within 10 C_r in magnitude.  The box is active, not only a
-    guard: alpha ends on its floor, alpha_phys / 5, on all 40 channels of
-    the backward-pumped reference, and alpha_f on 33 of 40 of its
-    forward-pumped variant, so the closed form's eta follows the floor.
+    a uniform sub-grid of the evolution's z grid: every s-th sample, s the
+    largest divisor of the step count that leaves at least ``_FIT_STEPS``
+    (250) steps, so every 4th of a 1000-step solve's 1001 samples and every
+    sample below 500 steps (``_fit_stride``).  z = L is kept, and the sum
+    stays an unweighted estimate of the L2 integral over the span.  The
+    parameters are the vector (alpha, c_f, c_b, alpha_f, alpha_b): rates
+    within a factor 5 of the intrinsic loss, slopes within 10 C_r in
+    magnitude.  The box is active, not only a guard: alpha ends on its
+    floor, alpha_phys / 5, on all 40 channels of the backward-pumped
+    reference, and alpha_f on 33 of 40 of its forward-pumped variant, so
+    the closed form's eta follows the floor.
     (P_f, P_b, f_hat) come from the link configuration and are held fixed.
     Without a backward pump c_b is unidentifiable: only (alpha, c_f,
     alpha_f) are fitted, c_b is pinned to zero and alpha_b to the intrinsic
@@ -662,7 +681,7 @@ def fit_profile(
     Each channel ranks the nominal guess and a 12^3 (12^2 without a
     backward pump, ``_N_GRID``) variable-projection seed grid by score.  The
     ranking bounds each score by its partial sums over strided subsets of
-    the z grid, every 64th, 16th and 4th sample in turn
+    the sub-grid, every 32nd, 8th and 2nd sample in turn
     (``_BOUND_STRIDES``), and fully scores only the seeds that no bound
     rules out, so it picks the same seeds as a full scan (``_best_seeds``).
     The grid's rates, and with them its effective lengths, Gram terms and
@@ -674,8 +693,11 @@ def fit_profile(
     it.  It polishes each channel's best-scored seed, plus, opt-in,
     ``n_polish`` next-best seeds and ``n_random_starts`` uniform random
     starts drawn channel by channel from one generator seeded with
-    ``_RNG_SEED`` (for example 12 and 24); a channel's result is the
-    polish of its own starts with the lowest RMS, the first on a tie.
+    ``_RNG_SEED`` (for example 12 and 24).  Every polished start's RMS is
+    then taken over all the solver's samples, in one batched residual per
+    block of polishes; a channel's result is the polish of its own starts
+    with the lowest such RMS, the first on a tie, and its ``rms_db`` is
+    that RMS.  The pump-free closed-form fit uses every sample.
 
     A polish stops after ``max_iterations`` residual evaluations.  A
     channel's ``n_eval`` counts the residual evaluations of its winning
@@ -692,11 +714,13 @@ def fit_profile(
         If a polish meets a non-finite residual or Jacobian or a failed
         damped solve; the message names every such channel.
     """
-    z = evolution.z_grid
-    if z.size < 50:
+    z_full = evolution.z_grid
+    if z_full.size < 50:
         raise ValidationError(
-            f"profile fit needs >= 50 z samples, got {z.size}"
+            f"profile fit needs >= 50 z samples, got {z_full.size}"
         )
+    stride = _fit_stride(z_full.size - 1)
+    z = z_full[::stride]
     span = config.span
     length = span.length
     c_r = span.raman_slope
@@ -716,7 +740,7 @@ def fit_profile(
 
     rng = np.random.default_rng(_RNG_SEED)
     fits = [None] * evolution.n_channels
-    fitted, targets, deltas, starts, owners = [], [], [], [], []
+    fitted, full_targets, deltas, starts, owners = [], [], [], [], []
     for ch_idx in range(evolution.n_channels):
         f_i = config.grid.channels[ch_idx].center_frequency
         rho = normalized_profile(evolution, ch_idx)
@@ -724,11 +748,12 @@ def fit_profile(
             raise ValidationError(
                 f"channel {ch_idx}: numeric profile is not strictly positive"
             )
-        target_db = 10.0 * np.log10(rho)
+        full_target = 10.0 * np.log10(rho)
+        target_db = full_target[::stride]
         delta = f_i - f_hat
         if c_r == 0.0 or delta == 0.0:
             full = base.copy()
-            full[0], rms = _fit_exponential(z, target_db)
+            full[0], rms = _fit_exponential(z_full, full_target)
             params = ProfileParams(*full.tolist(), p_f, p_b, f_hat)
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
@@ -744,12 +769,14 @@ def fit_profile(
         owners += [len(fitted)] * len(mine)
         starts += mine
         fitted.append(ch_idx)
-        targets.append(target_db)
+        full_targets.append(full_target)
         deltas.append(delta)
 
     if not fitted:
         return FitReport(tuple(fits))
-    fitted, targets, deltas = map(np.array, (fitted, targets, deltas))
+    fitted, full_targets, deltas = map(np.array,
+                                       (fitted, full_targets, deltas))
+    targets = full_targets[:, ::stride]
     owners, starts = np.array(owners), np.array(starts)
     parts, failed = [], []
     for first in range(0, len(owners), _POLISH_BLOCK):
@@ -761,10 +788,15 @@ def fit_profile(
             return _residual_and_jac(length, z, targets[ch], deltas[ch, None],
                                      p_f, p_b, free, base[:, None, None])
 
-        *result, bad = _polish(problem, x0, *(np.broadcast_to(v, x0.shape)
-                                              for v in (lo, hi, x_scale)),
-                               max_iterations)
-        parts.append(result)
+        x, nfev, converged, bad = _polish(
+            problem, x0, *(np.broadcast_to(v, x0.shape)
+                           for v in (lo, hi, x_scale)), max_iterations)
+        # Every polished start's RMS, on the solver's grid.
+        r = _residual_and_jac(length, z_full, full_targets[block],
+                              deltas[block, None], p_f, p_b, free,
+                              base[:, None, None])[0](x.T[:, :, None])[0]
+        parts.append((x, np.sqrt(np.sum(r * r, axis=1) / z_full.size), nfev,
+                      converged))
         failed += fitted[block[bad]].tolist()
     if failed:
         raise NumericalError(

@@ -111,6 +111,7 @@ def solve_power_evolution(
         np.array([p.attenuation for p in fw_pumps]),
     ])
 
+    neg_alpha = -alpha
     coupling = _coupling_matrix(span, freqs, freqs)
 
     # Backward pumps enter the integrated lines only through their analytic
@@ -124,41 +125,45 @@ def solve_power_evolution(
             return bw_p_end * np.exp(-bw_alpha * (length - z))
 
         def rhs(p, bw):
-            return p * (-alpha + coupling @ p + bw_gain @ bw)
+            return p * (neg_alpha + coupling @ p + bw_gain @ bw)
     else:
         def rhs(p, bw):
-            return p * (-alpha + coupling @ p)
+            return p * (neg_alpha + coupling @ p)
 
     n_steps = steps
     for attempt in range(_MAX_RETRIES + 1):
         z_grid = np.linspace(0.0, length, n_steps + 1)
         h = length / n_steps
+        half_h, sixth_h = 0.5 * h, h / 6.0
         sol = np.empty((p0.size, n_steps + 1))
         sol[:, 0] = p0
-        p = p0.copy()
-        failed_at = None
+        p = p0
         # Backward-pump powers at each step's three stage points, z_n,
         # z_n + h/2 and z_n + h, one row per step.
         z_n = z_grid[:-1, None]
         if bw_pumps:
-            start, mid, end = (bw_power(z_n), bw_power(z_n + 0.5 * h),
+            start, mid, end = (bw_power(z_n), bw_power(z_n + half_h),
                                bw_power(z_n + h))
         else:
             start = mid = end = [None] * n_steps
-        for n in range(n_steps):
-            k1 = rhs(p, start[n])
-            k2 = rhs(p + 0.5 * h * k1, mid[n])
-            k3 = rhs(p + 0.5 * h * k2, mid[n])
-            k4 = rhs(p + h * k3, end[n])
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-                failed_at = z_grid[n + 1]
-                break
-            sol[:, n + 1] = p
-        if failed_at is None:
+        # The state is checked once, after the march: a step that is not
+        # finite and positive spoils only the steps after it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_steps):
+                k1 = rhs(p, start[n])
+                k2 = rhs(p + half_h * k1, mid[n])
+                k3 = rhs(p + half_h * k2, mid[n])
+                k4 = rhs(p + h * k3, end[n])
+                p = p + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                sol[:, n + 1] = p
+            marched = sol[:, 1:]
+            failing = np.flatnonzero(
+                ~(np.isfinite(marched) & (marched > 0.0)).all(axis=0))
+        if not failing.size:
             break
         n_steps *= 2
-    if failed_at is not None:
+    else:
+        failed_at = z_grid[failing[0] + 1]
         raise DivergenceError(
             f"power evolution diverged near z = {failed_at:.3f} m "
             f"(after {_MAX_RETRIES} step-halving retries)",

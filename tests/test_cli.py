@@ -320,8 +320,8 @@ def test_unconverged_fit_exits_4_naming_the_channels(
     ["nli"], ["sweep", "--sweep=0:0:1"], ["compare", "--gate-db", "1.0"]])
 def test_out_of_domain_profile_exits_4_naming_the_channels(
         data_dir, tmp_path, capsys, monkeypatch, command):
-    """The three-pump stress fit does not converge on channels 30-32, and
-    the profiles of channels 29-39 turn non-positive on the pairs they
+    """The three-pump stress fit does not converge on channels 28-30, and
+    the profiles of channels 28-39 turn non-positive on the pairs they
     serve, which the oracle refuses too: the fit gate exits 4 naming both
     lists before the oracle runs or a file is written."""
     from ramangn import cli
@@ -335,7 +335,7 @@ def test_out_of_domain_profile_exits_4_naming_the_channels(
               + command[1:])
     assert rc == 4
     assert (f"non-positive on the frequencies served by channel(s) "
-            f"{list(range(29, 40))}") in capsys.readouterr().err
+            f"{list(range(28, 40))}") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -354,7 +354,7 @@ def test_spm_direct_order_near_zero_dispersion(fixed_params, reference_span):
 
 
 def test_profile_domain_refusal_names_the_pair(data_dir):
-    """The three-pump stress fit puts interferers 29-39 outside the
+    """The three-pump stress fit puts interferers 28-39 outside the
     linearized profile's domain: row 0 refuses exactly those pairs, and the
     refusal names both centre frequencies."""
     scenario = parse_scenario(os.path.join(
@@ -373,7 +373,7 @@ def test_profile_domain_refusal_names_the_pair(data_dir):
             refused.append(k)
             assert (f"f_i = {ch_0.center_frequency:.6e} Hz, "
                     f"f_k = {ch_k.center_frequency:.6e} Hz") in str(exc)
-    assert refused == list(range(29, 40))
+    assert refused == list(range(28, 40))
     with pytest.raises(ProfileDomainError, match="f_k = 1.953500e"):
         eta_xpm_numeric(ch_0, grid.channels[39],
                         TaylorProfile(fit.channel_fits[39].params,

@@ -178,8 +178,10 @@ def test_profile_margin_finds_the_stationary_point(c_f, c_b):
     assert margin < 1.0 - tilt_integral(params, _L, _L) * d
 
 
-def _synthetic_setup(params_true, n_ch=3, first=193.0e12, spacing=0.5e12):
-    """A link plus a PowerEvolution generated exactly from the model."""
+def _synthetic_setup(params_true, n_ch=3, first=193.0e12, spacing=0.5e12,
+                     n_z=501):
+    """A link plus a PowerEvolution of ``n_z`` samples generated exactly
+    from the model."""
     span = FiberSpan(length=_L, beta2=-21.7e-27, beta3=0.0, gamma=1.2e-3,
                      attenuation=params_true.alpha, raman_slope=2.8e-17)
     p_each = params_true.p_f / n_ch
@@ -190,7 +192,7 @@ def _synthetic_setup(params_true, n_ch=3, first=193.0e12, spacing=0.5e12):
                 params_true.alpha)
     cfg = LinkConfig(span=span, span_count=1, grid=grid, pumps=(pump,))
 
-    z = np.linspace(0.0, _L, 501)
+    z = np.linspace(0.0, _L, n_z)
     rows = [
         p_each * eval_profile_taylor(params_true, z,
                                      grid.channels[i].center_frequency, _L)
@@ -240,6 +242,18 @@ def test_fit_rejects_short_evolution():
                            span_index=0)
     with pytest.raises(ValidationError):
         fit_profile(short, cfg)
+
+
+def test_sample_count_check_counts_the_solver_samples():
+    """The 50-sample floor reads the evolution's own grid, not the fit's
+    sub-grid."""
+    params_true = _params()
+    cfg, evo = _synthetic_setup(params_true, n_z=49)
+    with pytest.raises(ValidationError,
+                       match=r"needs >= 50 z samples, got 49$"):
+        fit_profile(evo, cfg)
+    cfg, evo = _synthetic_setup(params_true, n_z=50)
+    assert fit_profile(evo, cfg).n_channels == 3
 
 
 def test_fit_report_json_round_trip():
@@ -326,28 +340,33 @@ def edge_pair(request, reference_scenario):
 
 
 def _fit_inputs(cfg, evo, ch, with_backward=None):
-    """The per-channel quantities fit_profile hands to its helpers.
+    """The per-channel quantities fit_profile hands to its helpers, on the
+    sub-grid it ranks and polishes on (``z``, ``target_db``) and on the
+    solver's grid (``z_full``, ``target_full``).
 
     ``with_backward=False`` builds the forward-only problem (c_b pinned to
     zero) even when the link has a backward pump.
     """
     p_f, p_b, f_hat = shared_fit_context(evo, cfg)
     f_i = cfg.grid.channels[ch].center_frequency
-    target_db = 10.0 * np.log10(normalized_profile(evo, ch))
+    target_full = 10.0 * np.log10(normalized_profile(evo, ch))
+    stride = profile._fit_stride(evo.z_grid.size - 1)
     alpha_phys = cfg.span.attenuation
     if with_backward is None:
         with_backward = p_b > 0
     free, base, lo, hi, scale = _parameter_space(
         alpha_phys, cfg.span.raman_slope, with_backward)
-    return dict(length=cfg.span.length, z=evo.z_grid, target_db=target_db,
-                delta=f_i - f_hat, f_hat=f_hat, p_f=p_f, p_b=p_b,
-                alpha_phys=alpha_phys, with_backward=with_backward,
-                free=free, base=base, lo=lo, hi=hi, scale=scale)
+    return dict(length=cfg.span.length, z=evo.z_grid[::stride],
+                target_db=target_full[::stride], z_full=evo.z_grid,
+                target_full=target_full, delta=f_i - f_hat, f_hat=f_hat,
+                p_f=p_f, p_b=p_b, alpha_phys=alpha_phys,
+                with_backward=with_backward, free=free, base=base, lo=lo,
+                hi=hi, scale=scale)
 
 
 def _polish_one(inp, x0):
     """One start through the batched polish, as a batch of one:
-    (x, rms, nfev, converged, failed)."""
+    (x, nfev, converged, failed)."""
     def problem(rows):
         return _residual_and_jac(
             inp["length"], inp["z"], inp["target_db"][None],
@@ -557,9 +576,9 @@ def test_failed_problem_leaves_the_rest_of_the_batch_intact(edge_pair):
     inp = _fit_inputs(cfg, evo, 0)
     x0 = inp["base"][inp["free"]]
     alone = _polish_one(inp, x0)
-    assert alone[3] and not alone[4]
+    assert alone[2] and not alone[3]
     target = np.stack([inp["target_db"], inp["target_db"]])
-    target[0, 500] = np.nan
+    target[0, 125] = np.nan
 
     def problem(rows):
         return _residual_and_jac(
@@ -568,12 +587,12 @@ def test_failed_problem_leaves_the_rest_of_the_batch_intact(edge_pair):
             inp["free"],
             np.tile(inp["base"][:, None, None], (1, len(rows), 1)))
 
-    x, rms, nfev, converged, failed = _polish(
+    x, nfev, converged, failed = _polish(
         problem, np.stack([x0, x0]), np.stack([inp["lo"]] * 2),
         np.stack([inp["hi"]] * 2), np.stack([inp["scale"]] * 2), 200)
     assert failed.tolist() == [True, False]
     np.testing.assert_array_equal(x[1], alone[0])
-    assert (rms[1], nfev[1], converged[1]) == alone[1:4]
+    assert (nfev[1], converged[1]) == alone[1:3]
 
 
 def test_polish_started_at_the_minimum_returns_it():
@@ -593,10 +612,9 @@ def test_polish_started_at_the_minimum_returns_it():
 
     x0 = np.array([[1.0, 2.0], [1.0, 2.0]])
     box = np.ones_like(x0)
-    x, rms, nfev, converged, failed = _polish(problem, x0, -10.0 * box,
-                                              10.0 * box, box, 50)
+    x, nfev, converged, failed = _polish(problem, x0, -10.0 * box,
+                                         10.0 * box, box, 50)
     np.testing.assert_array_equal(x, x0)
-    np.testing.assert_array_equal(rms, math.sqrt(3.0))
     assert nfev.tolist() == [1, 1]
     assert converged.all() and not failed.any()
 
@@ -611,23 +629,74 @@ def test_damped_steps_isolate_a_singular_system():
     np.testing.assert_array_equal(h[2], [-0.5, 0.0, -0.5])
 
 
+def _full_grid_rms(inp, x):
+    """The RMS of the free entries ``x`` over the solver's grid, as a batch
+    of one."""
+    r = _residual_and_jac(
+        inp["length"], inp["z_full"], inp["target_full"][None],
+        np.array([[inp["delta"]]]), inp["p_f"], inp["p_b"], inp["free"],
+        inp["base"][:, None, None])[0](x[:, None, None])[0]
+    return float(np.sqrt(np.sum(r * r, axis=1) / r.shape[1])[0])
+
+
 def _solo_fit(cfg, evo):
     """fit_profile at its defaults, one problem at a time: each channel
-    polishes its best-scored seed alone, with its own seed grid and rate
-    tables."""
+    polishes its best-scored seed alone on the fit's sub-grid, with its own
+    seed grid and rate tables, and takes its RMS on the solver's grid."""
     fits = []
     for ch in range(evo.n_channels):
         levels, seeds, inp = _selection_problem(cfg, evo, ch, None)
         (first,) = _best_seeds(levels, len(seeds), 1)
         best = _polish_one(inp, seeds[first])
-        assert not best[4]
+        assert not best[3]
         full = inp["base"].copy()
         full[inp["free"]] = best[0]
         params = ProfileParams(*full.tolist(), inp["p_f"], inp["p_b"],
                                inp["f_hat"])
-        fits.append(ChannelFit(params, float(best[1]), int(best[2]),
-                               bool(best[3])))
+        fits.append(ChannelFit(params, _full_grid_rms(inp, best[0]),
+                               int(best[1]), bool(best[2])))
     return tuple(fits)
+
+
+@pytest.mark.parametrize("n_steps, stride", [
+    (1000, 4), (2000, 8), (750, 3), (500, 2), (499, 1), (250, 1), (200, 1),
+    (1001, 1)])
+def test_fit_stride_is_the_largest_divisor_leaving_250_steps(n_steps,
+                                                             stride):
+    assert profile._fit_stride(n_steps) == stride
+
+
+def test_fit_rms_is_taken_on_the_solver_grid(reference_scenario,
+                                              reference_fit, data_dir):
+    """The fit polishes on every 4th sample, and every channel's ``rms_db``
+    equals its dB misfit recomputed from the model over all 1001 solver
+    samples, on the backward reference and its forward variant."""
+    forward = parse_scenario(os.path.join(data_dir, "forward_pumped.json"))
+    forward_evo = solve_power_evolution(forward.link,
+                                        steps=forward.solver_steps)
+    for link, (evo, fit) in [
+            (reference_scenario.link, reference_fit),
+            (forward.link, (forward_evo,
+                            fit_profile(forward_evo, forward.link)))]:
+        z = evo.z_grid
+        assert z.size == 1001 and profile._fit_stride(z.size - 1) == 4
+        for ch, cf in enumerate(fit.channel_fits):
+            f_i = link.grid.channels[ch].center_frequency
+            target = 10.0 * np.log10(evo.powers[ch] / evo.powers[ch, 0])
+            model = 10.0 * np.log10(eval_profile_taylor(
+                cf.params, z, f_i, link.span.length))
+            rms = math.sqrt(np.mean((model - target) ** 2))
+            assert cf.rms_db == pytest.approx(rms, abs=1e-9)
+
+
+def test_fit_of_a_200_step_solve_uses_every_sample(edge_pair, monkeypatch):
+    """A 200-step solve is fitted on all its samples: the fit equals one
+    with the sub-grid switched off."""
+    cfg, _ = edge_pair
+    evo = solve_power_evolution(cfg, steps=200)
+    fits = fit_profile(evo, cfg).channel_fits
+    monkeypatch.setattr(profile, "_FIT_STEPS", 10 ** 9)
+    assert fits == fit_profile(evo, cfg).channel_fits
 
 
 def test_batched_fit_matches_solo_polishes(edge_pair):
@@ -811,22 +880,25 @@ def test_seed_whose_bound_only_rounds_above_the_cap_is_kept():
 
 def test_seed_ranking_work_on_the_reference(reference_scenario,
                                             reference_fit, monkeypatch):
-    """The residual elements and full-resolution rows the seed ranking
-    scores on the reference fit.  One bound level every 16th sample, with
-    exp and expm1 taken per seed, scored 8 111 831 elements and 3 751 full
-    rows."""
+    """The residual elements and full-resolution rows of the fit's
+    sub-grid (every 4th of the 1001 samples) that the seed ranking scores
+    on the reference fit.  One bound level every 16th sample, with exp and
+    expm1 taken per seed, scored 8 111 831 elements and 3 751 full rows;
+    three levels on all 1001 samples, 3 447 677 elements and 972 rows."""
     evolution, fit = reference_fit
     work = {"elements": 0, "rows": 0}
+    stride = profile._fit_stride(evolution.z_grid.size - 1)
+    assert stride == 4
 
     def counting(residual, index, block=profile._SCORE_BLOCK):
         if len(index):
             width = residual(index[:1]).shape[1]
             work["elements"] += len(index) * width
-            if width == evolution.z_grid.size:
+            if width == evolution.z_grid[::stride].size:
                 work["rows"] += len(index)
         return _seed_scores(residual, index, block)
 
     monkeypatch.setattr(profile, "_seed_scores", counting)
     again = fit_profile(evolution, reference_scenario.link)
     assert again.channel_fits == fit.channel_fits
-    assert work == {"elements": 3_447_677, "rows": 972}
+    assert work == {"elements": 1_054_136, "rows": 376}

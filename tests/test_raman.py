@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -93,7 +94,9 @@ def test_backward_pump_amplifies_channels():
 
 def _per_call_channel_powers(cfg, steps):
     """The RK4 march of the channel and forward-pump rows, with the
-    backward-pump powers evaluated inside every right-hand-side call."""
+    backward-pump powers evaluated inside every right-hand-side call and
+    the state checked after every step: (powers up to the first step whose
+    state is not finite and positive, the z of that step or None)."""
     span, length = cfg.span, cfg.span.length
     fw = cfg.pumps_by_direction(Direction.FORWARD)
     bw = cfg.pumps_by_direction(Direction.BACKWARD)
@@ -125,20 +128,46 @@ def _per_call_channel_powers(cfg, steps):
         k3 = rhs(z + 0.5 * h, p + 0.5 * h * k2)
         k4 = rhs(z + h, p + h * k3)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+            return np.array(sol).T, z_grid[n + 1]
         sol.append(p)
-    return np.array(sol).T
+    return np.array(sol).T, None
 
 
 @pytest.mark.parametrize("name", ["reference_pumped.json",
-                                  "stress_strong_pump.json"])
+                                  "stress_strong_pump.json",
+                                  "stress_three_backward_pumps.json"])
 def test_stage_point_pump_powers_match_a_per_call_evaluation(data_dir, name):
     """The solver takes the backward-pump powers at all stage points of a
-    step at once; the evolution equals evaluating them in every call."""
+    step at once, and checks the state once, after the march; the
+    evolution equals evaluating the powers in every call and checking
+    after every step, bit for bit."""
     scenario = parse_scenario(os.path.join(data_dir, name))
     cfg, steps = scenario.link, scenario.solver_steps
     evo = solve_power_evolution(cfg, steps=steps)
-    expected = _per_call_channel_powers(cfg, steps)
+    expected, failed_at = _per_call_channel_powers(cfg, steps)
+    assert failed_at is None
     np.testing.assert_array_equal(evo.powers[:len(expected)], expected)
+
+
+@pytest.mark.parametrize("cfg", [
+    _link(n=2, raman_slope=3e-14, spacing=2e12, power=1.0),
+    _link(n=2, raman_slope=2.8e-17, pumps=(
+        Pump(206.6e12, 100.0, Direction.BACKWARD, ALPHA_02_DB_KM),)),
+], ids=["first_step", "mid_span"])
+def test_divergence_is_placed_where_a_stepwise_check_places_it(cfg):
+    """On links that diverge at every step count tried, on the first step
+    or 13 km into the span, the solver names the z of the first failing
+    step of its last attempt, as a loop that checks after every step does,
+    and warns of no overflow on the way."""
+    for steps in (100, 200, 400):
+        assert _per_call_channel_powers(cfg, steps)[1] is not None
+    _, failed_at = _per_call_channel_powers(cfg, 800)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError) as info:
+        warnings.simplefilter("error")
+        solve_power_evolution(cfg, steps=100)
+    assert failed_at is not None
+    assert info.value.z_position == failed_at
 
 
 def test_step_halving_self_consistency():
