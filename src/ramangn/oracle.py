@@ -6,18 +6,19 @@ exact (unapproximated) phase term and apply the rectangular spectral
 window, and the supporting integral identities are checked against
 adaptive quadrature.
 
-The 2D eta integrals are highly oscillatory (phase phi * zeta with
-phi L up to ~1e4 rad), so the inner zeta integral is evaluated with a
-panel-wise Filon rule (exact integration of a local polynomial fit of the
-smooth profile factor against e^{j phi zeta}).  Where the phase is
-monotone in f1 over each piece of the band, the spectral integral runs in
-the swapped (phi, f2) order and switches, beyond a phase-rate threshold, to
-an integration-by-parts endpoint expansion whose smooth and single-ripple
-parts are integrated separately; other pairs take one tensor Gauss-Legendre
-rule in (f1, f2).  Every node count grows with the refinement level, and
-the change between two levels is reported as the error estimate; an estimate
-refines until that change meets ``_REL_TOL_ETA``, which every SPM and XPM
-estimate of the reference grid does at the first refinement.
+The 2D eta integrals are highly oscillatory (phase phi * zeta with phi L up to
+~1e4 rad), so the inner zeta integral is evaluated with a panel-wise Filon
+rule (exact integration of a local polynomial fit of the smooth profile factor
+against e^{j phi zeta}; the weights of a block of phases are one complex
+array).  Where the phase is monotone in f1 over each piece of the band, the
+spectral integral runs in the swapped (phi, f2) order, one edge solve per
+level finding every phase node's f2 range, and switches, beyond a phase-rate
+threshold, to an integration-by-parts endpoint expansion whose smooth and
+single-ripple parts are integrated separately; other pairs take one tensor
+Gauss-Legendre rule in (f1, f2).  Every node count grows with the refinement
+level, and the change between two levels is reported as the error estimate; an
+estimate refines until that change meets ``_REL_TOL_ETA``, which every SPM and
+XPM estimate of the reference grid does at the first refinement.
 
 Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
 they import ``scipy.integrate`` when they run, so importing the package
@@ -163,13 +164,19 @@ def _filon_series_matrix(m_max: int) -> np.ndarray:
     return (-1.0) ** i * 2.0 / ((m + k + 1.0) * fact[k])
 
 
+def _powers(x, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``out`` with x, x^2, ..., as cumprod multiplies."""
+    out[0] = x
+    for m in range(1, out.shape[0]):
+        np.multiply(out[m - 1], out[0], out=out[m])
+    return out
+
+
 def _moments_series(theta: np.ndarray, m_max: int) -> np.ndarray:
     """r_m for |theta| < _SERIES_SPLIT by the power series; (m_max+1, n)."""
-    sq = np.empty((_N_SERIES_TERMS // 2, theta.size))
+    sq = np.empty((_N_SERIES_TERMS // 2, theta.size))  # theta^(2i)
     sq[0] = 1.0
-    sq[1] = theta * theta
-    for i in range(2, sq.shape[0]):
-        np.multiply(sq[i - 1], sq[1], out=sq[i])  # theta^(2i)
+    _powers(theta * theta, sq[1:])
     r = _filon_series_matrix(m_max) @ sq
     r[1::2] *= theta
     return r
@@ -343,9 +350,11 @@ class _PairEngine:
     Two integration orders: the swapped (phi, f2) order (``eta_swapped``)
     and the direct (f1, f2) order, one tensor Gauss rule (``eta_direct``).
     The constructor builds what every refinement level shares; ``_sw`` is
-    None where the swapped order does not apply.  The phase slope vanishes
-    with d2 = f2 + f_k - f_i, so SPM's band splits at f2 = 0 into two
-    pieces (``_setup_swapped``); XPM's band is one piece.
+    None where the swapped order does not apply.  A swapped level solves
+    the f2 edges of all its phase nodes in one pass (``_domain_edges``).
+    The phase slope vanishes with d2 = f2 + f_k - f_i, so SPM's band
+    splits at f2 = 0 into two pieces (``_setup_swapped``); XPM's band is
+    one piece.
     """
 
     def __init__(self, profile: TaylorProfile, span: FiberSpan,
@@ -483,18 +492,15 @@ class _PairEngine:
         int g e^{j phi zeta} d zeta = sum_{p,m} g(zeta_pm) W[p, m]: the
         degree-10 fit of g on panel p integrated exactly against the
         oscillation, W[p, m] = h_p e^{j phi c_p} sum_k inv_v[k, m]
-        mu_k(phi h_p).  Returns (Re W, Im W), each (len(phi), P * M).
+        mu_k(phi h_p).  Returns W as one complex (len(phi), P * M) array.
         """
         centers, halfw, inv_v = self._zp[:3]
         r = _filon_moments_real(phi[:, None] * halfw, _N_ZETA_DEG)
-        w_even = r[0::2].T @ inv_v[0::2]  # real part of sum_k inv_v mu_k
-        w_odd = r[1::2].T @ inv_v[1::2]  # imaginary part
-        arg = phi[:, None] * centers
-        cw = (np.cos(arg) * halfw).reshape(-1, 1)
-        sw = (np.sin(arg) * halfw).reshape(-1, 1)
-        shape = (phi.size, -1)
-        return ((cw * w_even - sw * w_odd).reshape(shape),
-                (sw * w_even + cw * w_odd).reshape(shape))
+        w = np.empty((phi.size, centers.size, inv_v.shape[1]), dtype=complex)
+        w.real = (r[0::2].T @ inv_v[0::2]).reshape(w.shape)  # even k: real
+        w.imag = (r[1::2].T @ inv_v[1::2]).reshape(w.shape)  # odd k: imaginary
+        w *= (halfw * np.exp(1j * (phi[:, None] * centers)))[:, :, None]
+        return w.reshape(phi.size, -1)
 
     def _i_of_phi(self, f1: np.ndarray, f2, phi: np.ndarray,
                   group: int = 1):
@@ -503,21 +509,22 @@ class _PairEngine:
         The nodes form consecutive groups of ``group`` sharing one phase,
         ``phi[q]`` for group q, so the Filon weights are built once per
         group.  Weights are built for _NODE_BLOCK phases and g for about
-        _NODE_BLOCK nodes at a time, which keeps every temporary small.
+        _NODE_BLOCK nodes at a time, which keeps every temporary small; a
+        block of g meets the weights' float view in one matmul.
         """
         f2 = np.broadcast_to(np.asarray(f2, dtype=float), f1.shape)
         out = np.empty(f1.size, dtype=complex)
         step = max(1, _NODE_BLOCK // group)
         for q0 in range(0, phi.size, _NODE_BLOCK):
-            w_re, w_im = self._filon_weights(phi[q0:q0 + _NODE_BLOCK])
-            n_w = w_re.shape[0]
+            w = self._filon_weights(phi[q0:q0 + _NODE_BLOCK])
+            n_w = w.shape[0]
+            w = w.view(float).reshape(n_w, -1, 2)
             for q in range(0, n_w, step):
                 sub = slice(q, min(q + step, n_w))
                 blk = slice((q0 + sub.start) * group, (q0 + sub.stop) * group)
                 g = self._g_tilde(f1[blk], f2[blk])
                 g = g.reshape(-1, group, g.shape[1])
-                out.real[blk] = np.einsum("gnq,gq->gn", g, w_re[sub]).ravel()
-                out.imag[blk] = np.einsum("gnq,gq->gn", g, w_im[sub]).ravel()
+                out[blk] = np.matmul(g, w[sub]).view(complex).ravel()
         return out
 
     # -- endpoint expansion (outer region) -----------------------------------
@@ -564,8 +571,7 @@ class _PairEngine:
                   (self.fi_abs - fh, -0.5))
         orders = np.arange(_K_SERIES + 1)[:, None]
         # 1 / phi^{m+1}, m = 0..K
-        inv_pw = np.cumprod(np.broadcast_to(1.0 / phi,
-                                            (_K_SERIES + 1, phi.size)), axis=0)
+        inv_pw = _powers(1.0 / phi, np.empty((_K_SERIES + 1, phi.size)))
         res = []
         for zeta0, x0, ymat in self._uv:
             log0 = -self.p.alpha * zeta0
@@ -573,8 +579,7 @@ class _PairEngine:
             for d, wt in deltas:
                 u0 = 1.0 - x0 * d
                 log0 = log0 + wt * np.log(u0)
-                s_pows += wt * np.cumprod(np.broadcast_to(
-                    d / u0, (_K_SERIES, f1.size)), axis=0)
+                s_pows += wt * _powers(d / u0, np.empty_like(s_pows))
             k_log = np.empty((_K_SERIES + 1, f1.size))  # m * [ln g]_m
             k_log[0] = 0.0
             k_log[1:] = -(ymat.T @ s_pows)
@@ -646,12 +651,12 @@ class _PairEngine:
     # zero and T(phi) ~ ln(1/|phi|): the f2 nodes move to ln|f2| and the
     # inner phase segment next to phi = 0 is graded geometrically.
 
-    def _p_end(self, f2, side: int):
-        """Extreme phase reachable inside the f1 window at f2 (vectorized)."""
+    def _p_end(self, f2, side):
+        """Extreme phase of the f1 window at f2: max if side > 0, else min."""
         a, b = self._phase_coeffs(f2)
         lo, hi = self._f1_window(f2)
         v1, v2 = self._phi_of(lo, a, b), self._phi_of(hi, a, b)
-        return np.maximum(v1, v2) if side > 0 else np.minimum(v1, v2)
+        return np.where(side > 0, np.maximum(v1, v2), np.minimum(v1, v2))
 
     def _setup_swapped(self) -> Optional[dict]:
         """The f2 grid and extreme phases of the swapped order, or None
@@ -708,14 +713,15 @@ class _PairEngine:
         vals = p[sorted(idx)]
         return np.unique(vals[side * vals > 0.0])
 
-    def _crossings(self, x_out, x_in, phi, side: int):
-        """f2 where the extreme phase equals phi, one per bracket.
+    def _crossings(self, x_out, x_in, phi):
+        """f2 where the extreme phase of phi's sign equals phi, per bracket.
 
         Each bracket [x_out, x_in] has x_out outside and x_in inside D(phi);
         the roots are refined together by the Illinois variant of regula
         falsi down to brentq's default tolerance (2e-12 + 1e-12 |x|).
         """
         def f(x, ph):
+            side = np.sign(ph)
             return side * (self._p_end(x, side) - ph)
 
         root = x_in.astype(float)
@@ -743,36 +749,38 @@ class _PairEngine:
                 v[more] for v in (idx, a, b, fa, fb, ph, last))
         return root
 
-    def _domain_edges(self, phis: np.ndarray, side: int):
-        """The intervals of D(phi) for every phi: (owner, left, right).
+    def _domain_edges(self, phis: np.ndarray):
+        """The intervals of D(phi) for every phi != 0: (owner, left, right).
 
-        On the f2 grid, D(phi) is where side * p >= side * phi.  The grid
-        values are monotone between the few turning points of p, so each
-        monotone run holds at most one edge of D(phi), found for all phi
-        at once by a sorted search; interior edges are then refined to the
-        crossing of the continuous extreme phase.  Intervals come in phi
-        order, left to right.
+        On the f2 grid, D(phi) is where side * p >= side * phi, side the
+        sign of phi and p its extreme phase.  The grid values are monotone
+        between the few turning points of p, so each monotone run holds at
+        most one edge of D(phi), found for all phi of a side at once by a
+        sorted search; interior edges of both sides are then refined
+        together to the crossing of the continuous extreme phase.
+        Intervals come in phi order, left to right.
         """
         sw = self._sw
         f2d = sw["f2d"]
-        p = side * (sw["p_hi"] if side > 0 else sw["p_lo"])
         n = f2d.size
-        rows = np.arange(phis.size)
-        level = side * phis
-        first, last = rows[p[0] >= level], rows[p[-1] >= level]
-        r0, i0 = [first], [np.zeros(first.size, dtype=np.int64)]
-        r1, i1 = [last], [np.full(last.size, n - 1)]
-        for s, e, rising in sw["runs"][side]:
-            if rising:  # D is a suffix of the run: its first index
-                j = s + np.searchsorted(p[s:e + 1], level)
-                hit = (j > s) & (j <= e)
-                r0.append(rows[hit])
-                i0.append(j[hit])
-            else:  # D is a prefix of the run: its last index
-                j = e - np.searchsorted(p[s:e + 1][::-1], level)
-                hit = (j >= s) & (j < e)
-                r1.append(rows[hit])
-                i1.append(j[hit])
+        r0, i0, r1, i1 = [], [], [], []
+        for side, p in ((1, sw["p_hi"]), (-1, -sw["p_lo"])):
+            rows = np.flatnonzero(side * phis > 0.0)
+            level = side * phis[rows]
+            for r, i, at in ((r0, i0, 0), (r1, i1, n - 1)):
+                r.append(rows[p[at] >= level])
+                i.append(np.full(r[-1].size, at))
+            for s, e, rising in sw["runs"][side]:
+                if rising:  # D is a suffix of the run: its first index
+                    j = s + np.searchsorted(p[s:e + 1], level)
+                    hit = (j > s) & (j <= e)
+                    r0.append(rows[hit])
+                    i0.append(j[hit])
+                else:  # D is a prefix of the run: its last index
+                    j = e - np.searchsorted(p[s:e + 1][::-1], level)
+                    hit = (j >= s) & (j < e)
+                    r1.append(rows[hit])
+                    i1.append(j[hit])
         r0, i0, r1, i1 = (np.concatenate(v) for v in (r0, i0, r1, i1))
         o0, o1 = np.lexsort((i0, r0)), np.lexsort((i1, r1))
         rows, i0, i1 = r0[o0], i0[o0], i1[o1]
@@ -782,22 +790,22 @@ class _PairEngine:
         edges = self._crossings(
             f2d[np.concatenate([i0[cut0] - 1, i1[cut1] + 1])],
             f2d[np.concatenate([i0[cut0], i1[cut1]])],
-            phis[np.concatenate([rows[cut0], rows[cut1]])], side)
+            phis[np.concatenate([rows[cut0], rows[cut1]])])
         left, right = f2d[i0], f2d[i1]
         left[cut0] = edges[:np.count_nonzero(cut0)]
         right[cut1] = edges[np.count_nonzero(cut0):]
         keep = right > left
         return rows[keep], left[keep], right[keep]
 
-    def _f2_batch(self, phis: np.ndarray, side: int, nf2: int):
-        """Gather f2 Gauss nodes of D(phi) for every phi; flat arrays, empty
-        when no phi has a D(phi).
+    def _f2_batch(self, phis: np.ndarray, edges, nf2: int):
+        """Gather f2 Gauss nodes of D(phi) for every phi from its
+        ``_domain_edges``; flat arrays, empty when no phi has a D(phi).
 
         With a zero of the slope in the band, the nodes are Gauss nodes in
         s = ln|f2 - zero|: df2 = |f2 - zero| ds cancels the 1 / |a| of the
         phase Jacobian, which grows without bound toward the zero.
         """
-        rows, left, right = self._domain_edges(phis, side)
+        rows, left, right = edges
         tg, wg = _gl_rule(nf2)
         zero = self._sw["zero"]
         if zero is not None:
@@ -814,9 +822,9 @@ class _PairEngine:
         owner = np.repeat(rows, nf2)
         return phis[owner], nodes, weights, owner
 
-    def _t_inner(self, edges, side: int, nf2: int, density: float) -> float:
-        """Direct quadrature of T(phi) over the inner panels between
-        consecutive |phi| ``edges``, all in one batch."""
+    def _inner_part(self, edges, side: int, density: float):
+        """The inner panels between consecutive |phi| ``edges``:
+        (``_t_inner``, their Gauss phase nodes, (their weights,))."""
         edges = np.asarray(edges, dtype=float)
         e0, e1 = edges[:-1], edges[1:]
         sizes = [_gl_size(density * (24 + 0.7 * span))
@@ -826,38 +834,23 @@ class _PairEngine:
         wq = np.concatenate([r[1] for r in rules])
         c = np.repeat(0.5 * (e1 + e0), sizes)
         h = np.repeat(0.5 * (e1 - e0), sizes)
-        phis = side * c + h * tq
-        phi_b, f2_b, w_b, owner = self._f2_batch(phis, side, nf2)
+        return self._t_inner, side * c + h * tq, (h * wq,)
+
+    def _t_inner(self, phis, edges, nf2: int, weights) -> float:
+        """Direct quadrature of T(phi) over the inner panels."""
+        phi_b, f2_b, w_b, owner = self._f2_batch(phis, edges, nf2)
         a, b = self._phase_coeffs(f2_b)
         f1 = self._f1_of_phi(phi_b, a, b)
         ivals = self._i_of_phi(f1, f2_b, phi_b[::nf2], nf2)
         hv = np.abs(ivals) ** 2 / np.abs(a + 2.0 * b * f1)
         tvals = np.bincount(owner, weights=w_b * hv, minlength=phis.size)
-        return float(np.sum(h * wq * tvals))
+        return float(np.sum(weights * tvals))
 
-    def _outer_panels(self, phi, f2, weight, owner, n_phi: int):
-        """The ``_phase_panels`` inputs (|U|^2 + |V|^2 and U V*, over
-        |dphi/df1|) of nodes (phi, f2) with f2 weight ``weight``, summed
-        into phase node ``owner`` of ``n_phi``."""
-        a, b = self._phase_coeffs(f2)
-        f1 = self._f1_of_phi(phi, a, b)
-        u, v = self._endpoint_uv(f1, f2, phi)
-        jac = weight / np.abs(a + 2.0 * b * f1)
-        smooth = np.bincount(owner, weights=(np.abs(u) ** 2 + np.abs(v) ** 2)
-                             * jac, minlength=n_phi)
-        cross = u * np.conj(v) * jac
-        ripple = (np.bincount(owner, weights=cross.real, minlength=n_phi)
-                  + 1j * np.bincount(owner, weights=cross.imag,
-                                     minlength=n_phi))
-        return smooth, ripple
-
-    def _outer_side(self, side: int, criticals: np.ndarray, p_far: float,
-                    nf2: int, density: float) -> float:
-        """Outer |phi| in [phi_split, |p_far|]: endpoint series + Filon."""
+    def _outer_part(self, criticals: np.ndarray, lim: float, side: int,
+                    density: float):
+        """Outer |phi| in [phi_split, lim]: (``_outer_side``, 8 Gauss phase
+        nodes per panel, the panels' ``_phase_panels`` arguments)."""
         ps = self.phi_split
-        lim = abs(p_far)
-        if lim <= ps:
-            return 0.0
         edges = np.asarray(_octave_edges(ps, lim))
         crit = np.abs(criticals)
         crit = crit[(crit > ps) & (crit < lim)]
@@ -869,15 +862,32 @@ class _PairEngine:
                  for x0, x1 in zip(edges[:-1], edges[1:])]))
         c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         phis = side * (c[:, None] + h[:, None] * _gl_rule(8)[0]).ravel()
-        smooth, cross = self._outer_panels(*self._f2_batch(phis, side, nf2),
-                                           phis.size)
-        vals = _phase_panels(h, side * c * self.length, side * h * self.length,
-                             smooth.reshape(-1, 8), cross.reshape(-1, 8))
-        return float(np.sum(vals))
+        return self._outer_side, phis, (h, side * c * self.length,
+                                        side * h * self.length)
+
+    def _outer_side(self, phis, edges, nf2: int, *panels) -> float:
+        """Endpoint series + Filon over the outer panels of one side: the
+        ``_phase_panels`` inputs (|U|^2 + |V|^2 and U V*, over |dphi/df1|)
+        are summed over f2 into each phase node."""
+        phi, f2, weight, owner = self._f2_batch(phis, edges, nf2)
+        a, b = self._phase_coeffs(f2)
+        f1 = self._f1_of_phi(phi, a, b)
+        u, v = self._endpoint_uv(f1, f2, phi)
+        jac = weight / np.abs(a + 2.0 * b * f1)
+        smooth = np.bincount(owner, weights=(np.abs(u) ** 2 + np.abs(v) ** 2)
+                             * jac, minlength=phis.size)
+        cross = u * np.conj(v) * jac
+        ripple = (np.bincount(owner, weights=cross.real, minlength=phis.size)
+                  + 1j * np.bincount(owner, weights=cross.imag,
+                                     minlength=phis.size))
+        return float(np.sum(_phase_panels(*panels, smooth.reshape(-1, 8),
+                                          ripple.reshape(-1, 8))))
 
     def eta_swapped(self, level: int):
         """Full 2D integral in (phi, f2) order; None if unavailable.
 
+        One edge solve serves the phase nodes of both sides and regions;
+        each part then integrates in its own helper, which frees its nodes.
         With a zero of the slope in the band, the inner segment [0, e1]
         becomes panels with edges 0 and e1 2^-k, k = 0.._GRADE_DEPTH +
         _GRADE_STEP level; the depth grows with the level so that the
@@ -888,20 +898,30 @@ class _PairEngine:
         density = 1.5 ** level
         nf2 = int(round(12 * density))
         ps = self.phi_split
-        total = 0.0
+        parts = []  # (integrate, phase nodes, its further arguments)
         for side in (1, -1):
             p = self._sw["p_hi"] if side > 0 else self._sw["p_lo"]
-            p_far = float(p.max() if side > 0 else p.min())
+            lim = abs(float(p.max() if side > 0 else p.min()))
             crits = self._criticals(side)
-            lim_in = min(ps, abs(p_far))
+            lim_in = min(ps, lim)
             e = sorted({0.0, lim_in}
                        | {float(abs(cv)) for cv in crits if abs(cv) < lim_in})
             if self._sw["zero"] is not None:
                 # T(phi) ~ ln(1/|phi|) toward phi = 0: panels e1 2^-k
                 e = [0.0] + list(e[1] / 2.0 ** np.arange(
                     _GRADE_DEPTH + _GRADE_STEP * level, 0, -1)) + e[1:]
-            total += self._t_inner(e, side, nf2, density)
-            total += self._outer_side(side, crits, p_far, nf2, density)
+            parts.append(self._inner_part(e, side, density))
+            if lim > ps:
+                parts.append(self._outer_part(crits, lim, side, density))
+        phis = [part[1] for part in parts]
+        rows, left, right = self._domain_edges(np.concatenate(phis))
+        first = np.cumsum([0] + [q.size for q in phis])
+        cut = np.searchsorted(rows, first)
+        total = 0.0
+        for (integrate, phi, args), q0, lo, hi in zip(parts, first, cut,
+                                                      cut[1:]):
+            total += integrate(phi, (rows[lo:hi] - q0, left[lo:hi],
+                                     right[lo:hi]), nf2, *args)
         return total
 
 

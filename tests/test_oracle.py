@@ -126,8 +126,9 @@ def test_zeta_kernel_matches_adaptive_quadrature(fixed_params,
 @pytest.mark.parametrize("pair", [(19, 25), (25, 19), (0, 39)])
 def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
                                                pair):
-    """The batched D(phi) edges against a per-phase scan of the f2 grid with
-    brentq on the continuous extreme phase."""
+    """The D(phi) edges of both sides, inner and outer phases alike, from
+    the one call that a refinement level makes, against a per-phase scan
+    of the f2 grid with brentq on the continuous extreme phase."""
     from scipy.optimize import brentq
 
     i, k = pair
@@ -136,35 +137,41 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
                          _F_REF)
     assert engine._sw is not None
     f2d = engine._sw["f2d"]
+    phis = []
     for side in (1, -1):
         p = engine._sw["p_hi"] if side > 0 else engine._sw["p_lo"]
-        phis = np.linspace(p.min(), p.max(), 301)
-        phis = phis[side * phis > 0.0]
-        rows, left, right = engine._domain_edges(phis, side)
-        expected = []
-        for j, phi in enumerate(phis):
-            inside = np.flatnonzero(side * p >= side * phi)
-            runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
-            for run in runs:
-                if run.size == 0:
-                    continue
+        grid = np.linspace(p.min(), p.max(), 301)
+        phis.append(grid[side * grid > 0.0])
+    phis = np.concatenate(phis)
+    assert (np.abs(phis) < engine.phi_split).any()
+    assert (np.abs(phis) > engine.phi_split).any()
+    rows, left, right = engine._domain_edges(phis)
+    expected = []
+    for j, phi in enumerate(phis):
+        side = 1 if phi > 0.0 else -1
+        p = engine._sw["p_hi"] if side > 0 else engine._sw["p_lo"]
+        inside = np.flatnonzero(side * p >= side * phi)
+        runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
+        for run in runs:
+            if run.size == 0:
+                continue
 
-                def gap(x, phi=phi):
-                    return float(engine._p_end(x, side)) - phi
+            def gap(x, phi=phi, side=side):
+                return float(engine._p_end(x, side)) - phi
 
-                i0, i1 = run[0], run[-1]
-                lo = f2d[i0] if i0 == 0 else brentq(
-                    gap, f2d[i0 - 1], f2d[i0], rtol=1e-12)
-                hi = f2d[i1] if i1 == f2d.size - 1 else brentq(
-                    gap, f2d[i1], f2d[i1 + 1], rtol=1e-12)
-                if hi > lo:
-                    expected.append((j, lo, hi))
-        assert rows.tolist() == [e[0] for e in expected]
-        # both solvers stop within 2e-12 + 1e-12 |x| of the root
-        np.testing.assert_allclose(left, [e[1] for e in expected],
-                                   rtol=2e-12, atol=4e-12)
-        np.testing.assert_allclose(right, [e[2] for e in expected],
-                                   rtol=2e-12, atol=4e-12)
+            i0, i1 = run[0], run[-1]
+            lo = f2d[i0] if i0 == 0 else brentq(
+                gap, f2d[i0 - 1], f2d[i0], rtol=1e-12)
+            hi = f2d[i1] if i1 == f2d.size - 1 else brentq(
+                gap, f2d[i1], f2d[i1 + 1], rtol=1e-12)
+            if hi > lo:
+                expected.append((j, lo, hi))
+    assert rows.tolist() == [e[0] for e in expected]
+    # both solvers stop within 2e-12 + 1e-12 |x| of the root
+    np.testing.assert_allclose(left, [e[1] for e in expected],
+                               rtol=2e-12, atol=4e-12)
+    np.testing.assert_allclose(right, [e[2] for e in expected],
+                               rtol=2e-12, atol=4e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +489,25 @@ def test_closed_form_tracks_oracle_spm(fixed_params, reference_span):
     numeric = eta_spm_numeric(ch, rho, reference_span, QuadratureSpec(),
                               f_ref=_F_REF).value
     assert abs(10.0 * math.log10(closed / numeric)) <= 0.1
+
+
+# eta_numeric of four rows of the reference grid on the fit that
+# fit_profile makes of the reference scenario
+_REFERENCE_ROWS = {0: 775.8317806474147, 19: 570.4625171652832,
+                   20: 553.7764605925619, 39: 277.84925298531766}
+
+
+def test_reference_rows_keep_their_oracle_values(reference_scenario,
+                                                 reference_fit):
+    """Rows 0, 19, 20 and 39, band edges and centre, every SPM and XPM
+    estimate converged, each row's eta within 1e-12 relative."""
+    _, fit = reference_fit
+    report = oracle.compare_closed_vs_oracle(
+        reference_scenario.link, fit, spec=reference_scenario.quadrature,
+        channels=tuple(_REFERENCE_ROWS))
+    assert report.converged.all()
+    for i, value in _REFERENCE_ROWS.items():
+        assert report.eta_numeric[i] == pytest.approx(value, rel=1e-12), i
 
 
 # ---------------------------------------------------------------------------
