@@ -31,6 +31,7 @@ notation, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -130,6 +131,8 @@ def cmd_nli(scenario: Scenario, args) -> int:
 
 
 def cmd_compare(scenario: Scenario, args) -> int:
+    if args.gate_db is not None and math.isnan(args.gate_db):
+        raise ScenarioError("--gate-db must be a number of dB, got nan")
     fit = _converged_fit(scenario, args)
     t0 = time.perf_counter()
     report = compare_closed_vs_oracle(scenario.link, fit,
@@ -165,9 +168,15 @@ def _parse_sweep(text: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ScenarioError(f"--sweep expects numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ScenarioError(f"--sweep expects finite numbers, got {text!r}")
     if step <= 0 or hi < lo:
         raise ScenarioError("--sweep requires step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ScenarioError(
+            f"--sweep's offset count (hi - lo) / step is not finite: {text!r}")
+    count = int(round(count))
     offsets = [lo + j * step for j in range(count + 1)]
     if offsets[-1] > hi + 1e-9:
         offsets.pop()

@@ -14,11 +14,13 @@ array).  Where the phase is monotone in f1 over each piece of the band, the
 spectral integral runs in the swapped (phi, f2) order, one edge solve per
 level finding every phase node's f2 range, and switches, beyond a phase-rate
 threshold, to an integration-by-parts endpoint expansion whose smooth and
-single-ripple parts are integrated separately; other pairs take one tensor
-Gauss-Legendre rule in (f1, f2).  Every node count grows with the refinement
-level, and the change between two levels is reported as the error estimate; an
-estimate refines until that change meets ``_REL_TOL_ETA``, which every SPM and
-XPM estimate of the reference grid does at the first refinement.
+single-ripple parts are integrated separately, the ripple by a Filon rule in
+phi (both Filon rules take their weights from ``_filon_rule``); other pairs
+take one tensor Gauss-Legendre rule in (f1, f2).  Every node count grows with
+the refinement level, and the change between two levels is reported as the
+error estimate; an estimate refines until that change meets ``_REL_TOL_ETA``,
+which every SPM and XPM estimate of the reference grid does at the first
+refinement.
 
 Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
 they import ``scipy.integrate`` when they run, so importing the package
@@ -28,6 +30,7 @@ and running the eta oracle never load scipy.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -213,14 +216,15 @@ def _filon_moments_real(theta: np.ndarray, m_max: int) -> np.ndarray:
     return out
 
 
-def _filon_moments(theta: np.ndarray, m_max: int) -> np.ndarray:
-    """Moments mu_m(theta) = int_{-1}^{1} t^m e^{j theta t} dt, vectorized."""
-    theta = np.asarray(theta, dtype=float)
-    r = _filon_moments_real(theta, m_max)
-    out = np.zeros((m_max + 1,) + theta.shape, dtype=complex)
-    out.real[0::2] = r[0::2].reshape((-1,) + theta.shape)
-    out.imag[1::2] = r[1::2].reshape((-1,) + theta.shape)
-    return out
+def _filon_rule(theta: np.ndarray, inv_v: np.ndarray) -> np.ndarray:
+    """Complex (theta.size, M) weights, int_{-1}^{1} p(t) e^{j theta_n t} dt
+    = sum_m W[n, m] p(t_m) for the fit of p through the M nodes whose inverse
+    Vandermonde matrix is ``inv_v``: W[n, m] = sum_k inv_v[k, m] mu_k."""
+    r = _filon_moments_real(theta, inv_v.shape[0] - 1)
+    w = np.empty((r.shape[1], inv_v.shape[1]), dtype=complex)
+    w.real = r[0::2].T @ inv_v[0::2]  # even k: mu_k real
+    w.imag = r[1::2].T @ inv_v[1::2]  # odd k: mu_k imaginary
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -301,13 +305,12 @@ def _phase_panels(h, phase_c, theta, smooth, cross):
 
     Panel q spans phi = c_q + h_q t; ``smooth`` (|U|^2 + |V|^2 part) is
     integrated by the Gauss rule, and the ripple -2 Re int U V* e^{j phi L}
-    by Filon integration of the degree-7 fit of ``cross`` (U V* part), with
-    ``phase_c`` = c_q L and ``theta`` = h_q L.
+    by the Filon rule of the 8 Gauss nodes (``_filon_rule``) applied to
+    ``cross`` (U V* part), with ``phase_c`` = c_q L and ``theta`` = h_q L.
     """
     w8 = _gl_rule(8)[1]
-    coeff = cross @ _gl8_fit().T
-    mom = _filon_moments(theta, 7)
-    osc = h * np.exp(1j * phase_c) * np.sum(coeff * mom.T, axis=1)
+    ripple = np.sum(cross * _filon_rule(theta, _gl8_fit()), axis=1)
+    osc = h * np.exp(1j * phase_c) * ripple
     return h * (smooth @ w8) - 2.0 * osc.real
 
 
@@ -350,8 +353,10 @@ class _PairEngine:
     Two integration orders: the swapped (phi, f2) order (``eta_swapped``)
     and the direct (f1, f2) order, one tensor Gauss rule (``eta_direct``).
     The constructor builds what every refinement level shares; ``_sw`` is
-    None where the swapped order does not apply.  A swapped level solves
-    the f2 edges of all its phase nodes in one pass (``_domain_edges``).
+    None where the swapped order does not apply, which picks the order.
+    ``_sw["p"][side]`` is each side's extreme phase times the side, so
+    phase bounds are |phi|.  A swapped level solves the f2 edges of all its
+    phase nodes in one pass (``_domain_edges``).
     The phase slope vanishes with d2 = f2 + f_k - f_i, so SPM's band
     splits at f2 = 0 into two pieces (``_setup_swapped``); XPM's band is
     one piece.
@@ -415,8 +420,6 @@ class _PairEngine:
         return a * f1 + b * f1 * f1
 
     def _f1_of_phi(self, phi, a, b):
-        if np.all(b == 0.0):
-            return phi / a
         disc = np.sqrt(a * a + 4.0 * b * phi)
         return 2.0 * phi / (a + np.sign(a) * disc)
 
@@ -490,15 +493,14 @@ class _PairEngine:
         """Complex quadrature weights of the panel nodes at each phase.
 
         int g e^{j phi zeta} d zeta = sum_{p,m} g(zeta_pm) W[p, m]: the
-        degree-10 fit of g on panel p integrated exactly against the
-        oscillation, W[p, m] = h_p e^{j phi c_p} sum_k inv_v[k, m]
-        mu_k(phi h_p).  Returns W as one complex (len(phi), P * M) array.
+        Filon rule of the panel's Chebyshev nodes (``_filon_rule``) at
+        theta = phi h_p, rotated to the panel, W[p, m] = h_p e^{j phi c_p}
+        sum_k inv_v[k, m] mu_k(phi h_p).  Returns W as one complex
+        (len(phi), P * M) array.
         """
         centers, halfw, inv_v = self._zp[:3]
-        r = _filon_moments_real(phi[:, None] * halfw, _N_ZETA_DEG)
-        w = np.empty((phi.size, centers.size, inv_v.shape[1]), dtype=complex)
-        w.real = (r[0::2].T @ inv_v[0::2]).reshape(w.shape)  # even k: real
-        w.imag = (r[1::2].T @ inv_v[1::2]).reshape(w.shape)  # odd k: imaginary
+        w = _filon_rule(phi[:, None] * halfw, inv_v).reshape(
+            phi.size, centers.size, -1)
         w *= (halfw * np.exp(1j * (phi[:, None] * centers)))[:, :, None]
         return w.reshape(phi.size, -1)
 
@@ -652,11 +654,12 @@ class _PairEngine:
     # inner phase segment next to phi = 0 is graded geometrically.
 
     def _p_end(self, f2, side):
-        """Extreme phase of the f1 window at f2: max if side > 0, else min."""
+        """side (+1 or -1, per f2) times the extreme phase of the f1 window
+        at f2: the max if side > 0, else the min."""
         a, b = self._phase_coeffs(f2)
         lo, hi = self._f1_window(f2)
-        v1, v2 = self._phi_of(lo, a, b), self._phi_of(hi, a, b)
-        return np.where(side > 0, np.maximum(v1, v2), np.minimum(v1, v2))
+        return np.maximum(side * self._phi_of(lo, a, b),
+                          side * self._phi_of(hi, a, b))
 
     def _setup_swapped(self) -> Optional[dict]:
         """The f2 grid and extreme phases of the swapped order, or None
@@ -668,8 +671,9 @@ class _PairEngine:
         slopes of opposite sign; every phase phi != 0 stays away from the
         zero, so each interval of D(phi) lies in one piece.  Otherwise
         ``zero`` is None and the band is one piece.  Every f1 window holds
-        f1 = 0, where phi = 0, and phi is monotone across it, so p_hi >= 0 >=
-        p_lo, strictly off the band edges and ``zero``: neither is constant.
+        f1 = 0, where phi = 0, and phi is monotone across it, so ``p[side]``,
+        side times the max (1) or min (-1), is >= 0, and > 0 off the band
+        edges and ``zero``: it is not constant (its runs: ``runs[side]``).
         """
         bk2 = self.b_k / 2
         f2d = np.linspace(-bk2, bk2, 2049)
@@ -692,26 +696,20 @@ class _PairEngine:
             return None
         if np.max(np.abs(2.0 * b * f1ext)) >= 0.5 * np.min(np.abs(a)):
             return None
-        p_hi, p_lo = self._p_end(f2d, 1), self._p_end(f2d, -1)
-        return {
-            "f2d": f2d,
-            "p_hi": p_hi,
-            "p_lo": p_lo,
-            "runs": {1: _monotone_runs(p_hi), -1: _monotone_runs(-p_lo)},
-            "zero": zero,
-        }
+        p = {side: self._p_end(f2d, side) for side in (1, -1)}
+        return {"f2d": f2d, "p": p, "zero": zero,
+                "runs": {side: _monotone_runs(q) for side, q in p.items()}}
 
     def _criticals(self, side: int) -> np.ndarray:
-        """Phase values where D(phi) changes shape: the bounds of the extreme
+        """|phi| where D(phi) changes shape: the bounds of the extreme
         phase's monotone runs (its ends and turning points) and the kinks."""
         sw = self._sw
         f2d = sw["f2d"]
-        p = sw["p_hi"] if side > 0 else sw["p_lo"]
         idx = {0} | {e for _, e, _ in sw["runs"][side]}
         kink = (self.b_k - self.b_i) / 2
         idx.update(np.flatnonzero((f2d == kink) | (f2d == -kink)).tolist())
-        vals = p[sorted(idx)]
-        return np.unique(vals[side * vals > 0.0])
+        vals = sw["p"][side][sorted(idx)]
+        return np.unique(vals[vals > 0.0])
 
     def _crossings(self, x_out, x_in, phi):
         """f2 where the extreme phase of phi's sign equals phi, per bracket.
@@ -721,8 +719,7 @@ class _PairEngine:
         falsi down to brentq's default tolerance (2e-12 + 1e-12 |x|).
         """
         def f(x, ph):
-            side = np.sign(ph)
-            return side * (self._p_end(x, side) - ph)
+            return self._p_end(x, np.sign(ph)) - np.abs(ph)
 
         root = x_in.astype(float)
         fb = f(root, phi)
@@ -752,21 +749,21 @@ class _PairEngine:
     def _domain_edges(self, phis: np.ndarray):
         """The intervals of D(phi) for every phi != 0: (owner, left, right).
 
-        On the f2 grid, D(phi) is where side * p >= side * phi, side the
-        sign of phi and p its extreme phase.  The grid values are monotone
-        between the few turning points of p, so each monotone run holds at
-        most one edge of D(phi), found for all phi of a side at once by a
-        sorted search; interior edges of both sides are then refined
-        together to the crossing of the continuous extreme phase.
+        On the f2 grid, D(phi) is where p >= |phi|, p = ``_sw["p"]`` of
+        phi's sign.  The grid values are monotone between the few turning
+        points of p, so each monotone run holds at most one edge of D(phi),
+        found for all phi of a side at once by a sorted search; interior
+        edges of both sides are then refined together to the crossing of
+        the continuous extreme phase.
         Intervals come in phi order, left to right.
         """
         sw = self._sw
         f2d = sw["f2d"]
         n = f2d.size
         r0, i0, r1, i1 = [], [], [], []
-        for side, p in ((1, sw["p_hi"]), (-1, -sw["p_lo"])):
+        for side, p in sw["p"].items():
             rows = np.flatnonzero(side * phis > 0.0)
-            level = side * phis[rows]
+            level = np.abs(phis[rows])
             for r, i, at in ((r0, i0, 0), (r1, i1, n - 1)):
                 r.append(rows[p[at] >= level])
                 i.append(np.full(r[-1].size, at))
@@ -798,8 +795,9 @@ class _PairEngine:
         return rows[keep], left[keep], right[keep]
 
     def _f2_batch(self, phis: np.ndarray, edges, nf2: int):
-        """Gather f2 Gauss nodes of D(phi) for every phi from its
-        ``_domain_edges``; flat arrays, empty when no phi has a D(phi).
+        """f2 Gauss nodes of D(phi) for every phi from its ``_domain_edges``
+        as flat arrays (phi, f2, f1 at phi, weight / |dphi/df1|, index of
+        phi), empty when no phi has a D(phi).
 
         With a zero of the slope in the band, the nodes are Gauss nodes in
         s = ln|f2 - zero|: df2 = |f2 - zero| ds cancels the 1 / |a| of the
@@ -820,7 +818,10 @@ class _PairEngine:
             nodes = zero + sign * dist
             weights = np.abs(weights) * dist
         owner = np.repeat(rows, nf2)
-        return phis[owner], nodes, weights, owner
+        phi = phis[owner]
+        a, b = self._phase_coeffs(nodes)
+        f1 = self._f1_of_phi(phi, a, b)
+        return phi, nodes, f1, weights / np.abs(a + 2.0 * b * f1), owner
 
     def _inner_part(self, edges, side: int, density: float):
         """The inner panels between consecutive |phi| ``edges``:
@@ -838,12 +839,10 @@ class _PairEngine:
 
     def _t_inner(self, phis, edges, nf2: int, weights) -> float:
         """Direct quadrature of T(phi) over the inner panels."""
-        phi_b, f2_b, w_b, owner = self._f2_batch(phis, edges, nf2)
-        a, b = self._phase_coeffs(f2_b)
-        f1 = self._f1_of_phi(phi_b, a, b)
-        ivals = self._i_of_phi(f1, f2_b, phi_b[::nf2], nf2)
-        hv = np.abs(ivals) ** 2 / np.abs(a + 2.0 * b * f1)
-        tvals = np.bincount(owner, weights=w_b * hv, minlength=phis.size)
+        phi, f2, f1, jac, owner = self._f2_batch(phis, edges, nf2)
+        ivals = self._i_of_phi(f1, f2, phi[::nf2], nf2)
+        tvals = np.bincount(owner, weights=np.abs(ivals) ** 2 * jac,
+                            minlength=phis.size)
         return float(np.sum(weights * tvals))
 
     def _outer_part(self, criticals: np.ndarray, lim: float, side: int,
@@ -852,8 +851,7 @@ class _PairEngine:
         nodes per panel, the panels' ``_phase_panels`` arguments)."""
         ps = self.phi_split
         edges = np.asarray(_octave_edges(ps, lim))
-        crit = np.abs(criticals)
-        crit = crit[(crit > ps) & (crit < lim)]
+        crit = criticals[(criticals > ps) & (criticals < lim)]
         edges = np.union1d(edges, crit)
         parts = int(math.ceil(density))
         if parts > 1:
@@ -869,11 +867,8 @@ class _PairEngine:
         """Endpoint series + Filon over the outer panels of one side: the
         ``_phase_panels`` inputs (|U|^2 + |V|^2 and U V*, over |dphi/df1|)
         are summed over f2 into each phase node."""
-        phi, f2, weight, owner = self._f2_batch(phis, edges, nf2)
-        a, b = self._phase_coeffs(f2)
-        f1 = self._f1_of_phi(phi, a, b)
+        phi, f2, f1, jac, owner = self._f2_batch(phis, edges, nf2)
         u, v = self._endpoint_uv(f1, f2, phi)
-        jac = weight / np.abs(a + 2.0 * b * f1)
         smooth = np.bincount(owner, weights=(np.abs(u) ** 2 + np.abs(v) ** 2)
                              * jac, minlength=phis.size)
         cross = u * np.conj(v) * jac
@@ -883,8 +878,8 @@ class _PairEngine:
         return float(np.sum(_phase_panels(*panels, smooth.reshape(-1, 8),
                                           ripple.reshape(-1, 8))))
 
-    def eta_swapped(self, level: int):
-        """Full 2D integral in (phi, f2) order; None if unavailable.
+    def eta_swapped(self, level: int) -> float:
+        """Full 2D integral in (phi, f2) order, where ``_sw`` is set.
 
         One edge solve serves the phase nodes of both sides and regions;
         each part then integrates in its own helper, which frees its nodes.
@@ -893,19 +888,15 @@ class _PairEngine:
         _GRADE_STEP level; the depth grows with the level so that the
         change between levels measures what the grading leaves out.
         """
-        if self._sw is None:
-            return None
         density = 1.5 ** level
         nf2 = int(round(12 * density))
         ps = self.phi_split
         parts = []  # (integrate, phase nodes, its further arguments)
-        for side in (1, -1):
-            p = self._sw["p_hi"] if side > 0 else self._sw["p_lo"]
-            lim = abs(float(p.max() if side > 0 else p.min()))
+        for side, p in self._sw["p"].items():
+            lim = float(p.max())
             crits = self._criticals(side)
             lim_in = min(ps, lim)
-            e = sorted({0.0, lim_in}
-                       | {float(abs(cv)) for cv in crits if abs(cv) < lim_in})
+            e = sorted({0.0, lim_in, *crits[crits < lim_in].tolist()})
             if self._sw["zero"] is not None:
                 # T(phi) ~ ln(1/|phi|) toward phi = 0: panels e1 2^-k
                 e = [0.0] + list(e[1] / 2.0 ** np.arange(
@@ -951,14 +942,12 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
     p_k = channel_k.launch_power_per_span[0]
     pref = (32.0 / 27.0 * span.gamma ** 2 / channel_k.bandwidth ** 2
             * (p_k / p_i) ** 2)
+    integrate = engine.eta_direct if engine._sw is None else engine.eta_swapped
     prev = None
     value = err = math.inf
     converged = False
     for level in range(spec.max_refinements + 1):
-        j2d = engine.eta_swapped(level)
-        if j2d is None:
-            j2d = engine.eta_direct(level)
-        value = pref * j2d
+        value = pref * integrate(level)
         if prev is not None:
             err = abs(value - prev)
             if err <= _REL_TOL_ETA * abs(value):
@@ -1212,8 +1201,10 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
 
     Both sides use the same fitted profile and the same span-count and
     coherence bookkeeping; frequency offsets are taken from the grid's
-    band center.  Rows left out through ``channels`` read 0 dB; a compared
-    row whose ratio is not finite raises NumericalError.
+    band center.  Rows left out through ``channels`` read 0 dB; rows
+    outside the grid or named twice raise ValidationError, rows that are
+    not integers TypeError, and a compared row whose ratio is not finite
+    raises NumericalError.
     """
     from .closedform import closed_form_terms, eta_spm, eta_xpm_pair
 
@@ -1223,8 +1214,16 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
     n = config.span_count
     eps = config.coherence_epsilon
     f_ref = grid.band_center
-    idxs = tuple(range(grid.n_channels)) if channels is None else tuple(channels)
     n_ch = grid.n_channels
+    # operator.index: a bool row is its int, not a numpy mask over every row
+    idxs = (tuple(range(n_ch)) if channels is None
+            else tuple(map(operator.index, channels)))
+    problems = [f"{what} channel(s) {bad}" for what, bad in (
+        ("out-of-range", sorted({i for i in idxs if not 0 <= i < n_ch})),
+        ("duplicate", sorted({i for i in idxs if idxs.count(i) > 1}))) if bad]
+    if problems:
+        raise ValidationError(f"rows of the {n_ch}-channel grid to compare: "
+                              + "; ".join(problems))
 
     spm_c = np.zeros(n_ch)
     spm_n = np.zeros(n_ch)

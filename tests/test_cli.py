@@ -83,7 +83,8 @@ def test_sweep_requires_range(data_dir, tmp_path, capsys):
     scenario = os.path.join(data_dir, "lumped_9ch.json")
     assert _run(["sweep", "--scenario", scenario,
                  "--out", str(tmp_path)]) == 2
-    for bad in ("nonsense", "a:b:c", "0:1:0", "1:0:1"):
+    for bad in ("nonsense", "a:b:c", "0:1:0", "1:0:1", "nan:1:1", "0:inf:1",
+                "0:1:inf", "0:1e308:1e-308"):
         assert _run(["sweep", "--scenario", scenario, "--out", str(tmp_path),
                      f"--sweep={bad}"]) == 2
     assert not (tmp_path / "sweep.csv").exists()
@@ -204,6 +205,20 @@ def test_compare_gate_pass_and_fail(tiny_compare_scenario, tmp_path):
     rc = _run(["compare", "--scenario", tiny_compare_scenario,
                "--out", str(tmp_path), "--gate-db", "1e-9"])
     assert rc == 5
+
+
+def test_compare_refuses_a_nan_gate(minimal_scenario_path, tmp_path, capsys,
+                                    monkeypatch):
+    """max |delta| > nan is False, so a NaN gate would pass any comparison:
+    it is refused with exit 2 before the solve runs."""
+    from ramangn import cli
+
+    monkeypatch.setattr(cli, "solve_power_evolution",
+                        lambda *a, **kw: pytest.fail("the link was solved"))
+    assert _run(["compare", "--scenario", minimal_scenario_path,
+                 "--out", str(tmp_path), "--gate-db", "nan"]) == 2
+    assert "--gate-db" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.csv").exists()
 
 
 def test_compare_gate_fails_on_unconverged_rows(unconverged_compare_scenario,

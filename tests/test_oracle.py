@@ -33,7 +33,8 @@ from ramangn import closedform, oracle
 from ramangn.errors import (NumericalError, ProfileDomainError,
                             ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
-                            _filon_moments, _gl_rule)
+                            _cheb_nodes_invv, _filon_rule, _gl8_fit,
+                            _gl_rule)
 from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
                              pair_offsets, profile_margin)
 
@@ -82,20 +83,27 @@ def test_gl_rule_memory_is_linear():
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 3.9, 4.1, 40.0, 4000.0])
 def test_filon_moments_match_weighted_quadrature(theta):
-    """Every moment the zeta-panel kernel uses, both sides of the split
-    between the power series and the upward recurrence."""
+    """The Filon weights of both node sets, the zeta panels' 11 Chebyshev
+    nodes and the outer phase panels' 8 Gauss nodes, integrate every power
+    up to their degree exactly against e^{j theta t}, on both sides of the
+    split between the power series and the upward recurrence."""
     from scipy.integrate import quad
 
-    moments = _filon_moments(np.array([theta]), _N_ZETA_DEG)[:, 0]
-    for m in range(_N_ZETA_DEG + 1):
-        if theta == 0.0:
-            re = (1.0 + (-1.0) ** m) / (m + 1)
-            im = 0.0
-        else:
-            re = quad(lambda t: t ** m, -1, 1, weight="cos", wvar=theta)[0]
-            im = quad(lambda t: t ** m, -1, 1, weight="sin", wvar=theta)[0]
-        assert moments[m].real == pytest.approx(re, abs=1e-13)
-        assert moments[m].imag == pytest.approx(im, abs=1e-13)
+    for t, inv_v in (_cheb_nodes_invv(_N_ZETA_DEG + 1),
+                     (_gl_rule(8)[0], _gl8_fit())):
+        w = _filon_rule(np.array([theta]), inv_v)[0]
+        for m in range(t.size):
+            if theta == 0.0:
+                re = (1.0 + (-1.0) ** m) / (m + 1)
+                im = 0.0
+            else:
+                re = quad(lambda x: x ** m, -1, 1, weight="cos",
+                          wvar=theta)[0]
+                im = quad(lambda x: x ** m, -1, 1, weight="sin",
+                          wvar=theta)[0]
+            moment = np.sum(w * t ** m)
+            assert moment.real == pytest.approx(re, abs=1e-13), (t.size, m)
+            assert moment.imag == pytest.approx(im, abs=1e-13), (t.size, m)
 
 
 def test_zeta_kernel_matches_adaptive_quadrature(fixed_params,
@@ -138,10 +146,9 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
     assert engine._sw is not None
     f2d = engine._sw["f2d"]
     phis = []
-    for side in (1, -1):
-        p = engine._sw["p_hi"] if side > 0 else engine._sw["p_lo"]
+    for side, p in engine._sw["p"].items():  # side times the extreme phase
         grid = np.linspace(p.min(), p.max(), 301)
-        phis.append(grid[side * grid > 0.0])
+        phis.append(side * grid[grid > 0.0])
     phis = np.concatenate(phis)
     assert (np.abs(phis) < engine.phi_split).any()
     assert (np.abs(phis) > engine.phi_split).any()
@@ -149,15 +156,14 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
     expected = []
     for j, phi in enumerate(phis):
         side = 1 if phi > 0.0 else -1
-        p = engine._sw["p_hi"] if side > 0 else engine._sw["p_lo"]
-        inside = np.flatnonzero(side * p >= side * phi)
+        inside = np.flatnonzero(engine._sw["p"][side] >= side * phi)
         runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
         for run in runs:
             if run.size == 0:
                 continue
 
             def gap(x, phi=phi, side=side):
-                return float(engine._p_end(x, side)) - phi
+                return float(engine._p_end(x, side)) - side * phi
 
             i0, i1 = run[0], run[-1]
             lo = f2d[i0] if i0 == 0 else brentq(
@@ -172,6 +178,21 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
                                rtol=2e-12, atol=4e-12)
     np.testing.assert_allclose(right, [e[2] for e in expected],
                                rtol=2e-12, atol=4e-12)
+
+
+def test_f1_of_phi_without_curvature_is_phi_over_a(fixed_params,
+                                                   reference_span):
+    """With b = 0 (beta3 = 0) the general root 2 phi / (a + sign(a)
+    sqrt(a^2 + 4 b phi)) is phi / a bit for bit, since sqrt(a * a) is |a|
+    exactly in IEEE arithmetic; SPM's slope a takes both signs."""
+    ch = _channel(19)
+    engine = _PairEngine(TaylorProfile(fixed_params, _L), reference_span, ch,
+                         ch, _F_REF)
+    rng = np.random.default_rng(3)
+    a = engine._phase_coeffs(rng.uniform(-50e9, 50e9, 1000))[0]
+    assert (a > 0.0).any() and (a < 0.0).any()
+    phi = rng.uniform(-3.0, 3.0, a.size) * engine.phi_split
+    assert engine._f1_of_phi(phi, a, 0 * a).tobytes() == (phi / a).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +258,7 @@ def test_swapped_and_direct_integration_orders_agree(fixed_params,
     spec = QuadratureSpec(max_refinements=1)
     default = eta_xpm_numeric(_channel(19), _channel(25), rho,
                               reference_span, spec, f_ref=_F_REF)
-    monkeypatch.setattr(_PairEngine, "eta_swapped",
-                        lambda self, level: None)
+    monkeypatch.setattr(_PairEngine, "_setup_swapped", lambda self: None)
     fallback = eta_xpm_numeric(_channel(19), _channel(25), rho,
                                reference_span, spec, f_ref=_F_REF)
     assert default.converged and fallback.converged
@@ -293,8 +313,7 @@ def test_spm_split_order_matches_direct_order(fixed_params, reference_span,
     spec = QuadratureSpec(max_refinements=1)
     split = eta_spm_numeric(_channel(i), rho, reference_span, spec,
                             f_ref=_F_REF)
-    monkeypatch.setattr(_PairEngine, "eta_swapped",
-                        lambda self, level: None)
+    monkeypatch.setattr(_PairEngine, "_setup_swapped", lambda self: None)
     direct = eta_spm_numeric(_channel(i), rho, reference_span, spec,
                              f_ref=_F_REF)
     assert split.converged and direct.converged
@@ -564,6 +583,40 @@ def test_compare_reports_unconverged_rows(lumped_scenario, monkeypatch):
     assert report.to_csv().splitlines()[0] == (
         "channel,f_i_hz,eta_closed_per_w2,eta_numeric_per_w2,delta_db,"
         "quadrature_error_estimate")
+
+
+def test_compare_refuses_duplicate_and_out_of_range_rows(lumped_scenario,
+                                                         monkeypatch):
+    """Rows asked for twice or outside the 9-channel grid are refused,
+    every one named, before any oracle call."""
+    link = lumped_scenario.link
+    calls = []
+    _stub_oracle(monkeypatch, link, lambda i, k: calls.append((i, k)))
+    monkeypatch.setattr(oracle, "eta_spm_numeric",
+                        lambda *a, **kw: calls.append(a))
+    for channels, named in (
+            ((4, 4), r"9-channel grid.*: duplicate channel\(s\) \[4\]$"),
+            ((9,), r": out-of-range channel\(s\) \[9\]$"),
+            ((-1,), r": out-of-range channel\(s\) \[-1\]$"),
+            ((2, 9, 2, -1, 3, 3), r"out-of-range channel\(s\) \[-1, 9\]; "
+                                  r"duplicate channel\(s\) \[2, 3\]$")):
+        with pytest.raises(ValidationError, match=named):
+            oracle.compare_closed_vs_oracle(link, _flat_fit(link),
+                                            channels=channels)
+    assert calls == []
+
+
+def test_compare_rows_are_integer_indices(lumped_scenario, monkeypatch):
+    """A bool row is the integer it equals, not a numpy mask that writes
+    every row's XPM, and a float row is refused."""
+    link = lumped_scenario.link
+    _stub_oracle(monkeypatch, link, lambda i, k: EtaEstimate(0.5, 0.0, True))
+    report = oracle.compare_closed_vs_oracle(link, _flat_fit(link),
+                                             channels=(True,))
+    assert np.flatnonzero(report.eta_numeric).tolist() == [1]
+    with pytest.raises(TypeError):
+        oracle.compare_closed_vs_oracle(link, _flat_fit(link),
+                                        channels=(1.5,))
 
 
 def test_compare_contracts_each_channel_once(lumped_scenario,

@@ -1,18 +1,26 @@
-"""List the lines of ``src/ramangn`` that a pytest run never executes.
+"""List the lines of ``src/ramangn`` that a pytest run, or the CLI's own
+commands, never execute.
 
 Run from the repository root:
 
     python tools/linetrace.py            # the tier-1 suite
     python tools/linetrace.py tests/test_domain.py -x
+    python tools/linetrace.py --commands
 
 Arguments go to pytest unchanged (default ``-q``; the test paths come
-from ``pyproject.toml``).  The tests run in this process under
-``sys.settrace``; only frames of code in ``src/ramangn`` are traced line
-by line.  A line is executable when some code object compiled from the
-file lists it in ``co_lines()``.  Every executable line that never ran is
-printed as ``path:line: source``, then a count.  Child processes get
-``src`` on their ``PYTHONPATH`` but are not traced: code they alone run
-counts as not run.
+from ``pyproject.toml``).  With ``--commands`` alone, no test runs:
+``ramangn.cli.main`` runs ``solve``, ``fit``, ``nli`` and ``sweep
+--sweep=-2:2:1`` on every scenario in ``tests/data`` (each JSON file with
+a ``span``) and ``compare`` on ``minimal.json`` and ``lumped_9ch.json``,
+writing into a temporary directory; each command's exit status is printed
+in place of its output.  What these leave unrun is the code that only
+tests, library calls and refusals reach.  Either way the code runs in
+this process under ``sys.settrace``; only frames of code in
+``src/ramangn`` are traced line by line.  A line is executable when some
+code object compiled from the file lists it in ``co_lines()``.  Every
+executable line that never ran is printed as ``path:line: source``, then
+a count.  Child processes get ``src`` on their ``PYTHONPATH`` but are not
+traced: code they alone run counts as not run.
 
 Exit status: pytest's, if it is not 0; else 1 if some line never ran;
 else 0.  The traced suite takes about 1.5 times as long.
@@ -20,8 +28,12 @@ else 0.  The traced suite takes about 1.5 times as long.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import threading
 import types
 
@@ -30,6 +42,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "ramangn")
+DATA = os.path.join(ROOT, "tests", "data")
 
 
 def executable_lines(path: str) -> set:
@@ -104,16 +117,52 @@ class LineTrace:
         return out, total
 
 
+def commands() -> list:
+    """The CLI argument lists of ``--commands``, without ``--out``."""
+    scenarios = []
+    for name in sorted(os.listdir(DATA)):
+        if name.endswith(".json"):
+            with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+                if "span" in json.load(fh):
+                    scenarios.append(os.path.join("tests", "data", name))
+    runs = [cmd + ["--scenario", path] for path in scenarios
+            for cmd in (["solve"], ["fit"], ["nli"],
+                        ["sweep", "--sweep=-2:2:1"])]
+    return runs + [["compare", "--scenario",
+                    os.path.join("tests", "data", name)]
+                   for name in ("minimal.json", "lumped_9ch.json")]
+
+
+def run_commands(trace: LineTrace) -> None:
+    """Run ``commands()`` through ``ramangn.cli.main`` under the trace."""
+    os.chdir(ROOT)
+    with tempfile.TemporaryDirectory() as out:
+        trace.start()
+        try:
+            from ramangn.cli import main as cli_main
+            for argv in commands():
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    status = cli_main(argv + ["--out", out])
+                print(f"exit {status}: ramangn {' '.join(argv)}")
+        finally:
+            trace.stop()
+
+
 def main(argv) -> int:
     sys.path.insert(0, SRC)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     trace = LineTrace()
-    trace.start()
-    try:
-        status = int(pytest.main(list(argv) or ["-q"], plugins=[trace]))
-    finally:  # pytest may end before the session does
-        trace.stop()
+    if list(argv) == ["--commands"]:
+        run_commands(trace)
+        status = 0
+    else:
+        trace.start()
+        try:
+            status = int(pytest.main(list(argv) or ["-q"], plugins=[trace]))
+        finally:  # pytest may end before the session does
+            trace.stop()
     unrun, total = trace.unrun()
     for path, line, text in unrun:
         print(f"{os.path.relpath(path, ROOT)}:{line}: {text}")
