@@ -161,6 +161,8 @@ def cmd_compare(scenario: Scenario, args) -> int:
 
 
 def _parse_sweep(text: str):
+    """The offsets lo, lo + step, ... up to hi, at most 10001 of them (0.01
+    dB steps over 100 dB); the count is checked before any is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ScenarioError(f"--sweep expects lo:hi:step, got {text!r}")
@@ -177,10 +179,12 @@ def _parse_sweep(text: str):
         raise ScenarioError(
             f"--sweep's offset count (hi - lo) / step is not finite: {text!r}")
     count = int(round(count))
-    offsets = [lo + j * step for j in range(count + 1)]
-    if offsets[-1] > hi + 1e-9:
-        offsets.pop()
-    return offsets
+    if lo + count * step > hi + 1e-9:  # stop short of hi
+        count -= 1
+    if count >= 10001:
+        raise ScenarioError(f"--sweep asks for {count + 1} offsets, more "
+                            f"than the 10001 allowed: {text!r}")
+    return [lo + j * step for j in range(count + 1)]
 
 
 def _scaled_link(link: LinkConfig, scale: float) -> LinkConfig:

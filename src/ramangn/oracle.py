@@ -11,12 +11,14 @@ The 2D eta integrals are highly oscillatory (phase phi * zeta with phi L up to
 rule (exact integration of a local polynomial fit of the smooth profile factor
 against e^{j phi zeta}; the weights of a block of phases are one complex
 array).  Where the phase is monotone in f1 over each piece of the band, the
-spectral integral runs in the swapped (phi, f2) order, one edge solve per
-level finding every phase node's f2 range, and switches, beyond a phase-rate
-threshold, to an integration-by-parts endpoint expansion whose smooth and
-single-ripple parts are integrated separately, the ripple by a Filon rule in
-phi (both Filon rules take their weights from ``_filon_rule``); other pairs
-take one tensor Gauss-Legendre rule in (f1, f2).  Every node count grows with
+spectral integral runs in the swapped (phi, f2) order.  There the extreme
+phase of the f1 window is a quadratic in f2 on each monotone run, so the
+edges of every phase node's f2 range are closed-form roots; beyond a
+phase-rate threshold the order switches to an integration-by-parts endpoint
+expansion whose smooth and single-ripple parts are integrated separately,
+the ripple by a Filon rule in phi (both Filon rules take their weights from
+``_filon_rule``).  Other pairs take one tensor Gauss-Legendre rule in (f1,
+f2).  Every node count grows with
 the refinement level, and the change between two levels is reported as the
 error estimate; an estimate refines until that change meets ``_REL_TOL_ETA``,
 which every SPM and XPM estimate of the reference grid does at the first
@@ -284,22 +286,6 @@ def _gl_size(n: float) -> int:
     return 32 * int(math.ceil(n / 32))
 
 
-def _monotone_runs(p: np.ndarray):
-    """Index ranges [s, e] on which p is monotone: [(s, e, rising), ...].
-
-    Consecutive runs share their end point; flat steps belong to the run
-    they sit in.  ``p`` must not be constant.
-    """
-    step = np.sign(np.diff(p))
-    moving = np.flatnonzero(step)
-    last = np.searchsorted(moving, np.arange(step.size), side="right") - 1
-    step = step[moving[np.maximum(last, 0)]]
-    bounds = np.concatenate([[0], np.flatnonzero(step[1:] != step[:-1]) + 1,
-                             [p.size - 1]])
-    return [(int(s), int(e), bool(step[s] > 0))
-            for s, e in zip(bounds[:-1], bounds[1:])]
-
-
 def _phase_panels(h, phase_c, theta, smooth, cross):
     """Contributions of outer phase panels from their 8 Gauss-node values.
 
@@ -354,9 +340,10 @@ class _PairEngine:
     and the direct (f1, f2) order, one tensor Gauss rule (``eta_direct``).
     The constructor builds what every refinement level shares; ``_sw`` is
     None where the swapped order does not apply, which picks the order.
-    ``_sw["p"][side]`` is each side's extreme phase times the side, so
-    phase bounds are |phi|.  A swapped level solves the f2 edges of all its
-    phase nodes in one pass (``_domain_edges``).
+    ``_sw["runs"][side]`` holds the monotone runs of each side's extreme
+    phase times the side, one quadratic in f2 each, so phase bounds are
+    |phi|; a swapped level takes the f2 edges of all its phase nodes from
+    them in one pass (``_domain_edges``).
     The phase slope vanishes with d2 = f2 + f_k - f_i, so SPM's band
     splits at f2 = 0 into two pieces (``_setup_swapped``); XPM's band is
     one piece.
@@ -420,7 +407,9 @@ class _PairEngine:
         return a * f1 + b * f1 * f1
 
     def _f1_of_phi(self, phi, a, b):
-        disc = np.sqrt(a * a + 4.0 * b * phi)
+        # the root that stays finite as b -> 0; a phase within rounding of a
+        # vertex can take the discriminant just below 0
+        disc = np.sqrt(np.maximum(a * a + 4.0 * b * phi, 0.0))
         return 2.0 * phi / (a + np.sign(a) * disc)
 
     def _f2_window(self, f1):
@@ -662,136 +651,102 @@ class _PairEngine:
                           side * self._phi_of(hi, a, b))
 
     def _setup_swapped(self) -> Optional[dict]:
-        """The f2 grid and extreme phases of the swapped order, or None
-        where phi(f1) is not monotone with one slope sign over each piece.
+        """The monotone runs of the extreme phase in f2, or None where
+        phi(f1) is not monotone with one slope sign over each piece.
 
         The phase slope a(f2) and curvature b(f2) share the factor d2 =
         f2 + f_k - f_i.  Where d2 vanishes inside the band (SPM, at f2 =
         0), ``zero`` is that f2 and it splits the band into two pieces with
         slopes of opposite sign; every phase phi != 0 stays away from the
         zero, so each interval of D(phi) lies in one piece.  Otherwise
-        ``zero`` is None and the band is one piece.  Every f1 window holds
-        f1 = 0, where phi = 0, and phi is monotone across it, so ``p[side]``,
-        side times the max (1) or min (-1), is >= 0, and > 0 off the band
-        edges and ``zero``: it is not constant (its runs: ``runs[side]``).
+        ``zero`` is None.  The slope test reads the cuts of the band: its
+        ends, the kinks +-(B_k - B_i)/2 where the f1 window changes the
+        bound that clips it, and ``zero``.  Between two cuts the active
+        window end is f1 = const or f1 + f2 = const, so the extreme phase
+        is a quadratic in f2, read from its values at the piece's ends and
+        midpoint and split at its vertex.  Every f1 window holds f1 = 0,
+        where phi = 0, so side times the max (1) or min (-1) is >= 0.
+        ``runs[side]`` holds one monotone run per row, (start, end, x0,
+        p(x0), p'(x0), p''/2), expanded about the end x0 away from the
+        vertex, and ``p[side]`` the values at the run bounds, in f2 order.
         """
         bk2 = self.b_k / 2
-        f2d = np.linspace(-bk2, bk2, 2049)
         kink = (self.b_k - self.b_i) / 2
         zero = self.fi_off - self.fk_off
         if not -bk2 < zero < bk2:
             zero = None
-        extras = [v for v in (kink, -kink, zero)
-                  if v is not None and -bk2 < v < bk2]
-        if extras:
-            f2d = np.union1d(f2d, extras)
-        a, b = self._phase_coeffs(f2d)
-        lo, hi = self._f1_window(f2d)
+        cuts = np.unique([-bk2, bk2] + [v for v in (kink, -kink, zero)
+                                        if v is not None and -bk2 < v < bk2])
+        a, b = self._phase_coeffs(cuts)
+        lo, hi = self._f1_window(cuts)
         f1ext = np.maximum(np.abs(lo), np.abs(hi))
         if zero is not None:  # check the pieces' slopes with d2 divided out
-            d2 = f2d + self.fk_off - self.fi_off
+            d2 = cuts + self.fk_off - self.fi_off
             keep = d2 != 0.0
             a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
         if np.any(a == 0.0) or a.max() * a.min() < 0.0:
             return None
         if np.max(np.abs(2.0 * b * f1ext)) >= 0.5 * np.min(np.abs(a)):
             return None
-        p = {side: self._p_end(f2d, side) for side in (1, -1)}
-        return {"f2d": f2d, "p": p, "zero": zero,
-                "runs": {side: _monotone_runs(q) for side, q in p.items()}}
-
-    def _criticals(self, side: int) -> np.ndarray:
-        """|phi| where D(phi) changes shape: the bounds of the extreme
-        phase's monotone runs (its ends and turning points) and the kinks."""
-        sw = self._sw
-        f2d = sw["f2d"]
-        idx = {0} | {e for _, e, _ in sw["runs"][side]}
-        kink = (self.b_k - self.b_i) / 2
-        idx.update(np.flatnonzero((f2d == kink) | (f2d == -kink)).tolist())
-        vals = sw["p"][side][sorted(idx)]
-        return np.unique(vals[vals > 0.0])
-
-    def _crossings(self, x_out, x_in, phi):
-        """f2 where the extreme phase of phi's sign equals phi, per bracket.
-
-        Each bracket [x_out, x_in] has x_out outside and x_in inside D(phi);
-        the roots are refined together by the Illinois variant of regula
-        falsi down to brentq's default tolerance (2e-12 + 1e-12 |x|).
-        """
-        def f(x, ph):
-            return self._p_end(x, np.sign(ph)) - np.abs(ph)
-
-        root = x_in.astype(float)
-        fb = f(root, phi)
-        idx = np.flatnonzero(fb != 0.0)
-        a, b, ph, fb = x_out[idx].astype(float), root[idx], phi[idx], fb[idx]
-        fa = f(a, ph)
-        last = np.zeros(idx.size)  # +1 / -1: previous step moved b / a
-        for _ in range(100):
-            if idx.size == 0:
-                break
-            c = (a * fb - b * fa) / (fb - fa)
-            fc = f(c, ph)
-            root[idx] = c
-            on_b = fc * fb > 0.0
-            on_a = fc * fa > 0.0
-            # an end kept twice in a row has its function value halved
-            fa = np.where(on_b & (last > 0), 0.5 * fa, fa)
-            fb = np.where(on_a & (last < 0), 0.5 * fb, fb)
-            a, fa = np.where(on_a, c, a), np.where(on_a, fc, fa)
-            b, fb = np.where(on_b, c, b), np.where(on_b, fc, fb)
-            last = on_b * 1.0 - on_a
-            more = (fc != 0.0) & (np.abs(b - a) > 2e-12 + 1e-12 * np.abs(c))
-            idx, a, b, fa, fb, ph, last = (
-                v[more] for v in (idx, a, b, fa, fb, ph, last))
-        return root
+        mid, h = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+        runs, bound_p = {}, {}
+        for side in (1, -1):
+            pc, pm = self._p_end(cuts, side), self._p_end(mid, side)
+            slope = (pc[1:] - pc[:-1]) / (2.0 * h)  # p' at the midpoint
+            curv = (0.5 * (pc[1:] + pc[:-1]) - pm) / (h * h)  # p'' / 2
+            turn = (slope - 2.0 * curv * h) * (slope + 2.0 * curv * h) < 0.0
+            x = np.concatenate([cuts, mid[turn] - slope[turn]
+                                / (2.0 * curv[turn])])
+            p = np.concatenate([pc, pm[turn] - slope[turn] ** 2
+                                / (4.0 * curv[turn])])
+            order = np.argsort(x)
+            x, p = x[order], p[order]
+            piece = np.searchsorted(cuts, x[:-1], side="right") - 1
+            dp0, dp1 = (slope[piece] + 2.0 * curv[piece] * (end - mid[piece])
+                        for end in (x[:-1], x[1:]))
+            at_start = np.abs(dp0) >= np.abs(dp1)  # x0 away from the vertex
+            runs[side] = np.column_stack([
+                x[:-1], x[1:], np.where(at_start, x[:-1], x[1:]),
+                np.where(at_start, p[:-1], p[1:]),
+                np.where(at_start, dp0, dp1), curv[piece]])
+            bound_p[side] = p
+        return {"zero": zero, "runs": runs, "p": bound_p}
 
     def _domain_edges(self, phis: np.ndarray):
         """The intervals of D(phi) for every phi != 0: (owner, left, right).
 
-        On the f2 grid, D(phi) is where p >= |phi|, p = ``_sw["p"]`` of
-        phi's sign.  The grid values are monotone between the few turning
-        points of p, so each monotone run holds at most one edge of D(phi),
-        found for all phi of a side at once by a sorted search; interior
-        edges of both sides are then refined together to the crossing of
-        the continuous extreme phase.
+        D(phi) is where p > |phi|, p the extreme phase of phi's sign.  Its
+        edges are band ends and the crossings of |phi| inside the runs
+        whose bound values lie on either side of it: the run's quadratic
+        root ``_f1_of_phi(|phi| - p(x0), p'(x0), p''/2)`` about x0, clipped
+        to the run.  Along f2 the edges of one phi alternate, entering
+        first, so consecutive edges pair into intervals, joined across the
+        run bounds inside D(phi).
         Intervals come in phi order, left to right.
         """
-        sw = self._sw
-        f2d = sw["f2d"]
-        n = f2d.size
-        r0, i0, r1, i1 = [], [], [], []
-        for side, p in sw["p"].items():
-            rows = np.flatnonzero(side * phis > 0.0)
-            level = np.abs(phis[rows])
-            for r, i, at in ((r0, i0, 0), (r1, i1, n - 1)):
-                r.append(rows[p[at] >= level])
-                i.append(np.full(r[-1].size, at))
-            for s, e, rising in sw["runs"][side]:
-                if rising:  # D is a suffix of the run: its first index
-                    j = s + np.searchsorted(p[s:e + 1], level)
-                    hit = (j > s) & (j <= e)
-                    r0.append(rows[hit])
-                    i0.append(j[hit])
-                else:  # D is a prefix of the run: its last index
-                    j = e - np.searchsorted(p[s:e + 1][::-1], level)
-                    hit = (j >= s) & (j < e)
-                    r1.append(rows[hit])
-                    i1.append(j[hit])
-        r0, i0, r1, i1 = (np.concatenate(v) for v in (r0, i0, r1, i1))
-        o0, o1 = np.lexsort((i0, r0)), np.lexsort((i1, r1))
-        rows, i0, i1 = r0[o0], i0[o0], i1[o1]
-        # interior edges lie between a grid point inside D and its
-        # neighbour outside; both ends are refined in one batch
-        cut0, cut1 = i0 > 0, i1 < n - 1
-        edges = self._crossings(
-            f2d[np.concatenate([i0[cut0] - 1, i1[cut1] + 1])],
-            f2d[np.concatenate([i0[cut0], i1[cut1]])],
-            phis[np.concatenate([rows[cut0], rows[cut1]])])
-        left, right = f2d[i0], f2d[i1]
-        left[cut0] = edges[:np.count_nonzero(cut0)]
-        right[cut1] = edges[np.count_nonzero(cut0):]
-        keep = right > left
+        rows, left, right = [], [], []
+        for side, runs in self._sw["runs"].items():
+            n = runs.shape[0]
+            owner = np.flatnonzero(side * phis > 0.0)
+            level = np.abs(phis[owner])
+            # column c + 1 is run bound c; columns 0 and n + 2 lie past the
+            # band, outside D.  A change between columns j and j + 1 is in
+            # run j - 1, or at a band end (j = 0 or n + 1).
+            inside = np.zeros((owner.size, n + 3), dtype=bool)
+            inside[:, 1:-1] = self._sw["p"][side] > level[:, None]
+            r, j = np.nonzero(inside[:, 1:] != inside[:, :-1])
+            start, end, x0, p0, dp, curv = runs[np.clip(j - 1, 0, n - 1)].T
+            edge = np.where(j == 0, start, end)
+            cross = (j > 0) & (j <= n)
+            edge[cross] = np.clip(x0[cross] + self._f1_of_phi(
+                level[r[cross]] - p0[cross], dp[cross], curv[cross]),
+                start[cross], end[cross])
+            rows.append(owner[r[0::2]])
+            left.append(edge[0::2])
+            right.append(edge[1::2])
+        rows, left, right = (np.concatenate(v) for v in (rows, left, right))
+        order = np.argsort(rows, kind="stable")
+        keep = order[right[order] > left[order]]
         return rows[keep], left[keep], right[keep]
 
     def _f2_batch(self, phis: np.ndarray, edges, nf2: int):
@@ -881,8 +836,10 @@ class _PairEngine:
     def eta_swapped(self, level: int) -> float:
         """Full 2D integral in (phi, f2) order, where ``_sw`` is set.
 
-        One edge solve serves the phase nodes of both sides and regions;
-        each part then integrates in its own helper, which frees its nodes.
+        One ``_domain_edges`` call serves the phase nodes of both sides and
+        regions; each part then integrates in its own helper, which frees
+        its nodes.  The phase panels break at the extreme phase's values at
+        the run bounds, where D(phi) changes shape, and end at its maximum.
         With a zero of the slope in the band, the inner segment [0, e1]
         becomes panels with edges 0 and e1 2^-k, k = 0.._GRADE_DEPTH +
         _GRADE_STEP level; the depth grows with the level so that the
@@ -894,7 +851,7 @@ class _PairEngine:
         parts = []  # (integrate, phase nodes, its further arguments)
         for side, p in self._sw["p"].items():
             lim = float(p.max())
-            crits = self._criticals(side)
+            crits = np.unique(p[p > 0.0])  # where D(phi) changes shape
             lim_in = min(ps, lim)
             e = sorted({0.0, lim_in, *crits[crits < lim_in].tolist()})
             if self._sw["zero"] is not None:

@@ -90,6 +90,35 @@ def test_sweep_requires_range(data_dir, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_offset_count_is_bounded():
+    """10001 offsets, 0.01 dB steps over 100 dB, are the most a sweep
+    takes; more are refused from the count alone, before any is built."""
+    from ramangn.cli import _parse_sweep
+    from ramangn.errors import ScenarioError
+
+    assert len(_parse_sweep("0:100:0.01")) == 10001
+    for text, count in (("0:100.01:0.01", 10002), ("0:1e5:1", 100001)):
+        with pytest.raises(ScenarioError,
+                           match=rf"--sweep asks for {count} offsets"):
+            _parse_sweep(text)
+
+
+def test_sweep_refuses_too_many_offsets_before_the_solve(
+        minimal_scenario_path, tmp_path, capsys, monkeypatch):
+    """A million offsets exit 2 on their count alone: the link is never
+    solved, and no traceback or sweep.csv is written."""
+    from ramangn import cli
+
+    monkeypatch.setattr(cli, "solve_power_evolution",
+                        lambda *a, **kw: pytest.fail("the link was solved"))
+    assert _run(["sweep", "--scenario", minimal_scenario_path,
+                 "--out", str(tmp_path), "--sweep=0:1e6:1"]) == 2
+    err = capsys.readouterr().err
+    assert "--sweep asks for 1000001 offsets" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_stops_at_hi(data_dir, tmp_path):
     """A step that does not divide hi - lo stops short of hi."""
     scenario = os.path.join(data_dir, "lumped_9ch.json")

@@ -41,6 +41,7 @@ from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
 from conftest import ALPHA_02_DB_KM
 
 _L = 80e3
+_EPS = np.finfo(float).eps
 _F_REF = 193.4e12  # band center of the 40 x 100 GHz reference grid
 
 
@@ -131,53 +132,124 @@ def test_zeta_kernel_matches_adaptive_quadrature(fixed_params,
         assert abs(grouped[n]) ** 2 == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("pair", [(19, 25), (25, 19), (0, 39)])
+def _pair_engine(params, span, pair):
+    """Engine of pair (i, k) or (i, k, B_i, B_k) of the reference grid."""
+    i, k, b_i, b_k = pair if len(pair) == 4 else pair + (100e9, 100e9)
+    return _PairEngine(TaylorProfile(params, _L), span,
+                       replace(_channel(i), bandwidth=b_i),
+                       replace(_channel(k), bandwidth=b_k), _F_REF)
+
+
+def _band_cuts(engine):
+    """The band ends, the kinks +-(B_k - B_i)/2 and the zero of d2 that
+    lie in the band."""
+    half, kink = engine.b_k / 2, (engine.b_k - engine.b_i) / 2
+    inner = [v for v in (kink, -kink, engine.fi_off - engine.fk_off)
+             if -half < v < half]
+    return np.unique([-half, half] + inner)
+
+
+# XPM of one piece, SPM of two, and a 32 GHz channel under a 100 GHz
+# interferer: three pieces, split at the kinks +-34 GHz
+_EDGE_PAIRS = [(19, 25), (25, 19), (0, 39), (0, 0), (19, 19), (39, 39),
+               (19, 25, 32e9, 100e9)]
+
+
+@pytest.mark.parametrize("pair", _EDGE_PAIRS)
 def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
                                                pair):
     """The D(phi) edges of both sides, inner and outer phases alike, from
     the one call that a refinement level makes, against a per-phase scan
-    of the f2 grid with brentq on the continuous extreme phase."""
+    of 8193 f2 points and the cuts, with brentq on the continuous extreme
+    phase at machine tolerance: within 1e-13 of the half-band.  Without
+    the cuts the scan misses the interval that a phase just below a kink
+    maximum leaves."""
     from scipy.optimize import brentq
 
-    i, k = pair
-    rho = TaylorProfile(fixed_params, _L)
-    engine = _PairEngine(rho, reference_span, _channel(i), _channel(k),
-                         _F_REF)
+    engine = _pair_engine(fixed_params, reference_span, pair)
     assert engine._sw is not None
-    f2d = engine._sw["f2d"]
-    phis = []
-    for side, p in engine._sw["p"].items():  # side times the extreme phase
-        grid = np.linspace(p.min(), p.max(), 301)
-        phis.append(side * grid[grid > 0.0])
-    phis = np.concatenate(phis)
+    scan = np.union1d(np.linspace(-engine.b_k / 2, engine.b_k / 2, 8193),
+                      _band_cuts(engine))
+    p_scan = {side: engine._p_end(scan, side) for side in (1, -1)}
+    phis = np.concatenate([side * np.linspace(0.0, p.max(), 302)[1:-1]
+                           for side, p in p_scan.items()])
     assert (np.abs(phis) < engine.phi_split).any()
     assert (np.abs(phis) > engine.phi_split).any()
     rows, left, right = engine._domain_edges(phis)
     expected = []
     for j, phi in enumerate(phis):
         side = 1 if phi > 0.0 else -1
-        inside = np.flatnonzero(engine._sw["p"][side] >= side * phi)
-        runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
-        for run in runs:
-            if run.size == 0:
-                continue
+        inside = np.flatnonzero(p_scan[side] > side * phi)
+        for run in np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1):
 
             def gap(x, phi=phi, side=side):
                 return float(engine._p_end(x, side)) - side * phi
 
             i0, i1 = run[0], run[-1]
-            lo = f2d[i0] if i0 == 0 else brentq(
-                gap, f2d[i0 - 1], f2d[i0], rtol=1e-12)
-            hi = f2d[i1] if i1 == f2d.size - 1 else brentq(
-                gap, f2d[i1], f2d[i1 + 1], rtol=1e-12)
-            if hi > lo:
-                expected.append((j, lo, hi))
+            lo = scan[i0] if i0 == 0 else brentq(
+                gap, scan[i0 - 1], scan[i0], xtol=1e-300, rtol=4 * _EPS)
+            hi = scan[i1] if i1 == scan.size - 1 else brentq(
+                gap, scan[i1], scan[i1 + 1], xtol=1e-300, rtol=4 * _EPS)
+            expected.append((j, lo, hi))
     assert rows.tolist() == [e[0] for e in expected]
-    # both solvers stop within 2e-12 + 1e-12 |x| of the root
-    np.testing.assert_allclose(left, [e[1] for e in expected],
-                               rtol=2e-12, atol=4e-12)
-    np.testing.assert_allclose(right, [e[2] for e in expected],
-                               rtol=2e-12, atol=4e-12)
+    tol = 1e-13 * engine.b_k / 2
+    np.testing.assert_allclose(left, [e[1] for e in expected], rtol=0.0,
+                               atol=tol)
+    np.testing.assert_allclose(right, [e[2] for e in expected], rtol=0.0,
+                               atol=tol)
+
+
+def _grid_applies(engine):
+    """The swapped order's slope test as it read a 2049-point f2 grid with
+    the cuts: one slope sign over each piece, with d2 divided out only
+    where its zero lies in the band, and a curvature term 2 b f1 below
+    half the least slope."""
+    half = engine.b_k / 2
+    f2 = np.union1d(np.linspace(-half, half, 2049), _band_cuts(engine))
+    a, b = engine._phase_coeffs(f2)
+    lo, hi = engine._f1_window(f2)
+    f1ext = np.maximum(np.abs(lo), np.abs(hi))
+    if -half < engine.fi_off - engine.fk_off < half:
+        d2 = f2 + engine.fk_off - engine.fi_off
+        keep = d2 != 0.0
+        a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
+    return bool(np.all(a != 0.0) and a.max() * a.min() >= 0.0
+                and np.max(np.abs(2.0 * b * f1ext)) < 0.5 * np.min(np.abs(a)))
+
+
+def test_extreme_phase_runs_are_exact_quadratics(fixed_params,
+                                                 reference_span):
+    """Each monotone run's quadratic, expanded about its x0, reproduces the
+    extreme phase on a dense scan to 1e-13 of its largest value, and the
+    scan is monotone inside every run, on the edge test's pairs and at
+    beta3 x 35.  The order decision read at the cuts equals the test read
+    on a 2049-point grid for rows 0, 19 and 39 against every k, at beta2 of
+    -21.7, -5, -2, -0.5, 0 and +0.5 ps^2/km."""
+    for span in (reference_span,
+                 replace(reference_span, beta3=35 * reference_span.beta3)):
+        for pair in _EDGE_PAIRS:
+            engine = _pair_engine(fixed_params, span, pair)
+            for side, runs in engine._sw["runs"].items():
+                bounds = engine._sw["p"][side]
+                assert bounds.size == runs.shape[0] + 1
+                top = bounds.max()
+                for start, end, x0, p0, dp, curv in runs:
+                    x = np.linspace(start, end, 513)
+                    p = engine._p_end(x, side)
+                    quad = p0 + dp * (x - x0) + curv * (x - x0) ** 2
+                    assert np.max(np.abs(quad - p)) <= 1e-13 * top, pair
+                    step = np.diff(p) * np.sign(dp)
+                    assert np.all(step >= -1e-15 * top), pair
+    decisions = []
+    for beta2 in (-21.7e-27, -5e-27, -2e-27, -0.5e-27, 0.0, 0.5e-27):
+        span = replace(reference_span, beta2=beta2)
+        for i in (0, 19, 39):
+            for k in range(40):
+                engine = _pair_engine(fixed_params, span, (i, k))
+                assert (engine._sw is not None) == _grid_applies(engine), (
+                    beta2, i, k)
+                decisions.append(engine._sw is not None)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_f1_of_phi_without_curvature_is_phi_over_a(fixed_params,
@@ -193,6 +265,20 @@ def test_f1_of_phi_without_curvature_is_phi_over_a(fixed_params,
     assert (a > 0.0).any() and (a < 0.0).any()
     phi = rng.uniform(-3.0, 3.0, a.size) * engine.phi_split
     assert engine._f1_of_phi(phi, a, 0 * a).tobytes() == (phi / a).tobytes()
+
+
+def test_f1_of_phi_at_a_vertex_rounded_past_it(fixed_params,
+                                              reference_span):
+    """A phase one ulp past the vertex value a^2 / (4 |b|) rounds the
+    discriminant below 0; the root is then the vertex -a / (2 b), not NaN.
+    Random pairs reach this when a phase node lies within a few ulps of a
+    run's bound value."""
+    engine = _PairEngine(TaylorProfile(fixed_params, _L), reference_span,
+                         _channel(19), _channel(25), _F_REF)
+    a, b = np.array([1.0]), np.array([-1.0])
+    phi = np.nextafter(0.25, 1.0)
+    assert a * a + 4.0 * b * phi < 0.0
+    assert engine._f1_of_phi(phi, a, b) == pytest.approx(0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
