@@ -75,14 +75,17 @@ class QuadratureSpec:
     ``_REL_TOL_ETA`` relative, or until ``max_refinements`` refinements
     have run, when it reports ``converged=False``.  At least one
     refinement is needed: the first level alone has no error estimate.
-    The rectangular spectral window is always applied.
+    At most 5 are allowed: each level of a pair that never converges
+    takes 2-2.5 times the memory of the one before (about 120 MiB for an
+    SPM estimate of the reference at level 5).  The rectangular spectral
+    window is always applied.
     """
 
     max_refinements: int = 3
 
     def __post_init__(self):
-        if self.max_refinements < 1 or self.max_refinements > 10:
-            raise ValidationError("max_refinements must lie in [1, 10]")
+        if self.max_refinements < 1 or self.max_refinements > 5:
+            raise ValidationError("max_refinements must lie in [1, 5]")
 
 
 @dataclass(frozen=True)
@@ -392,7 +395,7 @@ class _PairEngine:
 
     def _phase_coeffs(self, f2):
         b2, b3 = self.span.beta2, self.span.beta3
-        d2 = f2 + self.fk_off - self.fi_off
+        d2 = f2 + (self.fk_off - self.fi_off)
         a = (-4.0 * math.pi ** 2 * d2
              * (b2 + math.pi * b3 * (f2 + self.fi_off + self.fk_off)))
         b = -4.0 * math.pi ** 2 * d2 * math.pi * b3
@@ -681,7 +684,7 @@ class _PairEngine:
         lo, hi = self._f1_window(cuts)
         f1ext = np.maximum(np.abs(lo), np.abs(hi))
         if zero is not None:  # check the pieces' slopes with d2 divided out
-            d2 = cuts + self.fk_off - self.fi_off
+            d2 = cuts + (self.fk_off - self.fi_off)
             keep = d2 != 0.0
             a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
         if np.any(a == 0.0) or a.max() * a.min() < 0.0:
@@ -724,6 +727,7 @@ class _PairEngine:
         run bounds inside D(phi).
         Intervals come in phi order, left to right.
         """
+        zero = self._sw["zero"]
         rows, left, right = [], [], []
         for side, runs in self._sw["runs"].items():
             n = runs.shape[0]
@@ -741,6 +745,12 @@ class _PairEngine:
             edge[cross] = np.clip(x0[cross] + self._f1_of_phi(
                 level[r[cross]] - p0[cross], dp[cross], curv[cross]),
                 start[cross], end[cross])
+            if zero is not None:
+                # p = 0 < |phi| there, so an edge on the zero is a crossing
+                # within an ulp of x0 of it, rounded; that ulp adds nothing
+                # to T(phi), and ln|f2 - zero| (``_f2_batch``) needs it off
+                edge = np.where(edge == zero, zero + np.spacing(x0 - zero),
+                                edge)
             rows.append(owner[r[0::2]])
             left.append(edge[0::2])
             right.append(edge[1::2])

@@ -29,9 +29,9 @@ prunes: a seed's partial score over every ``_BOUND_STRIDES[i]``-th sub-grid
 sample is a lower bound of its score, the bounds are checked from coarse
 to fine samples, and only the seeds that no bound rules out are scored in
 full.  The grid's rates are the same for every channel, so its effective
-lengths, Gram terms and per-rate L_eff and Lb_eff tables are built once per
-fit; the seed residuals gather from those tables instead of taking
-exponentials per seed.
+lengths, Gram terms and one L_eff and Lb_eff table (a row per grid rate and
+one for the nominal rate) are built once per fit; the seed residuals gather
+their rows from that table instead of taking exponentials per seed.
 
 Every polish is one problem of a batched, bounded, projected
 Levenberg-Marquardt (``_polish``; More 1978, Kanzow, Yamashita & Fukushima
@@ -350,8 +350,9 @@ def _residual_and_jac(length, z, target_db, delta, p_f, p_b, free, base):
 
 
 def _seed_grid(length, z, p_f, p_b, ratios, alpha_phys, with_backward):
-    """The channel-invariant terms of the variable-projection seed grid,
-    which ``_varpro_seeds`` takes: (decay, col_f, col_b, gram, keep, rows).
+    """The channel-invariant terms of the variable-projection seed grid:
+    (decay, col_f, col_b, gram, keep, rows, tables).  ``_varpro_seeds``
+    takes all but ``tables``, ``_seed_levels`` takes ``tables``.
 
     The candidate rates are ``ratios * alpha_phys``.  ``decay`` holds the dB
     loss _K_DB alpha z of each alpha, ``col_f`` and ``col_b`` the per-rate
@@ -360,27 +361,37 @@ def _seed_grid(length, z, p_f, p_b, ratios, alpha_phys, with_backward):
     (g_ff,) and alpha_b keeps ``alpha_phys``.  ``keep`` marks the rate
     triples whose normal equations are not singular, and ``rows`` holds
     their rates as parameter vectors, alpha-major, then alpha_f, then
-    alpha_b, with zero slopes.
+    alpha_b, with zero slopes.  ``tables`` is (row_f, L_eff, row_b,
+    Lb_eff): the one rate table, L_eff and Lb_eff (None without a backward
+    pump) at the candidate rates and then at ``alpha_phys``, and the table
+    rows of the alpha_f and alpha_b of the nominal seed, then of ``rows``.
     """
-    rates = ratios * alpha_phys
-    decay = _K_DB * np.outer(rates, z)
-    col_f = p_f * effective_length(z, rates[:, None])
+    n = len(ratios)
+    rates = np.append(ratios, 1.0) * alpha_phys
+    decay = _K_DB * np.outer(rates[:n], z)
+    leff = effective_length(z, rates[:, None])
+    col_f = p_f * leff[:n]
     g_ff = np.einsum("ij,ij->i", col_f, col_f)
+    index = np.arange(n)
     if with_backward:
-        col_b = p_b * backward_effective_length(z, length, rates[:, None])
+        lbeff = backward_effective_length(z, length, rates[:, None])
+        col_b = p_b * lbeff[:n]
         g_bb = np.einsum("ij,ij->i", col_b, col_b)
         g_fb = col_f @ col_b.T  # (alpha_f, alpha_b)
         det = g_ff[:, None] * g_bb[None, :] - g_fb * g_fb
         gram, keep = (g_ff, g_bb, g_fb, det), det > 0
-        a, a_f, a_b = np.meshgrid(rates, rates, rates, indexing="ij")
+        i_a, i_f, i_b = np.meshgrid(index, index, index, indexing="ij")
     else:
-        col_b, gram, keep = None, (g_ff,), g_ff > 0
-        a, a_f = np.meshgrid(rates, rates, indexing="ij")
-        a_b = np.full_like(a, alpha_phys)
-    keep = np.broadcast_to(keep, a.shape)
+        lbeff, col_b, gram, keep = None, None, (g_ff,), g_ff > 0
+        i_a, i_f = np.meshgrid(index, index, indexing="ij")
+        i_b = np.full_like(i_a, n)
+    keep = np.broadcast_to(keep, i_a.shape)
+    row_f, row_b = (np.append(n, i[keep]) for i in (i_f, i_b))
+    a = rates[i_a[keep]]
     zero = np.zeros_like(a)
-    rows = np.stack((a, zero, zero, a_f, a_b), axis=-1)[keep]
-    return decay, col_f, col_b, gram, keep, rows
+    rows = np.stack((a, zero, zero, rates[row_f[1:]], rates[row_b[1:]]),
+                    axis=-1)
+    return decay, col_f, col_b, gram, keep, rows, (row_f, leff, row_b, lbeff)
 
 
 def _varpro_seeds(grid, target_db, delta):
@@ -395,7 +406,7 @@ def _varpro_seeds(grid, target_db, delta):
     rows and solved at once.  Rows run alpha-major, then alpha_f, then
     alpha_b; singular systems (det <= 0) are dropped.
     """
-    decay, col_f, col_b, gram, keep, rows = grid
+    decay, col_f, col_b, gram, keep, rows = grid[:6]
     u_target = 10.0 ** ((target_db + decay) / 10.0)
     y = (1.0 - u_target) / delta  # one de-trended target per alpha
     b_f = y @ col_f.T  # (alpha, alpha_f)
@@ -415,29 +426,6 @@ def _varpro_seeds(grid, target_db, delta):
     return seeds
 
 
-def _full_vectors(free, base, seeds):
-    """The rows of ``seeds`` (the ``free`` entries) as whole parameter
-    vectors, the other entries at their ``base`` values."""
-    full = np.tile(base, (len(seeds), 1))
-    full[:, free] = seeds
-    return full
-
-
-def _rate_tables(length, z, p_b, full):
-    """(row_f, table_f, row_b, table_b): L_eff and Lb_eff tables with one
-    row per distinct alpha_f (alpha_b) value among the parameter vectors
-    ``full``, and the table row of each vector.  The tables are keyed by the
-    vectors' own values: clipping a grid rate onto the box may move it by an
-    ulp.  With P_b = 0 the backward pair is None."""
-    keys_f, row_f = np.unique(full[:, 3], return_inverse=True)
-    table_f = effective_length(z, keys_f[:, None])
-    if p_b == 0.0:
-        return row_f, table_f, None, None
-    keys_b, row_b = np.unique(full[:, 4], return_inverse=True)
-    return (row_f, table_f, row_b,
-            backward_effective_length(z, length, keys_b[:, None]))
-
-
 def _seed_levels(z, target_db, delta, p_f, p_b, full, tables):
     """The residuals of the parameter vectors ``full`` at every level of
     ``_best_seeds``: one per ``_BOUND_STRIDES`` entry and one at full
@@ -446,8 +434,9 @@ def _seed_levels(z, target_db, delta, p_f, p_b, full, tables):
     Level i maps an index array k into ``full`` to the (len(k), n_z /
     stride) residual rows of those vectors on z[::stride], equal to
     ``_residual_and_jac``'s.  L_eff and Lb_eff are gathered from
-    ``tables``, which ``_rate_tables`` builds for these vectors' rates, so
-    each exponential is taken once per rate and z sample.
+    ``tables`` (row_f, L_eff, row_b, Lb_eff), which hold one row per rate
+    and each vector's alpha_f and alpha_b row (``_seed_grid``), so each
+    exponential is taken once per rate and z sample.
     """
     a, cf, cb = (full[:, j, None] for j in range(3))
     row_f, table_f, row_b, table_b = tables
@@ -685,9 +674,9 @@ def fit_profile(
     (``_BOUND_STRIDES``), and fully scores only the seeds that no bound
     rules out, so it picks the same seeds as a full scan (``_best_seeds``).
     The grid's rates, and with them its effective lengths, Gram terms and
-    the L_eff and Lb_eff tables the seed residuals gather from (one row per
-    distinct rate), are the same for every channel and built once
-    (``_seed_grid``, ``_rate_tables``).  Every polish is a problem of one
+    the one L_eff and Lb_eff table the seed residuals gather from (one row
+    per grid rate and one for the nominal rate), are the same for every
+    channel and built once (``_seed_grid``).  Every polish is a problem of one
     batched projected Levenberg-Marquardt pass (``_polish``), whose
     Jacobian at a kept step reuses the terms of the residual that tested
     it.  It polishes each channel's best-scored seed, plus, opt-in,
@@ -730,13 +719,11 @@ def fit_profile(
     free, base, lo, hi, x_scale = _parameter_space(alpha_phys, c_r,
                                                    with_backward)
     # The seed grid's rates are the same for every channel, and so are its
-    # effective lengths, Gram terms and rate tables: the box clips every
-    # channel's seed rates alike.
+    # effective lengths, Gram terms and rate table.  The box leaves every
+    # grid rate unchanged: 0.2 alpha_phys >= alpha_phys / 5 in floating
+    # point, and the top rate is the box's own 5 alpha_phys.
     grid = _seed_grid(length, z, p_f, p_b, np.geomspace(0.2, 5.0, _N_GRID),
                       alpha_phys, with_backward)
-    rate_seeds = np.clip(np.vstack([base[free], grid[-1][:, free]]), lo, hi)
-    tables = _rate_tables(length, z, p_b,
-                          _full_vectors(free, base, rate_seeds))
 
     rng = np.random.default_rng(_RNG_SEED)
     fits = [None] * evolution.n_channels
@@ -758,12 +745,11 @@ def fit_profile(
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue
 
-        grid_seeds = _varpro_seeds(grid, target_db, delta)
-        seeds = np.clip(np.vstack([base[free], grid_seeds[:, free]]), lo, hi)
-        levels = _seed_levels(z, target_db, delta, p_f, p_b,
-                              _full_vectors(free, base, seeds), tables)
-        order = _best_seeds(levels, len(seeds), 1 + n_polish)
-        mine = [seeds[k] for k in order]
+        full = np.vstack([base, _varpro_seeds(grid, target_db, delta)])
+        full[:, free] = np.clip(full[:, free], lo, hi)
+        levels = _seed_levels(z, target_db, delta, p_f, p_b, full, grid[-1])
+        order = _best_seeds(levels, len(full), 1 + n_polish)
+        mine = [full[k, free] for k in order]
         mine += [lo + rng.random(len(free)) * (hi - lo)
                  for _ in range(n_random_starts)]
         owners += [len(fitted)] * len(mine)

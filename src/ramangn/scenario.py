@@ -47,6 +47,8 @@ launch power per span (a single value is broadcast).  The ``solver``,
 sets; the fitter's seed grid and start counts and the oracle's tolerances
 are constants (see :func:`~ramangn.profile.fit_profile` and
 :class:`~ramangn.oracle.QuadratureSpec`); the output directory is ``--out``.
+A grid holds at most 2000 channels and a link at most 1000 spans; larger
+counts are refused before any channel is built.
 """
 
 from __future__ import annotations
@@ -131,6 +133,14 @@ def _int_at_least(value: Any, path: str, minimum: int = 1) -> int:
     return value
 
 
+def _count_at_most(count: int, maximum: int, path: str, noun: str) -> int:
+    """``count``, refused before any object is built if above ``maximum``."""
+    if count > maximum:
+        raise ScenarioError(
+            f"{path}: {count} {noun}, more than the {maximum} allowed")
+    return count
+
+
 def _parse_span(node: Any, path: str) -> FiberSpan:
     node = dict(_require_mapping(node, path))
     length = 1e3 * _number(_take(node, "length_km", path), f"{path}.length_km")
@@ -164,6 +174,7 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
         _reject_unknown(node, path)
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{path}.channels: expected a non-empty list")
+        _count_at_most(len(raw), 2000, f"{path}.channels", "channels")
         channels = []
         for j, item in enumerate(raw):
             cpath = f"{path}.channels[{j}]"
@@ -177,7 +188,9 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
             _reject_unknown(cnode, cpath)
             channels.append(Channel(center, bandwidth, powers))
         return WdmGrid(tuple(channels))
-    count = _int_at_least(_take(node, "count", path), f"{path}.count")
+    count = _count_at_most(_int_at_least(_take(node, "count", path),
+                                         f"{path}.count"),
+                           2000, f"{path}.count", "channels")
     first = _quantity(_take(node, "first_center", path), f"{path}.first_center")
     spacing = _quantity(_take(node, "spacing", path), f"{path}.spacing")
     bandwidth = _quantity(_take(node, "bandwidth", path), f"{path}.bandwidth")
@@ -275,7 +288,8 @@ def parse_scenario(path) -> Scenario:
     root = dict(_require_mapping(root, "<root>"))
 
     span_count = _take(root, "span_count", "<root>", 1)
-    span_count = _int_at_least(span_count, "span_count")
+    span_count = _count_at_most(_int_at_least(span_count, "span_count"),
+                                1000, "span_count", "spans")
     span = _parse_span(_take(root, "span", "<root>"), "span")
     grid = _parse_grid(_take(root, "grid", "<root>"), "grid", span_count)
     pumps = _parse_pumps(_take(root, "pumps", "<root>", []), "pumps")

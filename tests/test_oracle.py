@@ -281,6 +281,44 @@ def test_f1_of_phi_at_a_vertex_rounded_past_it(fixed_params,
     assert engine._f1_of_phi(phi, a, b) == pytest.approx(0.5, rel=1e-15)
 
 
+def _reference_spm(scenario, fit, i):
+    grid, span = scenario.link.grid, scenario.link.span
+    return _PairEngine(TaylorProfile(fit.channel_fits[i].params, span.length),
+                       span, grid.channels[i], grid.channels[i],
+                       grid.band_center)
+
+
+def test_deep_spm_levels_stay_finite(reference_scenario, reference_fit):
+    """Every swapped level up to the ``max_refinements`` ceiling of 5 is
+    finite on the reference's SPM rows 0, 20 and 39, and from level 2 on
+    within 1e-9 of the direct order.  Grouped as f2 + (f_k - f_i), d2 stays
+    nonzero at an f2 node below half an ulp of a 2 THz offset, and so does
+    the phase slope it scales."""
+    for i in (0, 20, 39):
+        engine = _reference_spm(reference_scenario, reference_fit[1], i)
+        direct = engine.eta_direct(1)
+        values = [engine.eta_swapped(level) for level in range(6)]
+        assert np.isfinite(values).all(), i
+        assert values[2:] == pytest.approx([direct] * 4, rel=1e-9), i
+
+
+def test_domain_edges_stay_off_the_spm_zero(reference_scenario,
+                                            reference_fit):
+    """A phase so small that its D(phi) edge lies within an ulp (of the
+    run's far end) of the zero f2 = 0 gets that edge one such ulp off the
+    zero, not on it, so the log-spaced f2 nodes of ``_f2_batch`` stay
+    finite."""
+    engine = _reference_spm(reference_scenario, reference_fit[1], 20)
+    assert engine._sw["zero"] == 0.0
+    level = np.geomspace(1e-24, 1e-12, 201)
+    phis = np.concatenate([-level, level])
+    edges = engine._domain_edges(phis)
+    assert np.unique(edges[0]).size == phis.size
+    assert (edges[1] != 0.0).all() and (edges[2] != 0.0).all()
+    for values in engine._f2_batch(phis, edges, 12):
+        assert np.isfinite(values).all()
+
+
 # ---------------------------------------------------------------------------
 # link function oracle
 # ---------------------------------------------------------------------------
@@ -560,9 +598,9 @@ def test_g_tilde_refuses_a_product_rounded_below_zero(fixed_params,
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValidationError):
-        QuadratureSpec(max_refinements=11)
+        QuadratureSpec(max_refinements=6)
     # a single level has no error estimate, so it could never converge
-    with pytest.raises(ValidationError, match=r"\[1, 10\]"):
+    with pytest.raises(ValidationError, match=r"\[1, 5\]"):
         QuadratureSpec(max_refinements=0)
     assert QuadratureSpec(max_refinements=1).max_refinements == 1
 

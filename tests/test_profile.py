@@ -27,10 +27,9 @@ from ramangn import (
 )
 from ramangn import profile
 from ramangn.profile import (ChannelFit, ProfileParams, _best_seeds,
-                             _full_vectors, _parameter_space, _polish,
-                             _rate_tables, _residual_and_jac, _seed_grid,
-                             _seed_levels, _seed_scores, _varpro_seeds,
-                             shared_fit_context)
+                             _parameter_space, _polish, _residual_and_jac,
+                             _seed_grid, _seed_levels, _seed_scores,
+                             _varpro_seeds, shared_fit_context)
 from ramangn.raman import PowerEvolution, normalized_profile, solve_power_evolution
 from ramangn.errors import NumericalError, ValidationError
 
@@ -386,9 +385,14 @@ def _grid_seeds(inp, ratios):
 
 def _levels(inp, seeds):
     """``_seed_levels`` of ``seeds`` (rows of the free entries), with rate
-    tables built for those seeds' own rates."""
-    full = _full_vectors(inp["free"], inp["base"], seeds)
-    tables = _rate_tables(inp["length"], inp["z"], inp["p_b"], full)
+    tables keyed by those seeds' own rates, which need not be grid rates."""
+    full = np.tile(inp["base"], (len(seeds), 1))
+    full[:, inp["free"]] = seeds
+    keys_f, row_f = np.unique(full[:, 3], return_inverse=True)
+    keys_b, row_b = np.unique(full[:, 4], return_inverse=True)
+    tables = (row_f, effective_length(inp["z"], keys_f[:, None]), row_b,
+              None if inp["p_b"] == 0.0 else backward_effective_length(
+                  inp["z"], inp["length"], keys_b[:, None]))
     return _seed_levels(inp["z"], inp["target_db"], inp["delta"], inp["p_f"],
                         inp["p_b"], full, tables)
 
@@ -512,6 +516,22 @@ def test_seed_grid_solves_the_linear_slopes(edge_pair):
         coef = np.linalg.lstsq(np.column_stack(cols), y, rcond=None)[0]
         expected = [coef[0], coef[1] if with_backward else 0.0]
         assert row[1:3] == pytest.approx(expected, rel=1e-9)
+
+
+@given(alpha_phys=st.floats(min_value=1e-30, max_value=1e30))
+@settings(max_examples=200, deadline=None)
+def test_box_leaves_every_grid_rate_unchanged(alpha_phys):
+    """Clipping onto the rate box [alpha_phys / 5, 5 alpha_phys] leaves
+    every seed-grid rate bit for bit, so a seed's rate is a row of
+    ``_seed_grid``'s rate table: ``np.geomspace`` returns 0.2 and 5.0
+    exactly, the double 0.2 is above 1/5, and the top rate is the box's
+    own 5.0 * alpha_phys."""
+    ratios = np.geomspace(0.2, 5.0, profile._N_GRID)
+    assert (ratios[0], ratios[-1]) == (0.2, 5.0)
+    rates = ratios * alpha_phys
+    free, _, lo, hi, _ = _parameter_space(alpha_phys, 2.8e-17, True)
+    for j in np.flatnonzero(profile._IS_RATE[free]):
+        assert np.clip(rates, lo[j], hi[j]).tobytes() == rates.tobytes()
 
 
 def test_default_fit_matches_exhaustive_multistart(edge_pair):
@@ -902,3 +922,39 @@ def test_seed_ranking_work_on_the_reference(reference_scenario,
     again = fit_profile(evolution, reference_scenario.link)
     assert again.channel_fits == fit.channel_fits
     assert work == {"elements": 1_054_136, "rows": 376}
+
+
+def test_nominal_start_ranks_first_on_a_mixed_pump_link(data_dir, tmp_path,
+                                                        monkeypatch):
+    """The reference grid with a 0.73 W backward pump at 209.0 THz and a
+    0.74 W forward pump at 211.5 THz: the seed ranking of channels 0-3
+    picks the nominal start, index 0 of the ranked vectors, ahead of every
+    grid seed."""
+    with open(os.path.join(data_dir, "reference_pumped.json")) as fh:
+        payload = json.load(fh)
+    payload["pumps"] = [
+        {"frequency": {"value": f, "unit": "THz"}, "power_w": p,
+         "direction": d, "attenuation": {"value": 0.2, "unit": "dB/km"}}
+        for f, p, d in ((209.0, 0.73, "backward"), (211.5, 0.74, "forward"))]
+    path = tmp_path / "mixed_pumps.json"
+    path.write_text(json.dumps(payload))
+    cfg = parse_scenario(str(path)).link
+    evo = solve_power_evolution(cfg)
+    ranked, picked = [], []
+
+    def seed_levels(*args):
+        ranked.append(args[-2])
+        return _seed_levels(*args)
+
+    def best_seeds(*args):
+        picked.append(_best_seeds(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(profile, "_seed_levels", seed_levels)
+    monkeypatch.setattr(profile, "_best_seeds", best_seeds)
+    fit_profile(evo, cfg)
+    nominal = _fit_inputs(cfg, evo, 0)["base"]
+    for ch in range(4):
+        np.testing.assert_array_equal(ranked[ch][0], nominal)
+        assert picked[ch][0] == 0, ch
+    assert any(order[0] != 0 for order in picked)

@@ -256,8 +256,11 @@ def test_documented_example_parses(tmp_path):
     ("fit", "max_iterations", 0,
      "fit.max_iterations: expected an integer >= 1, got 0"),
     ("quadrature", "max_refinements", 11,
-     "quadrature: max_refinements must lie in [1, 10]"),
-], ids=["fit.max_iterations=0", "quadrature.max_refinements=11"])
+     "quadrature: max_refinements must lie in [1, 5]"),
+    ("quadrature", "max_refinements", 6,
+     "quadrature: max_refinements must lie in [1, 5]"),
+], ids=["fit.max_iterations=0", "quadrature.max_refinements=11",
+        "quadrature.max_refinements=6"])
 def test_run_control_out_of_range_rejected(tmp_path, section, key, value,
                                            message):
     """Refused as a scenario error (exit 2), not a validation error."""
@@ -266,6 +269,51 @@ def test_run_control_out_of_range_rejected(tmp_path, section, key, value,
     with pytest.raises(ScenarioError) as info:
         parse_scenario(_write(tmp_path, payload))
     assert str(info.value) == message
+
+
+def _dense_grid(count):
+    """``count`` channels 10 GHz apart, 5 GHz wide, in the uniform form."""
+    return {"count": count, "first_center": {"value": 193.0, "unit": "THz"},
+            "spacing": {"value": 0.01, "unit": "THz"},
+            "bandwidth": {"value": 0.005, "unit": "THz"},
+            "launch_power": {"value": 0.0, "unit": "dBm"}}
+
+
+def _dense_channels(count):
+    """The channels of ``_dense_grid(count)``, listed one by one."""
+    return {"channels": [
+        {"center": {"value": 193.0 + 0.01 * j, "unit": "THz"},
+         "bandwidth": {"value": 0.005, "unit": "THz"},
+         "launch_power": {"value": 0.0, "unit": "dBm"}}
+        for j in range(count)]}
+
+
+@pytest.mark.parametrize("key, bound, noun, section", [
+    ("span_count", 1000, "spans", lambda n: {"span_count": n}),
+    ("grid.count", 2000, "channels", lambda n: {"grid": _dense_grid(n)}),
+    ("grid.channels", 2000, "channels",
+     lambda n: {"grid": _dense_channels(n)}),
+], ids=["span_count", "grid.count", "grid.channels"])
+def test_count_above_its_bound_exits_2_before_any_channel(
+        tmp_path, capsys, monkeypatch, key, bound, noun, section):
+    """The span and channel counts parse up to their bound.  One more is
+    refused at parse time, naming the key and the count, before any
+    launch-power tuple or ``Channel`` is built."""
+    from ramangn import cli, scenario
+
+    payload = _base_payload()
+    payload.update(section(bound))
+    parse_scenario(_write(tmp_path, payload))
+    monkeypatch.setattr(scenario, "Channel",
+                        lambda *a, **kw: pytest.fail("a channel was built"))
+    payload.update(section(bound + 1))
+    path = _write(tmp_path, payload)
+    message = f"{key}: {bound + 1} {noun}, more than the {bound} allowed"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(path)
+    assert cli.main(["solve", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 def test_unknown_fit_key_rejected(tmp_path):

@@ -6,16 +6,20 @@ Run from the repository root:
     python tools/linetrace.py            # the tier-1 suite
     python tools/linetrace.py tests/test_domain.py -x
     python tools/linetrace.py --commands
+    python tools/linetrace.py --commands DIR
 
 Arguments go to pytest unchanged (default ``-q``; the test paths come
-from ``pyproject.toml``).  With ``--commands`` alone, no test runs:
+from ``pyproject.toml``).  With ``--commands``, no test runs:
 ``ramangn.cli.main`` runs ``solve``, ``fit``, ``nli`` and ``sweep
 --sweep=-2:2:1`` on every scenario in ``tests/data`` (each JSON file with
-a ``span``) and ``compare`` on ``minimal.json`` and ``lumped_9ch.json``,
-writing into a temporary directory; each command's exit status is printed
-in place of its output.  What these leave unrun is the code that only
-tests, library calls and refusals reach.  Either way the code runs in
-this process under ``sys.settrace``; only frames of code in
+a ``span``) and ``compare`` on ``minimal.json`` and ``lumped_9ch.json``.
+Each command writes into its own directory ``<scenario>/<command>/``,
+under ``DIR`` if given, which keeps the files, else under a temporary
+directory.  ``diff -r`` of two such ``DIR`` trees, made from two versions
+of the code, compares every output byte for byte.  Each command's exit
+status is printed in place of its output.  What these leave unrun is the
+code that only tests, library calls and refusals reach.  Either way the
+code runs in this process under ``sys.settrace``; only frames of code in
 ``src/ramangn`` are traced line by line.  A line is executable when some
 code object compiled from the file lists it in ``co_lines()``.  Every
 executable line that never ran is printed as ``path:line: source``, then
@@ -133,14 +137,20 @@ def commands() -> list:
                    for name in ("minimal.json", "lumped_9ch.json")]
 
 
-def run_commands(trace: LineTrace) -> None:
-    """Run ``commands()`` through ``ramangn.cli.main`` under the trace."""
+def run_commands(trace: LineTrace, keep=None) -> None:
+    """Run ``commands()`` through ``ramangn.cli.main`` under the trace, each
+    into ``<scenario>/<command>/`` under the directory ``keep``, or under a
+    temporary one if ``keep`` is None."""
+    keep = keep and os.path.abspath(keep)
     os.chdir(ROOT)
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as scratch:
         trace.start()
         try:
             from ramangn.cli import main as cli_main
             for argv in commands():
+                scenario = os.path.splitext(os.path.basename(argv[-1]))[0]
+                out = os.path.join(keep or scratch, scenario, argv[0])
+                os.makedirs(out, exist_ok=True)
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     status = cli_main(argv + ["--out", out])
@@ -154,8 +164,8 @@ def main(argv) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     trace = LineTrace()
-    if list(argv) == ["--commands"]:
-        run_commands(trace)
+    if list(argv[:1]) == ["--commands"] and len(argv) <= 2:
+        run_commands(trace, *argv[1:])
         status = 0
     else:
         trace.start()
