@@ -45,7 +45,7 @@ from .errors import (GateFailure, NumericalError, ProfileDomainError,
 from .oracle import compare_closed_vs_oracle
 from .profile import fit_profile, pair_offsets, profile_margin
 from .raman import evolution_to_csv, solve_power_evolution
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario, _solver_steps
 
 def _out_dir(args) -> str:
     directory = args.out or "."
@@ -54,7 +54,8 @@ def _out_dir(args) -> str:
 
 
 def _solve(scenario: Scenario, args):
-    steps = args.steps or scenario.solver_steps
+    steps = (scenario.solver_steps if args.steps is None
+             else _solver_steps(args.steps, "--steps"))
     return solve_power_evolution(scenario.link, steps=steps)
 
 

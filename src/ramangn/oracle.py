@@ -10,19 +10,20 @@ The 2D eta integrals are highly oscillatory (phase phi * zeta with phi L up to
 ~1e4 rad), so the inner zeta integral is evaluated with a panel-wise Filon
 rule (exact integration of a local polynomial fit of the smooth profile factor
 against e^{j phi zeta}; the weights of a block of phases are one complex
-array).  Where the phase is monotone in f1 over each piece of the band, the
-spectral integral runs in the swapped (phi, f2) order.  There the extreme
-phase of the f1 window is a quadratic in f2 on each monotone run, so the
-edges of every phase node's f2 range are closed-form roots; beyond a
-phase-rate threshold the order switches to an integration-by-parts endpoint
-expansion whose smooth and single-ripple parts are integrated separately,
-the ripple by a Filon rule in phi (both Filon rules take their weights from
-``_filon_rule``).  Other pairs take one tensor Gauss-Legendre rule in (f1,
-f2).  Every node count grows with
-the refinement level, and the change between two levels is reported as the
-error estimate; an estimate refines until that change meets ``_REL_TOL_ETA``,
-which every SPM and XPM estimate of the reference grid does at the first
-refinement.
+array).  Where the phase is monotone in f1 with one slope sign over the
+whole band, the spectral integral runs in the swapped (phi, f2) order.
+There the extreme phase of the f1 window is a quadratic in f2 on each
+monotone run, so the edges of every phase node's f2 range are closed-form
+roots; beyond a phase-rate threshold the order switches to an
+integration-by-parts endpoint expansion whose smooth and single-ripple
+parts are integrated separately, the ripple by a Filon rule in phi (both
+Filon rules take their weights from ``_filon_rule``).  Other pairs take one
+tensor Gauss-Legendre rule in (f1, f2): every SPM, whose phase slope
+vanishes at f2 = 0, and pairs near zero dispersion.  Every node count grows
+with the refinement level, and the change between two levels is reported
+as the error estimate; an estimate refines until that change meets
+``_REL_TOL_ETA``, which every SPM and XPM estimate of the reference grid
+does at the first refinement.
 
 Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
 they import ``scipy.integrate`` when they run, so importing the package
@@ -75,10 +76,12 @@ class QuadratureSpec:
     ``_REL_TOL_ETA`` relative, or until ``max_refinements`` refinements
     have run, when it reports ``converged=False``.  At least one
     refinement is needed: the first level alone has no error estimate.
-    At most 5 are allowed: each level of a pair that never converges
-    takes 2-2.5 times the memory of the one before (about 120 MiB for an
-    SPM estimate of the reference at level 5).  The rectangular spectral
-    window is always applied.
+    At most 5 are allowed: in the swapped order each level of a pair that
+    never converges takes 1.2-2 times the memory of the one before (about
+    20 MiB for an XPM estimate of the reference at level 5), and in the
+    direct order, whose memory stays flat (1.3 MiB for an SPM estimate of
+    the reference), about twice the time.  The rectangular spectral window
+    is always applied.
     """
 
     max_refinements: int = 3
@@ -326,8 +329,6 @@ _K_SERIES = 10  # endpoint-expansion order
 _SPLIT_FACTOR = 20.0  # phase-rate multiple separating inner/outer regions
 _N_ZETA_DEG = 10  # polynomial degree per zeta panel
 _NODE_BLOCK = 512  # (f1, phi) nodes per block of the zeta-integral kernel
-_GRADE_DEPTH = 14  # halvings of the inner phase segment next to a zero ...
-_GRADE_STEP = 4  # ... plus this many more per refinement level
 
 # U/V expansion factors (-1)^m m! (-j)^{m+1}: sum_m c_m g_m / phi^{m+1}
 # equals sum_m (-1)^m g^{(m)} / (j phi)^{m+1}.
@@ -342,14 +343,14 @@ class _PairEngine:
     Two integration orders: the swapped (phi, f2) order (``eta_swapped``)
     and the direct (f1, f2) order, one tensor Gauss rule (``eta_direct``).
     The constructor builds what every refinement level shares; ``_sw`` is
-    None where the swapped order does not apply, which picks the order.
-    ``_sw["runs"][side]`` holds the monotone runs of each side's extreme
-    phase times the side, one quadratic in f2 each, so phase bounds are
-    |phi|; a swapped level takes the f2 edges of all its phase nodes from
-    them in one pass (``_domain_edges``).
-    The phase slope vanishes with d2 = f2 + f_k - f_i, so SPM's band
-    splits at f2 = 0 into two pieces (``_setup_swapped``); XPM's band is
-    one piece.
+    None where the swapped order does not apply, which picks the order
+    (``eta``).  ``_sw["runs"][side]`` holds the monotone runs of each
+    side's extreme phase times the side, one quadratic in f2 each, so phase
+    bounds are |phi|; a swapped level takes the f2 edges of all its phase
+    nodes from them in one pass (``_domain_edges``).  The phase slope
+    vanishes with d2 = f2 + f_k - f_i: at f2 = 0 for SPM, which therefore
+    takes the direct order, and never inside an XPM band, since a link's
+    channels do not overlap.
     """
 
     def __init__(self, profile: TaylorProfile, span: FiberSpan,
@@ -629,9 +630,8 @@ class _PairEngine:
 
     # -- swapped (phi, f2) integration order ---------------------------------
     #
-    # When phi(f1, f2) is monotone in f1 with a slope of constant sign
-    # across each piece of the interfering band, the 2D integral is
-    # evaluated as
+    # When phi(f1, f2) is monotone in f1 with a slope of one sign across
+    # the interfering band, the 2D integral is evaluated as
     #   int dphi T(phi),   T(phi) = int_{D(phi)} |I|^2 / |dphi/df1| df2,
     # with D(phi) the f2 set whose f1 window reaches phase phi.  At fixed
     # phi the integrand is smooth in f2 -- the oscillation of |I|^2 lives
@@ -641,9 +641,9 @@ class _PairEngine:
     # above it).  This is what makes the oracle converge: integrating f2
     # on the outside instead leaves an interference ripple across the
     # interfering band that a fixed f2 rule cannot resolve.  Where the
-    # slope vanishes inside the band (SPM), |dphi/df1| ~ |f2| near the
-    # zero and T(phi) ~ ln(1/|phi|): the f2 nodes move to ln|f2| and the
-    # inner phase segment next to phi = 0 is graded geometrically.
+    # slope vanishes inside the band (SPM, at f2 = 0), 1/|dphi/df1| grows
+    # without bound and T(phi) ~ ln(1/|phi|), so such pairs take the direct
+    # order instead.
 
     def _p_end(self, f2, side):
         """side (+1 or -1, per f2) times the extreme phase of the f1 window
@@ -655,38 +655,28 @@ class _PairEngine:
 
     def _setup_swapped(self) -> Optional[dict]:
         """The monotone runs of the extreme phase in f2, or None where
-        phi(f1) is not monotone with one slope sign over each piece.
+        phi(f1) is not monotone with one slope sign over the band.
 
-        The phase slope a(f2) and curvature b(f2) share the factor d2 =
-        f2 + f_k - f_i.  Where d2 vanishes inside the band (SPM, at f2 =
-        0), ``zero`` is that f2 and it splits the band into two pieces with
-        slopes of opposite sign; every phase phi != 0 stays away from the
-        zero, so each interval of D(phi) lies in one piece.  Otherwise
-        ``zero`` is None.  The slope test reads the cuts of the band: its
-        ends, the kinks +-(B_k - B_i)/2 where the f1 window changes the
-        bound that clips it, and ``zero``.  Between two cuts the active
-        window end is f1 = const or f1 + f2 = const, so the extreme phase
-        is a quadratic in f2, read from its values at the piece's ends and
-        midpoint and split at its vertex.  Every f1 window holds f1 = 0,
-        where phi = 0, so side times the max (1) or min (-1) is >= 0.
+        The slope test reads the cuts of the band: its ends and the kinks
+        +-(B_k - B_i)/2 where the f1 window changes the bound that clips
+        it.  The phase slope a(f2) carries the factor d2 = f2 + f_k - f_i,
+        so SPM's slope is 0 at its kink f2 = 0, and SPM gets None.  Between
+        two cuts the active window end is f1 = const or f1 + f2 = const, so
+        the extreme phase is a quadratic in f2, read from its values at the
+        piece's ends and midpoint and split at its vertex.  Every f1 window
+        holds f1 = 0, where phi = 0, so side times the max (1) or min (-1)
+        is >= 0.
         ``runs[side]`` holds one monotone run per row, (start, end, x0,
         p(x0), p'(x0), p''/2), expanded about the end x0 away from the
         vertex, and ``p[side]`` the values at the run bounds, in f2 order.
         """
         bk2 = self.b_k / 2
         kink = (self.b_k - self.b_i) / 2
-        zero = self.fi_off - self.fk_off
-        if not -bk2 < zero < bk2:
-            zero = None
-        cuts = np.unique([-bk2, bk2] + [v for v in (kink, -kink, zero)
-                                        if v is not None and -bk2 < v < bk2])
+        cuts = np.unique([-bk2, bk2] + [v for v in (kink, -kink)
+                                        if -bk2 < v < bk2])
         a, b = self._phase_coeffs(cuts)
         lo, hi = self._f1_window(cuts)
         f1ext = np.maximum(np.abs(lo), np.abs(hi))
-        if zero is not None:  # check the pieces' slopes with d2 divided out
-            d2 = cuts + (self.fk_off - self.fi_off)
-            keep = d2 != 0.0
-            a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
         if np.any(a == 0.0) or a.max() * a.min() < 0.0:
             return None
         if np.max(np.abs(2.0 * b * f1ext)) >= 0.5 * np.min(np.abs(a)):
@@ -713,7 +703,7 @@ class _PairEngine:
                 np.where(at_start, p[:-1], p[1:]),
                 np.where(at_start, dp0, dp1), curv[piece]])
             bound_p[side] = p
-        return {"zero": zero, "runs": runs, "p": bound_p}
+        return {"runs": runs, "p": bound_p}
 
     def _domain_edges(self, phis: np.ndarray):
         """The intervals of D(phi) for every phi != 0: (owner, left, right).
@@ -727,7 +717,6 @@ class _PairEngine:
         run bounds inside D(phi).
         Intervals come in phi order, left to right.
         """
-        zero = self._sw["zero"]
         rows, left, right = [], [], []
         for side, runs in self._sw["runs"].items():
             n = runs.shape[0]
@@ -745,12 +734,6 @@ class _PairEngine:
             edge[cross] = np.clip(x0[cross] + self._f1_of_phi(
                 level[r[cross]] - p0[cross], dp[cross], curv[cross]),
                 start[cross], end[cross])
-            if zero is not None:
-                # p = 0 < |phi| there, so an edge on the zero is a crossing
-                # within an ulp of x0 of it, rounded; that ulp adds nothing
-                # to T(phi), and ln|f2 - zero| (``_f2_batch``) needs it off
-                edge = np.where(edge == zero, zero + np.spacing(x0 - zero),
-                                edge)
             rows.append(owner[r[0::2]])
             left.append(edge[0::2])
             right.append(edge[1::2])
@@ -762,26 +745,13 @@ class _PairEngine:
     def _f2_batch(self, phis: np.ndarray, edges, nf2: int):
         """f2 Gauss nodes of D(phi) for every phi from its ``_domain_edges``
         as flat arrays (phi, f2, f1 at phi, weight / |dphi/df1|, index of
-        phi), empty when no phi has a D(phi).
-
-        With a zero of the slope in the band, the nodes are Gauss nodes in
-        s = ln|f2 - zero|: df2 = |f2 - zero| ds cancels the 1 / |a| of the
-        phase Jacobian, which grows without bound toward the zero.
+        phi), empty when no phi has a D(phi): ``nf2`` per interval.
         """
         rows, left, right = edges
         tg, wg = _gl_rule(nf2)
-        zero = self._sw["zero"]
-        if zero is not None:
-            sign = np.repeat(np.sign(left + right - 2.0 * zero), nf2)
-            left = np.log(np.abs(left - zero))
-            right = np.log(np.abs(right - zero))
         cc, hh = 0.5 * (left + right), 0.5 * (right - left)
         nodes = (cc[:, None] + hh[:, None] * tg).ravel()
         weights = (hh[:, None] * wg).ravel()
-        if zero is not None:
-            dist = np.exp(nodes)
-            nodes = zero + sign * dist
-            weights = np.abs(weights) * dist
         owner = np.repeat(rows, nf2)
         phi = phis[owner]
         a, b = self._phase_coeffs(nodes)
@@ -850,10 +820,6 @@ class _PairEngine:
         regions; each part then integrates in its own helper, which frees
         its nodes.  The phase panels break at the extreme phase's values at
         the run bounds, where D(phi) changes shape, and end at its maximum.
-        With a zero of the slope in the band, the inner segment [0, e1]
-        becomes panels with edges 0 and e1 2^-k, k = 0.._GRADE_DEPTH +
-        _GRADE_STEP level; the depth grows with the level so that the
-        change between levels measures what the grading leaves out.
         """
         density = 1.5 ** level
         nf2 = int(round(12 * density))
@@ -864,10 +830,6 @@ class _PairEngine:
             crits = np.unique(p[p > 0.0])  # where D(phi) changes shape
             lim_in = min(ps, lim)
             e = sorted({0.0, lim_in, *crits[crits < lim_in].tolist()})
-            if self._sw["zero"] is not None:
-                # T(phi) ~ ln(1/|phi|) toward phi = 0: panels e1 2^-k
-                e = [0.0] + list(e[1] / 2.0 ** np.arange(
-                    _GRADE_DEPTH + _GRADE_STEP * level, 0, -1)) + e[1:]
             parts.append(self._inner_part(e, side, density))
             if lim > ps:
                 parts.append(self._outer_part(crits, lim, side, density))
@@ -882,23 +844,29 @@ class _PairEngine:
                                      right[lo:hi]), nf2, *args)
         return total
 
+    def eta(self, level: int) -> float:
+        """The 2D integral at ``level`` in the order the pair takes."""
+        return (self.eta_direct if self._sw is None
+                else self.eta_swapped)(level)
+
 
 def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
                       rho: TaylorProfile, span: FiberSpan,
                       spec: QuadratureSpec, f_ref: float) -> EtaEstimate:
     """Refine one pair's eta until two levels agree to ``_REL_TOL_ETA``.
 
-    Each level integrates in the swapped (phi, f2) order where the pair
-    allows it, else in the direct (f1, f2) order (``eta_direct``).  The
-    swapped order serves XPM on the whole band and SPM on the two halves
-    of its band, split at f2 = 0, where the phase slope changes sign; on
-    the reference grid both converge at the first refinement.  The direct
-    order serves only pairs whose phase slope changes sign elsewhere in
-    the band, or nearly so, which happens near zero dispersion, for SPM
-    and XPM alike.  Its tensor Gauss rule shares no endpoint expansion
-    with the swapped order and converges at the first refinement too, but
-    its node count grows with the phase range: on channels 19 and 25 of
-    the reference grid it takes about 40 times as long.
+    Each level integrates in the order the pair takes
+    (``_PairEngine.eta``): the swapped (phi, f2) order where the phase
+    slope keeps one sign over the band, which holds for every XPM pair of
+    the reference grid, else the direct (f1, f2) order (``eta_direct``).
+    The direct order serves every SPM, whose slope vanishes at f2 = 0, and
+    the pairs whose slope changes sign inside the band, or nearly so, near
+    zero dispersion.  On the reference grid both orders converge at the
+    first refinement; SPM's first two levels agree to about 1e-15.  The
+    tensor Gauss rule shares no endpoint expansion with the swapped order,
+    and its node count grows with the phase range, so with the channel
+    bandwidth and the span length: XPM (19, 25) of the reference grid takes
+    about 40 times as long in it as in the swapped order.
     """
     if not isinstance(rho, TaylorProfile):
         raise ValidationError(
@@ -909,12 +877,11 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
     p_k = channel_k.launch_power_per_span[0]
     pref = (32.0 / 27.0 * span.gamma ** 2 / channel_k.bandwidth ** 2
             * (p_k / p_i) ** 2)
-    integrate = engine.eta_direct if engine._sw is None else engine.eta_swapped
     prev = None
     value = err = math.inf
     converged = False
     for level in range(spec.max_refinements + 1):
-        value = pref * integrate(level)
+        value = pref * engine.eta(level)
         if prev is not None:
             err = abs(value - prev)
             if err <= _REL_TOL_ETA * abs(value):

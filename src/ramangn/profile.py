@@ -15,13 +15,13 @@ and the oracle build on them.
 
 ``fit_profile`` matches the linearized model to an ODE solution per channel
 by damped least squares on the dB-domain residual.  It ranks and polishes
-on a uniform sub-grid of the solver's z samples, every s-th sample with s
-the largest divisor of the step count that leaves ``_FIT_STEPS`` steps
-(``_fit_stride``): the same L2-integral estimate on fewer samples, z = L
-kept.  Each channel's RMS is taken on the solver's grid.  A channel's
-parameters are one vector (alpha, c_f, c_b, alpha_f, alpha_b) addressed by
-position; without a backward pump only the subset (alpha, c_f, alpha_f) is
-free and c_b, alpha_b keep their fixed values.  The objective has many
+on a sub-grid of the solver's z samples, every s-th sample with s the
+step count over ``_FIT_STEPS``, rounded down, and z = L (``_fit_samples``):
+the same L2-integral estimate on fewer samples.  Each channel's RMS is
+taken on the solver's grid.  A channel's parameters are one vector (alpha,
+c_f, c_b, alpha_f, alpha_b) addressed by position; without a backward pump
+only the subset (alpha, c_f, alpha_f) is free and c_b, alpha_b keep their
+fixed values.  The objective has many
 local minima once the pump gain is strong, so the fitter ranks the
 physical initial guess and a deterministic variable-projection seed grid
 by their scores (sums of squared residuals).  The ranking is exact but
@@ -624,11 +624,12 @@ def _polish(problem, x0, lo, hi, scale, max_nfev):
     return x, nfev, converged, failed
 
 
-def _fit_stride(n_steps):
-    """The largest divisor s of ``n_steps`` that leaves at least
-    ``_FIT_STEPS`` steps of the sub-grid z[::s]; 1 below 2 ``_FIT_STEPS``."""
-    return next((s for s in range(n_steps // _FIT_STEPS, 1, -1)
-                 if n_steps % s == 0), 1)
+def _fit_samples(n_steps):
+    """Sample indices of the fit's sub-grid of an ``n_steps``-step solve:
+    every s-th, s = n_steps // ``_FIT_STEPS`` (at least 1), and the last,
+    z = L, so at least ``_FIT_STEPS`` steps from ``_FIT_STEPS`` on."""
+    return np.append(np.arange(0, n_steps, max(1, n_steps // _FIT_STEPS)),
+                     n_steps)
 
 
 def _fit_exponential(z, target_db):
@@ -650,11 +651,11 @@ def fit_profile(
     """Fit the linearized profile to an ODE solution, channel by channel.
 
     The per-channel objective is the sum of squared dB-domain residuals over
-    a uniform sub-grid of the evolution's z grid: every s-th sample, s the
-    largest divisor of the step count that leaves at least ``_FIT_STEPS``
-    (250) steps, so every 4th of a 1000-step solve's 1001 samples and every
-    sample below 500 steps (``_fit_stride``).  z = L is kept, and the sum
-    stays an unweighted estimate of the L2 integral over the span.  The
+    a sub-grid of the evolution's z grid: every s-th sample, s the step
+    count over ``_FIT_STEPS`` (250) rounded down, and z = L, so every 4th
+    of a 1000-step solve's 1001 samples, every 3rd of a 997-step solve's
+    and z = L, and every sample below 500 steps (``_fit_samples``).  The
+    sum stays an unweighted estimate of the L2 integral over the span.  The
     parameters are the vector (alpha, c_f, c_b, alpha_f, alpha_b): rates
     within a factor 5 of the intrinsic loss, slopes within 10 C_r in
     magnitude.  The box is active, not only a guard: alpha ends on its
@@ -708,8 +709,8 @@ def fit_profile(
         raise ValidationError(
             f"profile fit needs >= 50 z samples, got {z_full.size}"
         )
-    stride = _fit_stride(z_full.size - 1)
-    z = z_full[::stride]
+    sub = _fit_samples(z_full.size - 1)
+    z = z_full[sub]
     span = config.span
     length = span.length
     c_r = span.raman_slope
@@ -736,7 +737,7 @@ def fit_profile(
                 f"channel {ch_idx}: numeric profile is not strictly positive"
             )
         full_target = 10.0 * np.log10(rho)
-        target_db = full_target[::stride]
+        target_db = full_target[sub]
         delta = f_i - f_hat
         if c_r == 0.0 or delta == 0.0:
             full = base.copy()
@@ -762,7 +763,7 @@ def fit_profile(
         return FitReport(tuple(fits))
     fitted, full_targets, deltas = map(np.array,
                                        (fitted, full_targets, deltas))
-    targets = full_targets[:, ::stride]
+    targets = full_targets[:, sub]
     owners, starts = np.array(owners), np.array(starts)
     parts, failed = [], []
     for first in range(0, len(owners), _POLISH_BLOCK):

@@ -25,6 +25,7 @@ from .domain import Direction, LinkConfig, write_csv
 from .errors import DivergenceError, ValidationError
 
 _MAX_RETRIES = 3
+_MIN_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def solve_power_evolution(
     ``FiberSpan.gain_at``, the same C_r that ``fit_profile`` bounds its
     slopes by.
     """
-    if steps < 100:
-        raise ValidationError(f"steps must be >= 100, got {steps}")
+    if steps < _MIN_STEPS:
+        raise ValidationError(f"steps must be >= {_MIN_STEPS}, got {steps}")
     if not (0 <= span_index < config.span_count):
         raise ValidationError(
             f"span index {span_index} out of range for {config.span_count} spans"

@@ -47,8 +47,9 @@ launch power per span (a single value is broadcast).  The ``solver``,
 sets; the fitter's seed grid and start counts and the oracle's tolerances
 are constants (see :func:`~ramangn.profile.fit_profile` and
 :class:`~ramangn.oracle.QuadratureSpec`); the output directory is ``--out``.
-A grid holds at most 2000 channels and a link at most 1000 spans; larger
-counts are refused before any channel is built.
+A grid holds at most 2000 channels, a link at most 1000 spans and a solve
+100 to 4000 steps (``_MAX_STEPS``); other counts are refused before any
+channel is built.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
                      SnrBudget, WdmGrid)
 from .errors import ScenarioError, UnitError, ValidationError
 from .oracle import QuadratureSpec
+from .raman import _MIN_STEPS
 from .units import convert_units, db_to_linear
+
+# The solver holds (lines, steps + 1) powers and doubles the steps on each of
+# up to three retries, and the fit holds (channels, steps + 1) targets: at the
+# 2000-channel ceiling 4000 steps take 64 MB, and 512 MB at the third retry.
+_MAX_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,13 @@ def _count_at_most(count: int, maximum: int, path: str, noun: str) -> int:
         raise ScenarioError(
             f"{path}: {count} {noun}, more than the {maximum} allowed")
     return count
+
+
+def _solver_steps(value: Any, path: str) -> int:
+    """An RK4 step count in [``_MIN_STEPS``, ``_MAX_STEPS``], else a
+    ScenarioError naming ``path``, the key or the CLI flag."""
+    return _count_at_most(_int_at_least(value, path, _MIN_STEPS), _MAX_STEPS,
+                          path, "steps")
 
 
 def _parse_span(node: Any, path: str) -> FiberSpan:
@@ -300,7 +314,7 @@ def parse_scenario(path) -> Scenario:
 
     solver = dict(_require_mapping(_take(root, "solver", "<root>", {}),
                                    "solver"))
-    steps = _int_at_least(_take(solver, "steps", "solver", 1000),
+    steps = _solver_steps(_take(solver, "steps", "solver", 1000),
                           "solver.steps")
     _reject_unknown(solver, "solver")
 

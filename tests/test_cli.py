@@ -119,6 +119,25 @@ def test_sweep_refuses_too_many_offsets_before_the_solve(
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("steps, message", [
+    ("0", "--steps: expected an integer >= 100, got 0"),
+    ("99", "--steps: expected an integer >= 100, got 99"),
+    ("4001", "--steps: 4001 steps, more than the 4000 allowed")],
+    ids=["0", "99", "4001"])
+def test_steps_out_of_range_exit_2_before_the_solve(
+        minimal_scenario_path, tmp_path, capsys, monkeypatch, steps, message):
+    """--steps outside [100, 4000] is refused by name, before the link is
+    solved; 0 is not read as "no override"."""
+    from ramangn import cli
+
+    monkeypatch.setattr(cli, "solve_power_evolution",
+                        lambda *a, **kw: pytest.fail("the link was solved"))
+    assert _run(["solve", "--scenario", minimal_scenario_path,
+                 "--out", str(tmp_path), "--steps", steps]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "power_evolution.csv").exists()
+
+
 def test_sweep_stops_at_hi(data_dir, tmp_path):
     """A step that does not divide hi - lo stops short of hi."""
     scenario = os.path.join(data_dir, "lumped_9ch.json")
@@ -253,8 +272,8 @@ def test_compare_refuses_a_nan_gate(minimal_scenario_path, tmp_path, capsys,
 def test_compare_gate_fails_on_unconverged_rows(unconverged_compare_scenario,
                                                 tmp_path, capsys,
                                                 monkeypatch):
-    # one refinement meets the 1e-6 tolerance since SPM takes the swapped
-    # order; at 1e-12 both rows stop short
+    # one refinement meets the 1e-6 tolerance; at 1e-12 both rows stop
+    # short on their XPM pair, whose first two levels differ by 6.8e-12
     from ramangn import oracle
 
     monkeypatch.setattr(oracle, "_REL_TOL_ETA", 1e-12)

@@ -141,17 +141,16 @@ def _pair_engine(params, span, pair):
 
 
 def _band_cuts(engine):
-    """The band ends, the kinks +-(B_k - B_i)/2 and the zero of d2 that
-    lie in the band."""
+    """The band ends and the kinks +-(B_k - B_i)/2 that lie in the band."""
     half, kink = engine.b_k / 2, (engine.b_k - engine.b_i) / 2
-    inner = [v for v in (kink, -kink, engine.fi_off - engine.fk_off)
-             if -half < v < half]
-    return np.unique([-half, half] + inner)
+    return np.unique([-half, half] + [v for v in (kink, -kink)
+                                      if -half < v < half])
 
 
-# XPM of one piece, SPM of two, and a 32 GHz channel under a 100 GHz
-# interferer: three pieces, split at the kinks +-34 GHz
-_EDGE_PAIRS = [(19, 25), (25, 19), (0, 39), (0, 0), (19, 19), (39, 39),
+# XPM of one piece: far pairs, adjacent pairs, whose phase slope is the
+# least, and a 32 GHz channel under a 100 GHz interferer, split at the
+# kinks +-34 GHz into three pieces
+_EDGE_PAIRS = [(19, 25), (25, 19), (0, 39), (19, 20), (20, 19), (39, 0),
                (19, 25, 32e9, 100e9)]
 
 
@@ -201,18 +200,16 @@ def test_domain_edges_match_scalar_root_search(fixed_params, reference_span,
 
 def _grid_applies(engine):
     """The swapped order's slope test as it read a 2049-point f2 grid with
-    the cuts: one slope sign over each piece, with d2 divided out only
-    where its zero lies in the band, and a curvature term 2 b f1 below
+    the cuts: no zero of d2 in the band, which sends SPM to the direct
+    order, one slope sign over the band, and a curvature term 2 b f1 below
     half the least slope."""
     half = engine.b_k / 2
+    if -half < engine.fi_off - engine.fk_off < half:
+        return False
     f2 = np.union1d(np.linspace(-half, half, 2049), _band_cuts(engine))
     a, b = engine._phase_coeffs(f2)
     lo, hi = engine._f1_window(f2)
     f1ext = np.maximum(np.abs(lo), np.abs(hi))
-    if -half < engine.fi_off - engine.fk_off < half:
-        d2 = f2 + engine.fk_off - engine.fi_off
-        keep = d2 != 0.0
-        a, b, f1ext = a[keep] / d2[keep], b[keep] / d2[keep], f1ext[keep]
     return bool(np.all(a != 0.0) and a.max() * a.min() >= 0.0
                 and np.max(np.abs(2.0 * b * f1ext)) < 0.5 * np.min(np.abs(a)))
 
@@ -288,35 +285,37 @@ def _reference_spm(scenario, fit, i):
                        grid.band_center)
 
 
-def test_deep_spm_levels_stay_finite(reference_scenario, reference_fit):
-    """Every swapped level up to the ``max_refinements`` ceiling of 5 is
-    finite on the reference's SPM rows 0, 20 and 39, and from level 2 on
-    within 1e-9 of the direct order.  Grouped as f2 + (f_k - f_i), d2 stays
-    nonzero at an f2 node below half an ulp of a 2 THz offset, and so does
-    the phase slope it scales."""
+def test_reference_spm_converges_at_the_first_refinement(reference_scenario,
+                                                         reference_fit):
+    """Every SPM of the reference's rows 0, 20 and 39 converges at the
+    first refinement, its two levels within 1e-12 relative."""
+    grid, span = reference_scenario.link.grid, reference_scenario.link.span
     for i in (0, 20, 39):
-        engine = _reference_spm(reference_scenario, reference_fit[1], i)
-        direct = engine.eta_direct(1)
-        values = [engine.eta_swapped(level) for level in range(6)]
-        assert np.isfinite(values).all(), i
-        assert values[2:] == pytest.approx([direct] * 4, rel=1e-9), i
+        rho = TaylorProfile(reference_fit[1].channel_fits[i].params,
+                            span.length)
+        est = eta_spm_numeric(grid.channels[i], rho, span,
+                              QuadratureSpec(max_refinements=1),
+                              f_ref=grid.band_center)
+        assert est.converged, i
+        assert est.error_estimate <= 1e-12 * est.value, i
 
 
-def test_domain_edges_stay_off_the_spm_zero(reference_scenario,
-                                            reference_fit):
-    """A phase so small that its D(phi) edge lies within an ulp (of the
-    run's far end) of the zero f2 = 0 gets that edge one such ulp off the
-    zero, not on it, so the log-spaced f2 nodes of ``_f2_batch`` stay
-    finite."""
+def test_reference_spm_memory_is_bounded(reference_scenario, reference_fit):
+    """The order that the oracle takes for SPM 20 of the reference keeps
+    the peak memory of level 3 within 2x of level 0's."""
+    import tracemalloc
+
     engine = _reference_spm(reference_scenario, reference_fit[1], 20)
-    assert engine._sw["zero"] == 0.0
-    level = np.geomspace(1e-24, 1e-12, 201)
-    phis = np.concatenate([-level, level])
-    edges = engine._domain_edges(phis)
-    assert np.unique(edges[0]).size == phis.size
-    assert (edges[1] != 0.0).all() and (edges[2] != 0.0).all()
-    for values in engine._f2_batch(phis, edges, 12):
-        assert np.isfinite(values).all()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for level in (0, 3):
+            tracemalloc.reset_peak()
+            engine.eta(level)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_eta_spm_frozen_value(fixed_params, reference_span):
     est = eta_spm_numeric(_channel(19), rho, reference_span,
                           QuadratureSpec(), f_ref=_F_REF)
     assert est.converged
-    assert est.value == pytest.approx(_FROZEN_SPM_19, rel=5e-6)
+    assert est.value == pytest.approx(_FROZEN_SPM_19, rel=1e-12)
 
 
 def test_swapped_and_direct_integration_orders_agree(fixed_params,
@@ -411,40 +410,20 @@ def test_direct_order_memory_is_bounded(fixed_params, reference_span):
 
 def test_integration_order_per_pair(fixed_params, reference_span):
     """The swapped (phi, f2) order serves every XPM pair of rows 0, 19 and
-    39 of the reference grid as one piece, and every SPM channel as two
-    pieces split at f2 = 0, where the phase slope changes sign."""
+    39 of the reference grid, and the direct order every SPM channel, whose
+    phase slope vanishes at f2 = 0."""
     rho = TaylorProfile(fixed_params, _L)
     for i in range(40):
         spm = _PairEngine(rho, reference_span, _channel(i), _channel(i),
                           _F_REF)
-        assert spm._sw is not None and spm._sw["zero"] == 0.0, i
+        assert spm._sw is None, i
     for i in (0, 19, 39):
         for k in range(40):
             if k != i:
                 xpm = _PairEngine(rho, reference_span, _channel(i),
                                   _channel(k), _F_REF)
                 assert xpm._sw is not None, (i, k)
-                assert xpm._sw["zero"] is None, (i, k)
-
-
-@pytest.mark.parametrize("i", [0, 19, 39])
-def test_spm_split_order_matches_direct_order(fixed_params, reference_span,
-                                              monkeypatch, i):
-    """SPM on the two pieces and in the forced direct order both converge
-    at the first refinement, and agree to 1e-7; for channel 19 the direct
-    order lands on the frozen value to 1e-12."""
-    rho = TaylorProfile(fixed_params, _L)
-    spec = QuadratureSpec(max_refinements=1)
-    split = eta_spm_numeric(_channel(i), rho, reference_span, spec,
-                            f_ref=_F_REF)
-    monkeypatch.setattr(_PairEngine, "_setup_swapped", lambda self: None)
-    direct = eta_spm_numeric(_channel(i), rho, reference_span, spec,
-                             f_ref=_F_REF)
-    assert split.converged and direct.converged
-    assert split.error_estimate <= oracle._REL_TOL_ETA * split.value
-    assert split.value == pytest.approx(direct.value, rel=1e-7)
-    if i == 19:
-        assert direct.value == pytest.approx(_FROZEN_SPM_19, rel=1e-12)
+                assert "zero" not in xpm._sw, (i, k)
 
 
 def _gauss_64x64(engine):
@@ -636,8 +615,8 @@ def test_closed_form_tracks_oracle_spm(fixed_params, reference_span):
 
 # eta_numeric of four rows of the reference grid on the fit that
 # fit_profile makes of the reference scenario
-_REFERENCE_ROWS = {0: 775.8317806474147, 19: 570.4625171652832,
-                   20: 553.7764605925619, 39: 277.84925298531766}
+_REFERENCE_ROWS = {0: 775.8317805435613, 19: 570.4625176802178,
+                   20: 553.7764610696353, 39: 277.8492531954771}
 
 
 def test_reference_rows_keep_their_oracle_values(reference_scenario,

@@ -349,14 +349,14 @@ def _fit_inputs(cfg, evo, ch, with_backward=None):
     p_f, p_b, f_hat = shared_fit_context(evo, cfg)
     f_i = cfg.grid.channels[ch].center_frequency
     target_full = 10.0 * np.log10(normalized_profile(evo, ch))
-    stride = profile._fit_stride(evo.z_grid.size - 1)
+    sub = profile._fit_samples(evo.z_grid.size - 1)
     alpha_phys = cfg.span.attenuation
     if with_backward is None:
         with_backward = p_b > 0
     free, base, lo, hi, scale = _parameter_space(
         alpha_phys, cfg.span.raman_slope, with_backward)
-    return dict(length=cfg.span.length, z=evo.z_grid[::stride],
-                target_db=target_full[::stride], z_full=evo.z_grid,
+    return dict(length=cfg.span.length, z=evo.z_grid[sub],
+                target_db=target_full[sub], z_full=evo.z_grid,
                 target_full=target_full, delta=f_i - f_hat, f_hat=f_hat,
                 p_f=p_f, p_b=p_b, alpha_phys=alpha_phys,
                 with_backward=with_backward, free=free, base=base, lo=lo,
@@ -680,10 +680,15 @@ def _solo_fit(cfg, evo):
 
 @pytest.mark.parametrize("n_steps, stride", [
     (1000, 4), (2000, 8), (750, 3), (500, 2), (499, 1), (250, 1), (200, 1),
-    (1001, 1)])
-def test_fit_stride_is_the_largest_divisor_leaving_250_steps(n_steps,
-                                                             stride):
-    assert profile._fit_stride(n_steps) == stride
+    (1001, 4), (997, 3), (1009, 4)])
+def test_fit_sub_grid_is_every_sth_sample_and_the_last(n_steps, stride):
+    """Every ``stride``-th sample, stride = n_steps // 250 (at least 1),
+    then z = L, whether or not the stride divides the step count: at least
+    250 steps from 250 steps on."""
+    sub = profile._fit_samples(n_steps)
+    np.testing.assert_array_equal(
+        sub, np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps)))
+    assert sub.size - 1 >= min(n_steps, 250)
 
 
 def test_fit_rms_is_taken_on_the_solver_grid(reference_scenario,
@@ -699,7 +704,9 @@ def test_fit_rms_is_taken_on_the_solver_grid(reference_scenario,
             (forward.link, (forward_evo,
                             fit_profile(forward_evo, forward.link)))]:
         z = evo.z_grid
-        assert z.size == 1001 and profile._fit_stride(z.size - 1) == 4
+        assert z.size == 1001
+        np.testing.assert_array_equal(profile._fit_samples(z.size - 1),
+                                      np.arange(0, 1001, 4))
         for ch, cf in enumerate(fit.channel_fits):
             f_i = link.grid.channels[ch].center_frequency
             target = 10.0 * np.log10(evo.powers[ch] / evo.powers[ch, 0])
@@ -907,14 +914,14 @@ def test_seed_ranking_work_on_the_reference(reference_scenario,
     three levels on all 1001 samples, 3 447 677 elements and 972 rows."""
     evolution, fit = reference_fit
     work = {"elements": 0, "rows": 0}
-    stride = profile._fit_stride(evolution.z_grid.size - 1)
-    assert stride == 4
+    sub = profile._fit_samples(evolution.z_grid.size - 1)
+    assert sub.size == 251
 
     def counting(residual, index, block=profile._SCORE_BLOCK):
         if len(index):
             width = residual(index[:1]).shape[1]
             work["elements"] += len(index) * width
-            if width == evolution.z_grid[::stride].size:
+            if width == sub.size:
                 work["rows"] += len(index)
         return _seed_scores(residual, index, block)
 

@@ -259,8 +259,13 @@ def test_documented_example_parses(tmp_path):
      "quadrature: max_refinements must lie in [1, 5]"),
     ("quadrature", "max_refinements", 6,
      "quadrature: max_refinements must lie in [1, 5]"),
+    ("solver", "steps", 50,
+     "solver.steps: expected an integer >= 100, got 50"),
+    ("solver", "steps", 4001,
+     "solver.steps: 4001 steps, more than the 4000 allowed"),
 ], ids=["fit.max_iterations=0", "quadrature.max_refinements=11",
-        "quadrature.max_refinements=6"])
+        "quadrature.max_refinements=6", "solver.steps=50",
+        "solver.steps=4001"])
 def test_run_control_out_of_range_rejected(tmp_path, section, key, value,
                                            message):
     """Refused as a scenario error (exit 2), not a validation error."""
