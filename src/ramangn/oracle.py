@@ -32,11 +32,12 @@ and running the eta oracle never load scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -47,20 +48,6 @@ from .profile import (ProfileParams, eval_profile_taylor, pair_offsets,
                       profile_margin, tilt_derivative, tilt_integral)
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _quad_quiet(*args, **kwargs):
-    """quad with the oscillatory-cycle warning suppressed.
-
-    The Fourier-weighted improper integrals occasionally report "bad
-    integrand behavior" for near-degenerate parameter draws while still
-    converging well inside tolerance; the accuracy checks are the gate.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(*args, **kwargs)
 
 
 _REL_TOL_MU = 1e-8  # link function and finite identities, relative
@@ -235,13 +222,6 @@ def _filon_rule(theta: np.ndarray, inv_v: np.ndarray) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def _cheb_nodes_invv(n_nodes: int):
-    t = np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1))[::-1]
-    v = np.vander(t, increasing=True)
-    return t, np.linalg.inv(v)
-
-
 def _legendre_pair(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
     p0, p1 = np.ones_like(x), x
@@ -282,9 +262,14 @@ _GL_CAP = 1 << 14  # largest Gauss-Legendre rule of one segment
 
 
 @lru_cache(maxsize=None)
-def _gl8_fit() -> np.ndarray:
-    """Inverse Vandermonde matrix of the 8 Gauss nodes (degree-7 fit)."""
-    return np.linalg.inv(np.vander(_gl_rule(8)[0], 8, increasing=True))
+def _fit_nodes(n_nodes: int, gauss: bool = False):
+    """The nodes t on [-1, 1] of an (n_nodes - 1)-degree polynomial fit and
+    their inverse Vandermonde matrix, the pair ``_filon_rule`` takes: the
+    Chebyshev extrema, ascending, for the zeta panels, or with ``gauss``
+    the Gauss-Legendre nodes (``_gl_rule``), for the outer phase panels."""
+    t = (_gl_rule(n_nodes)[0] if gauss
+         else np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1))[::-1])
+    return t, np.linalg.inv(np.vander(t, increasing=True))
 
 
 def _gl_size(n: float) -> int:
@@ -301,7 +286,8 @@ def _phase_panels(h, phase_c, theta, smooth, cross):
     ``cross`` (U V* part), with ``phase_c`` = c_q L and ``theta`` = h_q L.
     """
     w8 = _gl_rule(8)[1]
-    ripple = np.sum(cross * _filon_rule(theta, _gl8_fit()), axis=1)
+    ripple = np.sum(cross * _filon_rule(theta, _fit_nodes(8, True)[1]),
+                    axis=1)
     osc = h * np.exp(1j * phase_c) * ripple
     return h * (smooth @ w8) - 2.0 * osc.real
 
@@ -445,7 +431,7 @@ class _PairEngine:
         bounds = np.unique(bounds)
         centers = 0.5 * (bounds[1:] + bounds[:-1])
         halfw = 0.5 * (bounds[1:] - bounds[:-1])
-        t_nodes, inv_v = _cheb_nodes_invv(_N_ZETA_DEG + 1)
+        t_nodes, inv_v = _fit_nodes(_N_ZETA_DEG + 1)
         z_nodes = centers[:, None] + halfw[:, None] * t_nodes[None, :]
         z_nodes = z_nodes.ravel()
         x = self._x_of(z_nodes)
@@ -852,7 +838,8 @@ class _PairEngine:
 
 def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
                       rho: TaylorProfile, span: FiberSpan,
-                      spec: QuadratureSpec, f_ref: float) -> EtaEstimate:
+                      spec: Optional[QuadratureSpec], f_ref: float
+                      ) -> EtaEstimate:
     """Refine one pair's eta until two levels agree to ``_REL_TOL_ETA``.
 
     Each level integrates in the order the pair takes
@@ -872,6 +859,7 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
         raise ValidationError(
             "the eta oracle requires a TaylorProfile evaluator"
         )
+    spec = spec or QuadratureSpec()
     engine = _PairEngine(rho, span, channel_i, channel_k, f_ref)
     p_i = channel_i.launch_power_per_span[0]
     p_k = channel_k.launch_power_per_span[0]
@@ -900,7 +888,6 @@ def eta_xpm_numeric(channel_i: Channel, channel_k: Channel,
     ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted,
     the grid's band center (``FiberSpan``).
     """
-    spec = spec or QuadratureSpec()
     if channel_k.center_frequency == channel_i.center_frequency:
         raise ValidationError("XPM oracle requires distinct channels")
     return _eta_pair_numeric(channel_i, channel_k, rho, span, spec, f_ref)
@@ -914,7 +901,6 @@ def eta_spm_numeric(channel_i: Channel, rho: TaylorProfile, span: FiberSpan,
     ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted,
     the grid's band center (``FiberSpan``).
     """
-    spec = spec or QuadratureSpec()
     est = _eta_pair_numeric(channel_i, channel_i, rho, span, spec, f_ref)
     return EtaEstimate(0.5 * est.value, 0.5 * est.error_estimate,
                        est.converged)
@@ -950,137 +936,137 @@ def _rel(err, ref):
     return err / max(abs(ref), 1e-300)
 
 
+def _quad_quiet(f, lo, hi, **weight):
+    """int_lo^hi f by scipy's ``quad`` to 1e-12 relative, with its warnings
+    off: the Fourier-weighted improper integrals occasionally report "bad
+    integrand behavior" for near-degenerate parameter draws while still
+    converging well inside tolerance; the accuracy checks are the gate."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400,
+                    **weight)[0]
+
+
+def _rational(a, b, u):
+    """(ab + c^2 x^2) / ((a^2 + c^2 x^2)(b^2 + c^2 x^2)) at u = c^2 x^2."""
+    return (a * b + u) / ((a * a + u) * (b * b + u))
+
+
+def _draw_abc(rng):
+    a, b = rng.uniform(0.2, 3.0, 2)
+    return a, b, rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
+
+
+def _draw_multinomial(rng):
+    """(z0 + z1 + z2)^p by the multinomial theorem, p = 1..3, complex z."""
+    z = rng.normal(size=3) + 1j * rng.normal(size=3)
+    errors = []
+    for p in (1, 2, 3):
+        lhs = np.sum(z) ** p
+        rhs = sum(math.factorial(p) / math.prod(map(math.factorial, ks))
+                  * z[0] ** ks[0] * z[1] ** ks[1] * z[2] ** ks[2]
+                  for ks in itertools.product(range(p + 1), repeat=3)
+                  if sum(ks) == p)
+        errors.append(_rel(abs(lhs - rhs), abs(lhs)))
+    return np.max(errors), 0.0
+
+
+def _draw_complex_modulus(rng):
+    """|z1|^2 = Re z1 z1* and z1 z2* + z2 z1* = 2 Re z1 z2*."""
+    z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    lhs = z1 * np.conj(z2) + z2 * np.conj(z1)
+    rhs = 2.0 * (z1 * np.conj(z2)).real
+    return np.max((_rel(abs(abs(z1) ** 2 - (z1 * np.conj(z1)).real),
+                        abs(z1) ** 2), _rel(abs(lhs - rhs), abs(rhs)))), 0.0
+
+
+def _draw_rational_atan(rng):
+    """The rational over [0, X] is (atan(cX/a) + atan(cX/b)) / (c (a + b))."""
+    a, b, c = _draw_abc(rng)
+    x_up = rng.uniform(0.5, 5.0)
+    lhs = _quad_quiet(lambda x: _rational(a, b, c * c * x * x), 0.0, x_up)
+    rhs = (math.atan(c * x_up / a) + math.atan(c * x_up / b)) / (c * (a + b))
+    return _rel(abs(lhs - rhs), rhs), 0.0
+
+
+def _draw_rational_trig(rng):
+    """The rational at x = sin t over t in [0, pi/2] is
+    pi / (2 (a + b)) (1 / sqrt(a^2 + c^2) + 1 / sqrt(b^2 + c^2))."""
+    a, b, c = _draw_abc(rng)
+    lhs = _quad_quiet(lambda t: _rational(a, b, c * c * math.sin(t) ** 2),
+                      0.0, math.pi / 2)
+    rhs = (math.pi / (2.0 * (a + b))
+           * (1.0 / math.sqrt(a * a + c * c) + 1.0 / math.sqrt(b * b + c * c)))
+    return _rel(abs(lhs - rhs), rhs), 0.0
+
+
+def _draw_quartic_asinh(rng):
+    """x / sqrt(1 + d^2 x^4) over [0, X] is asinh(d X^2) / (2 d)."""
+    d, x_up = rng.uniform(0.1, 10.0), rng.uniform(0.5, 5.0)
+    lhs = _quad_quiet(lambda x: x / math.sqrt(1.0 + d * d * x ** 4), 0.0,
+                      x_up)
+    rhs = math.asinh(d * x_up ** 2) / (2.0 * d)
+    return _rel(abs(lhs - rhs), rhs), 0.0
+
+
+def _draw_improper(rng, weight):
+    """The rational against cos(c l x), or (a - b) c x over its denominator
+    against sin(c l x), over [0, inf) is pi/2 (e^{-a l} +- e^{-b l}) sgn(c)
+    / (c (a + b)), + for cos; the sine's error is relative to >= 1e-6."""
+    a, b, c = _draw_abc(rng)
+    ell = rng.uniform(0.3, 3.0)
+    cos = weight == "cos"
+
+    def f(x):
+        u = c * c * x * x
+        return (_rational(a, b, u) if cos
+                else (a - b) * c * x / ((a * a + u) * (b * b + u)))
+
+    lhs, tail = (_quad_quiet(f, x_lo, np.inf, weight=weight, wvar=c * ell)
+                 for x_lo in (0.0, _TRUNCATION_HALFWIDTH * max(a, b) / abs(c)))
+    sign = math.copysign(1.0, c)
+    rhs = (math.pi / 2.0 * (math.exp(-a * ell) * (sign if cos else -sign)
+                            + math.exp(-b * ell) * sign) / (c * (a + b)))
+    scale = max(abs(rhs), 1e-300 if cos else 1e-6)
+    return abs(lhs - rhs) / scale, abs(tail) / scale
+
+
+# (name, tolerance, draw), in the order they draw.  A draw takes one parameter
+# set from the shared generator and returns (relative error, relative tail).
+_IDENTITIES = (
+    ("multinomial", 1e-12, _draw_multinomial),
+    ("complex_modulus", 1e-12, _draw_complex_modulus),
+    ("rational_atan", _REL_TOL_MU, _draw_rational_atan),
+    ("rational_trig", _REL_TOL_MU, _draw_rational_trig),
+    ("quartic_asinh", _REL_TOL_MU, _draw_quartic_asinh),
+    ("improper_cos", _REL_TOL_MU, partial(_draw_improper, weight="cos")),
+    ("improper_sin", _REL_TOL_MU, partial(_draw_improper, weight="sin")),
+)
+
+
 def verify_identities(n_draws: int = 120, seed: int = 20260823
                       ) -> IdentityReport:
     """Randomized numeric verification of the supporting identities.
 
-    Finite integrals are compared against adaptive quadrature, to
-    ``_REL_TOL_MU`` relative; improper oscillatory ones use weighted
-    quadrature over [0, inf) with the tail beyond
-    ``_TRUNCATION_HALFWIDTH`` max(a, b)/|c| reported separately.
+    Each identity of ``_IDENTITIES`` takes ``n_draws`` parameter sets in
+    turn from one generator seeded with ``seed``.  Finite integrals are
+    compared against adaptive quadrature, to ``_REL_TOL_MU`` relative;
+    improper oscillatory ones use weighted quadrature over [0, inf) with
+    the tail beyond ``_TRUNCATION_HALFWIDTH`` max(a, b)/|c| reported
+    separately.  A NaN error or tail fails its check, whose
+    ``max_rel_error`` then reads NaN.
     """
-    from scipy.integrate import quad
-
-    tol = _REL_TOL_MU
     rng = np.random.default_rng(seed)
     checks = []
-
-    # multinomial expansion for exponents 1..3 on random complex triples
-    worst = 0.0
-    from itertools import product as _prod
-    for _ in range(n_draws):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        for power in (1, 2, 3):
-            lhs = np.sum(z) ** power
-            rhs = 0.0
-            for ks in _prod(range(power + 1), repeat=3):
-                if sum(ks) != power:
-                    continue
-                coef = (math.factorial(power)
-                        / math.prod(math.factorial(k) for k in ks))
-                rhs += coef * z[0] ** ks[0] * z[1] ** ks[1] * z[2] ** ks[2]
-            worst = max(worst, _rel(abs(lhs - rhs), abs(lhs)))
-    checks.append(IdentityCheck("multinomial", n_draws, worst, 1e-12,
-                                worst <= 1e-12))
-
-    # complex modulus identities
-    worst = 0.0
-    for _ in range(n_draws):
-        z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        worst = max(worst, _rel(abs(abs(z1) ** 2 - (z1 * np.conj(z1)).real),
-                                abs(z1) ** 2))
-        lhs = z1 * np.conj(z2) + z2 * np.conj(z1)
-        rhs = 2.0 * (z1 * np.conj(z2)).real
-        worst = max(worst, _rel(abs(lhs - rhs), abs(rhs)))
-    checks.append(IdentityCheck("complex_modulus", n_draws, worst, 1e-12,
-                                worst <= 1e-12))
-
-    qkw = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
-
-    # finite rational-atan identity
-    worst = 0.0
-    for _ in range(n_draws):
-        a, b2 = rng.uniform(0.2, 3.0, 2)
-        c = rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
-        x_up = rng.uniform(0.5, 5.0)
-        f = lambda x: ((a * b2 + c * c * x * x)
-                       / ((a * a + c * c * x * x) * (b2 * b2 + c * c * x * x)))
-        lhs = quad(f, 0.0, x_up, **qkw)[0]
-        rhs = (math.atan(c * x_up / a) + math.atan(c * x_up / b2)) \
-            / (c * (a + b2))
-        worst = max(worst, _rel(abs(lhs - rhs), rhs))
-    checks.append(IdentityCheck("rational_atan", n_draws, worst, tol,
-                                worst <= tol))
-
-    # finite trigonometric identity over [0, pi/2]
-    worst = 0.0
-    for _ in range(n_draws):
-        a, b2 = rng.uniform(0.2, 3.0, 2)
-        c = rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
-        f = lambda x: ((a * b2 + c * c * math.sin(x) ** 2)
-                       / ((a * a + c * c * math.sin(x) ** 2)
-                          * (b2 * b2 + c * c * math.sin(x) ** 2)))
-        lhs = quad(f, 0.0, math.pi / 2, **qkw)[0]
-        rhs = (math.pi / (2.0 * (a + b2))
-               * (1.0 / math.sqrt(a * a + c * c)
-                  + 1.0 / math.sqrt(b2 * b2 + c * c)))
-        worst = max(worst, _rel(abs(lhs - rhs), rhs))
-    checks.append(IdentityCheck("rational_trig", n_draws, worst, tol,
-                                worst <= tol))
-
-    # quartic-sqrt asinh identity
-    worst = 0.0
-    for _ in range(n_draws):
-        d = rng.uniform(0.1, 10.0)
-        x_up = rng.uniform(0.5, 5.0)
-        f = lambda x: x / math.sqrt(1.0 + d * d * x ** 4)
-        lhs = quad(f, 0.0, x_up, **qkw)[0]
-        rhs = math.asinh(d * x_up ** 2) / (2.0 * d)
-        worst = max(worst, _rel(abs(lhs - rhs), rhs))
-    checks.append(IdentityCheck("quartic_asinh", n_draws, worst, tol,
-                                worst <= tol))
-
-    # improper oscillatory cosine identity
-    worst = tail_worst = 0.0
-    for _ in range(n_draws):
-        a, b2 = rng.uniform(0.2, 3.0, 2)
-        c = rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
-        ell = rng.uniform(0.3, 3.0)
-        f = lambda x: ((a * b2 + c * c * x * x)
-                       / ((a * a + c * c * x * x) * (b2 * b2 + c * c * x * x)))
-        lhs = _quad_quiet(f, 0.0, np.inf, weight="cos", wvar=c * ell, **qkw)[0]
-        rhs = (math.pi / 2.0
-               * (math.exp(-abs(a * ell)) * math.copysign(1.0, c / a)
-                  + math.exp(-abs(b2 * ell)) * math.copysign(1.0, c / b2))
-               / (c * (a + b2)))
-        x_cut = _TRUNCATION_HALFWIDTH * max(a, b2) / abs(c)
-        tail = _quad_quiet(f, x_cut, np.inf, weight="cos", wvar=c * ell, **qkw)[0]
-        worst = max(worst, _rel(abs(lhs - rhs), abs(rhs)))
-        tail_worst = max(tail_worst, _rel(abs(tail), abs(rhs)))
-    checks.append(IdentityCheck("improper_cos", n_draws, worst, tol,
-                                worst <= tol, max_tail=tail_worst))
-
-    # improper oscillatory sine identity
-    worst = tail_worst = 0.0
-    for _ in range(n_draws):
-        a, b2 = rng.uniform(0.2, 3.0, 2)
-        c = rng.choice([-1, 1]) * rng.uniform(0.3, 3.0)
-        ell = rng.uniform(0.3, 3.0)
-        f = lambda x: ((a - b2) * c * x
-                       / ((a * a + c * c * x * x) * (b2 * b2 + c * c * x * x)))
-        lhs = _quad_quiet(f, 0.0, np.inf, weight="sin", wvar=c * ell, **qkw)[0]
-        rhs = (math.pi / 2.0
-               * (math.exp(-abs(a * ell)) * (-math.copysign(1.0, c))
-                  + math.exp(-abs(b2 * ell)) * math.copysign(1.0, c))
-               / (c * (a + b2)))
-        x_cut = _TRUNCATION_HALFWIDTH * max(a, b2) / abs(c)
-        tail = _quad_quiet(f, x_cut, np.inf, weight="sin", wvar=c * ell, **qkw)[0]
-        scale = max(abs(rhs), 1e-6)
-        worst = max(worst, abs(lhs - rhs) / scale)
-        tail_worst = max(tail_worst, abs(tail) / scale)
-    checks.append(IdentityCheck("improper_sin", n_draws, worst, tol,
-                                worst <= tol, max_tail=tail_worst))
-
+    for name, tol, draw in _IDENTITIES:
+        draws = np.array([draw(rng) for _ in range(n_draws)]).reshape(-1, 2)
+        worst, tail = draws.max(axis=0, initial=0.0).tolist()
+        if math.isnan(tail):
+            worst = tail
+        checks.append(IdentityCheck(name, n_draws, worst, tol, worst <= tol,
+                                    max_tail=tail))
     return IdentityReport(tuple(checks))
 
 
@@ -1142,7 +1128,6 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
     """
     from .closedform import closed_form_terms, eta_spm, eta_xpm_pair
 
-    spec = spec or QuadratureSpec()
     grid = config.grid
     span = config.span
     n = config.span_count

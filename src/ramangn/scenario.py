@@ -44,12 +44,13 @@ channel.  In the explicit-channel form each channel is
 ``{"center": Q, "bandwidth": Q, "launch_power": Q or [Q, ...]}`` with one
 launch power per span (a single value is broadcast).  The ``solver``,
 ``fit`` and ``quadrature`` keys shown are every run control a scenario
-sets; the fitter's seed grid and start counts and the oracle's tolerances
-are constants (see :func:`~ramangn.profile.fit_profile` and
+sets, each section parsed by ``_run_control``; the fitter's seed grid and
+start counts and the oracle's tolerances are constants (see
+:func:`~ramangn.profile.fit_profile` and
 :class:`~ramangn.oracle.QuadratureSpec`); the output directory is ``--out``.
-A grid holds at most 2000 channels, a link at most 1000 spans and a solve
-100 to 4000 steps (``_MAX_STEPS``); other counts are refused before any
-channel is built.
+A grid holds at most 2000 channels, a link at most 1000 spans and 100
+pumps, a solve 100 to 4000 steps and a polish 1000 evaluations (the
+``_MAX_*`` constants); larger counts are refused before the link is solved.
 """
 
 from __future__ import annotations
@@ -66,10 +67,22 @@ from .oracle import QuadratureSpec
 from .raman import _MIN_STEPS
 from .units import convert_units, db_to_linear
 
+# Count bounds, each refused while parsing; the README's bounds list derives
+# them.  The closed-form kernel's channel-pair planes take about
+# 65 bytes x channels^2.
+_MAX_CHANNELS = 2000
+_MAX_SPANS = 1000  # spans add a spans x channels launch-power matrix
+# A pump is one more line of the solve: 100 add 5 % to its lines at the
+# channel ceiling.
+_MAX_PUMPS = 100
 # The solver holds (lines, steps + 1) powers and doubles the steps on each of
 # up to three retries, and the fit holds (channels, steps + 1) targets: at the
 # 2000-channel ceiling 4000 steps take 64 MB, and 512 MB at the third retry.
 _MAX_STEPS = 4000
+# Residual evaluations of one polish, 5 times the default: a 256-channel
+# block takes about 2 ms per evaluation, so 2000 channels that never
+# converge stop after about 16-18 s.
+_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,12 @@ def _solver_steps(value: Any, path: str) -> int:
                           path, "steps")
 
 
+def _max_iterations(value: Any, path: str) -> int:
+    """A polish's evaluation cap in [1, ``_MAX_ITERATIONS``]."""
+    return _count_at_most(_int_at_least(value, path), _MAX_ITERATIONS, path,
+                          "iterations")
+
+
 def _parse_span(node: Any, path: str) -> FiberSpan:
     node = dict(_require_mapping(node, path))
     length = 1e3 * _number(_take(node, "length_km", path), f"{path}.length_km")
@@ -188,7 +207,8 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
         _reject_unknown(node, path)
         if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{path}.channels: expected a non-empty list")
-        _count_at_most(len(raw), 2000, f"{path}.channels", "channels")
+        _count_at_most(len(raw), _MAX_CHANNELS, f"{path}.channels",
+                       "channels")
         channels = []
         for j, item in enumerate(raw):
             cpath = f"{path}.channels[{j}]"
@@ -204,7 +224,7 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
         return WdmGrid(tuple(channels))
     count = _count_at_most(_int_at_least(_take(node, "count", path),
                                          f"{path}.count"),
-                           2000, f"{path}.count", "channels")
+                           _MAX_CHANNELS, f"{path}.count", "channels")
     first = _quantity(_take(node, "first_center", path), f"{path}.first_center")
     spacing = _quantity(_take(node, "spacing", path), f"{path}.spacing")
     bandwidth = _quantity(_take(node, "bandwidth", path), f"{path}.bandwidth")
@@ -218,6 +238,7 @@ def _parse_grid(node: Any, path: str, span_count: int) -> WdmGrid:
 def _parse_pumps(node: Any, path: str) -> Tuple[Pump, ...]:
     if not isinstance(node, list):
         raise ScenarioError(f"{path}: expected a list of pump objects")
+    _count_at_most(len(node), _MAX_PUMPS, path, "pumps")
     pumps = []
     for j, item in enumerate(node):
         ppath = f"{path}[{j}]"
@@ -263,27 +284,14 @@ def _parse_budget(node: Any, path: str, n_channels: int) -> SnrBudget:
     return SnrBudget(snr_ase=ase, snr_trx=trx)
 
 
-def _parse_fit(node: Any, path: str) -> dict:
-    node = dict(_require_mapping(node, path))
-    out = {}
-    if "max_iterations" in node:
-        out["max_iterations"] = _int_at_least(
-            node.pop("max_iterations"), f"{path}.max_iterations")
-    _reject_unknown(node, path)
+def _run_control(root: dict, section: str, key: str, parse) -> dict:
+    """Run-control ``section`` of ``root``, an object, as ``{key: parse(value,
+    "section.key")}``, or ``{}`` without ``key``; other keys are refused."""
+    node = dict(_require_mapping(_take(root, section, "<root>", {}), section))
+    out = ({key: parse(node.pop(key), f"{section}.{key}")} if key in node
+           else {})
+    _reject_unknown(node, section)
     return out
-
-
-def _parse_quadrature(node: Any, path: str) -> QuadratureSpec:
-    node = dict(_require_mapping(node, path))
-    kwargs = {}
-    if "max_refinements" in node:
-        kwargs["max_refinements"] = _int_at_least(
-            node.pop("max_refinements"), f"{path}.max_refinements")
-    _reject_unknown(node, path)
-    try:
-        return QuadratureSpec(**kwargs)
-    except ValidationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(path) -> Scenario:
@@ -303,7 +311,7 @@ def parse_scenario(path) -> Scenario:
 
     span_count = _take(root, "span_count", "<root>", 1)
     span_count = _count_at_most(_int_at_least(span_count, "span_count"),
-                                1000, "span_count", "spans")
+                                _MAX_SPANS, "span_count", "spans")
     span = _parse_span(_take(root, "span", "<root>"), "span")
     grid = _parse_grid(_take(root, "grid", "<root>"), "grid", span_count)
     pumps = _parse_pumps(_take(root, "pumps", "<root>", []), "pumps")
@@ -312,19 +320,19 @@ def parse_scenario(path) -> Scenario:
     budget = _parse_budget(_take(root, "budget", "<root>", "infinite"),
                            "budget", grid.n_channels)
 
-    solver = dict(_require_mapping(_take(root, "solver", "<root>", {}),
-                                   "solver"))
-    steps = _solver_steps(_take(solver, "steps", "solver", 1000),
-                          "solver.steps")
-    _reject_unknown(solver, "solver")
-
-    fit_overrides = _parse_fit(_take(root, "fit", "<root>", {}), "fit")
-    quadrature = _parse_quadrature(_take(root, "quadrature", "<root>", {}),
-                                   "quadrature")
+    solver = _run_control(root, "solver", "steps", _solver_steps)
+    fit_overrides = _run_control(root, "fit", "max_iterations",
+                                 _max_iterations)
+    try:
+        quadrature = QuadratureSpec(**_run_control(
+            root, "quadrature", "max_refinements", _int_at_least))
+    except ValidationError as exc:
+        raise ScenarioError(f"quadrature: {exc}") from exc
 
     _reject_unknown(root, "<root>")
 
     link = LinkConfig(span=span, span_count=span_count, grid=grid,
                       pumps=pumps, coherence_epsilon=epsilon)
-    return Scenario(link=link, budget=budget, solver_steps=steps,
+    return Scenario(link=link, budget=budget,
+                    solver_steps=solver.get("steps", 1000),
                     fit_overrides=fit_overrides, quadrature=quadrature)

@@ -335,20 +335,24 @@ def test_output_is_byte_identical_to_the_stored_file(
 
 
 def test_import_and_nli_do_not_load_scipy(minimal_scenario_path, tmp_path):
-    """Only the adaptive-quadrature paths of the oracle need scipy."""
+    """Only the adaptive-quadrature paths of the oracle need scipy: neither
+    ``nli`` nor ``compare``, whose eta oracle is scipy-free, loads it."""
     code = (
         "import sys\n"
         "import ramangn\n"
         "print('scipy' in sys.modules)\n"
         "from ramangn.cli import main\n"
-        f"rc = main(['nli', '--scenario', {minimal_scenario_path!r}, "
+        "for command in ('nli', 'compare'):\n"
+        f"    rc = main([command, '--scenario', {minimal_scenario_path!r}, "
         f"'--out', {str(tmp_path)!r}])\n"
-        "print(rc, 'scipy' in sys.modules)\n")
+        "    print(command, rc, 'scipy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "False"
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert [line for line in lines if line.startswith(("nli ", "compare "))
+            ] == ["nli 0 False", "compare 0 False"]
 
 
 @pytest.fixture(scope="module")

@@ -33,8 +33,7 @@ from ramangn import closedform, oracle
 from ramangn.errors import (NumericalError, ProfileDomainError,
                             ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
-                            _cheb_nodes_invv, _filon_rule, _gl8_fit,
-                            _gl_rule)
+                            _filon_rule, _fit_nodes, _gl_rule)
 from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
                              pair_offsets, profile_margin)
 
@@ -90,8 +89,7 @@ def test_filon_moments_match_weighted_quadrature(theta):
     split between the power series and the upward recurrence."""
     from scipy.integrate import quad
 
-    for t, inv_v in (_cheb_nodes_invv(_N_ZETA_DEG + 1),
-                     (_gl_rule(8)[0], _gl8_fit())):
+    for t, inv_v in (_fit_nodes(_N_ZETA_DEG + 1), _fit_nodes(8, True)):
         w = _filon_rule(np.array([theta]), inv_v)[0]
         for m in range(t.size):
             if theta == 0.0:
@@ -766,7 +764,48 @@ def test_compare_contracts_each_channel_once(lumped_scenario,
 # identity suite (short randomized run; the full run is in acceptance)
 # ---------------------------------------------------------------------------
 
+# (name, max_rel_error, max_tail) of each check at (12 draws, seed 7): pins
+# the order in which the identities take their draws from the one generator
+_SHORT_RUN = (
+    ("multinomial", 1.0586517582436051e-14, 0.0),
+    ("complex_modulus", 2.4022384737822264e-16, 0.0),
+    ("rational_atan", 2.735523333444127e-16, 0.0),
+    ("rational_trig", 3.7668371505595766e-16, 0.0),
+    ("quartic_asinh", 2.605801356505189e-16, 0.0),
+    ("improper_cos", 2.8054672944430464e-15, 0.0007433036316822758),
+    ("improper_sin", 1.6893130830507057e-13, 4.735829805929399e-05),
+)
+
+
 def test_identity_suite_short_run():
     report = verify_identities(n_draws=12, seed=7)
     assert report.all_passed
     assert len(report.checks) >= 5
+    assert [(c.name, c.max_rel_error, c.max_tail)
+            for c in report.checks] == list(_SHORT_RUN)
+
+
+def test_identity_suite_fails_on_a_nan_quadrature(monkeypatch):
+    """With every second adaptive quadrature NaN, each check that
+    integrates reads NaN and fails, where the two without a quadrature
+    still pass.  With only the improper integrals' tails NaN, those two
+    checks fail, though every error they compare is finite."""
+    import scipy.integrate
+
+    quad, calls = scipy.integrate.quad, []
+
+    def every_second_nan(*args, **kwargs):
+        calls.append(None)
+        return (math.nan, 0.0) if len(calls) % 2 else quad(*args, **kwargs)
+
+    def tail_nan(f, lo, hi, **kwargs):
+        return (math.nan, 0.0) if lo > 0.0 else quad(f, lo, hi, **kwargs)
+
+    for patch, failing in ((every_second_nan, 5), (tail_nan, 2)):
+        monkeypatch.setattr(scipy.integrate, "quad", patch)
+        report = verify_identities(n_draws=12, seed=7)
+        assert not report.all_passed
+        assert [c.passed for c in report.checks] == (
+            [True] * (7 - failing) + [False] * failing)
+        assert all(math.isnan(c.max_rel_error)
+                   for c in report.checks[7 - failing:])

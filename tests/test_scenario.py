@@ -321,6 +321,41 @@ def test_count_above_its_bound_exits_2_before_any_channel(
     assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
+def _pumps(count):
+    """``count`` backward pumps 50 GHz apart above the signal band."""
+    return [{"frequency": {"value": 200.0 + 0.05 * j, "unit": "THz"},
+             "power_w": 0.01, "direction": "backward",
+             "attenuation": {"value": 0.25, "unit": "dB/km"}}
+            for j in range(count)]
+
+
+@pytest.mark.parametrize("key, bound, noun, section", [
+    ("pumps", 100, "pumps", lambda n: {"pumps": _pumps(n)}),
+    ("fit.max_iterations", 1000, "iterations",
+     lambda n: {"fit": {"max_iterations": n}}),
+], ids=["pumps", "fit.max_iterations"])
+def test_count_above_its_bound_exits_2_before_the_solve(
+        tmp_path, capsys, monkeypatch, key, bound, noun, section):
+    """The pump list and the polish's evaluation cap parse up to their
+    bound.  One more is refused at parse time, naming the key and the
+    count, and ``nli`` exits 2 before the link is solved."""
+    from ramangn import cli
+
+    payload = _base_payload()
+    payload.update(section(bound))
+    parse_scenario(_write(tmp_path, payload))
+    monkeypatch.setattr(cli, "solve_power_evolution",
+                        lambda *a, **kw: pytest.fail("the link was solved"))
+    payload.update(section(bound + 1))
+    path = _write(tmp_path, payload)
+    message = f"{key}: {bound + 1} {noun}, more than the {bound} allowed"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(path)
+    assert cli.main(["nli", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
 def test_unknown_fit_key_rejected(tmp_path):
     payload = _base_payload()
     payload["fit"] = {"optimizer": "lm"}
