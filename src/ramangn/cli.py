@@ -10,19 +10,21 @@ fit      Fit the semi-analytical tilted-exponential profile to the ODE
 nli      Closed-form per-channel NLI and SNR; write CSV and JSON reports.
 compare  Closed form vs the 2D quadrature oracle; write the per-channel
          comparison CSV and verdict against ``--gate-db``, which also fails
-         when any oracle row did not converge.
+         when any oracle row did not converge.  Both sides are summed over
+         the spans as ``nli`` sums its eta.
 sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
          The amplification profile is fitted once at the nominal powers and
-         held fixed across offsets, so the sweep isolates the launch-power
-         dependence of the SNR arithmetic (SNR_NLI falls exactly 2 dB per
-         +1 dB of launch power).
+         held fixed across offsets, and so is eta, which a uniform offset
+         leaves unchanged; the sweep isolates the launch-power dependence
+         of the SNR arithmetic (SNR_NLI falls 2 dB per +1 dB of power).
 
 ``nli``, ``compare`` and ``sweep`` first pass the fit through one gate,
 ``_converged_fit``: it exits 4 naming every channel whose fit did not
 converge and every channel whose profile leaves its domain.
 
-Exit codes: 0 success, 2 scenario/parse error, 3 validation error,
-4 numerical failure, 5 gate failure.
+Exit codes: 0 success, 2 scenario/parse error, 3 validation error (a
+``--sweep`` taking a launch power to 0 or infinity included), 4 numerical
+failure (a vanishing channel or pair phase included), 5 gate failure.
 
 All floating-point output uses 9 significant digits in scientific
 notation, so identical inputs produce byte-identical files.
@@ -35,11 +37,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .closedform import assemble_snr, eta_total
-from .domain import Channel, LinkConfig, WdmGrid, format_float, write_csv
+from .domain import format_float, write_csv
 from .errors import (GateFailure, NumericalError, ProfileDomainError,
                      ScenarioError, UnitError, ValidationError)
 from .oracle import compare_closed_vs_oracle
@@ -188,26 +191,29 @@ def _parse_sweep(text: str):
     return [lo + j * step for j in range(count + 1)]
 
 
-def _scaled_link(link: LinkConfig, scale: float) -> LinkConfig:
-    channels = tuple(
-        Channel(c.center_frequency, c.bandwidth,
-                tuple(scale * p for p in c.launch_power_per_span))
-        for c in link.grid.channels)
-    return LinkConfig(span=link.span, span_count=link.span_count,
-                      grid=WdmGrid(channels), pumps=link.pumps,
-                      coherence_epsilon=link.coherence_epsilon)
-
-
 def cmd_sweep(scenario: Scenario, args) -> int:
     if not args.sweep:
         raise ScenarioError("sweep requires --sweep lo:hi:step (dB offsets)")
     offsets = _parse_sweep(args.sweep)
+    grid = scenario.link.grid
+    powers = grid._power_matrix
+    with np.errstate(over="ignore"):
+        low, high = (np.float64(10.0) ** (off / 10.0) * p for off, p in (
+            (offsets[0], powers.min()), (offsets[-1], powers.max())))
+    if not (low > 0.0 and high < math.inf):
+        raise ValidationError(
+            f"--sweep {args.sweep} scales the launch powers to "
+            f"{format_float(low)} .. {format_float(high)} W; they must stay "
+            f"positive and finite")
     fit = _converged_fit(scenario, args)
+    # eta is launch-power free for a uniform offset: only the SNR moves
+    eta = eta_total(scenario.link, fit)
     rows = []
     for off in offsets:
-        link = _scaled_link(scenario.link, 10.0 ** (off / 10.0))
-        report = eta_total(link, fit)
-        report = assemble_snr(report, scenario.budget, link.grid)
+        report = assemble_snr(
+            replace(eta, launch_powers=10.0 ** (off / 10.0)
+                    * eta.launch_powers),
+            scenario.budget, grid)
         snr_nli_db = 10.0 * np.log10(report.snr_nli)
         rows += [(off, str(i)) + row for i, row in enumerate(zip(
             report.frequencies, report.launch_powers, snr_nli_db,
@@ -216,7 +222,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     write_csv(("offset_db", "channel", "f_i_hz", "launch_power_w",
                "snr_nli_db", "snr_db"), rows, path)
     print(f"swept {len(offsets)} offsets x "
-          f"{scenario.link.grid.n_channels} channels -> {path}")
+          f"{grid.n_channels} channels -> {path}")
     return 0
 
 

@@ -16,8 +16,9 @@ public per-pair functions ``eta_spm`` and ``eta_xpm_pair``, which the
 closed-vs-oracle comparison calls, call them on one channel or pair, from
 a ``ClosedFormTerms`` that contracts itself once, on first use.  Both take
 frequency offsets from ``f_ref``, the frequency at which beta2/beta3 are
-quoted.  The kernel is launch-power free; ``eta_total`` evaluates it once
-and applies the per-span powers as sum_j P_{k,j}^2.
+quoted, and give one span's terms at equal powers.  Span count, epsilon
+and per-span powers enter only in ``_span_sum``, which ``eta_total`` and
+``oracle.compare_closed_vs_oracle`` share.
 
 Every sum over the three tilt terms runs one channel (or channel-pair)
 plane at a time, in numpy's own order for a length-3 reduction, ((t0 + t1)
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -283,25 +284,21 @@ def eta_xpm_pair(
     channel_k: Channel,
     terms: ClosedFormTerms,
     span: FiberSpan,
-    n: int,
     *,
     f_ref: float,
 ) -> float:
-    """Closed-form XPM contribution of interferer k onto channel i (1/W^2).
+    """Closed-form XPM eta of interferer k onto channel i (1/W^2): one
+    span at equal powers, ``_kernel``'s entry (i, k).
 
     ``terms`` must be the tilt decomposition of the *interferer* (built at
     f_k over ``span.length``): the spectral integrand collapses to the
     interfering channel's power profile.  ``f_ref`` is the absolute
     frequency at which beta2/beta3 are quoted (the grid's band center).
-    Includes the interferer power ratio (P_k/P_i)^2 and the span count
-    ``n`` (incoherent accumulation), so that the NLI power contributed by
-    this pair is the return value times P_i^3.
 
     Raises
     ------
     DegenerateDispersionError
-        If the pair phase factor vanishes (a pair ``eta_total`` reports
-        in ``degenerate_pairs``).
+        If the pair phase factor vanishes, as ``eta_total`` does.
     """
     _check_pair_records(span, channel_i, channel_k)
     if channel_k.center_frequency == channel_i.center_frequency:
@@ -314,28 +311,22 @@ def eta_xpm_pair(
             f"pair phase factor vanishes for offsets "
             f"f_i = {f_i:.4e} Hz, f_k = {f_k:.4e} Hz"
         )
-    p_i = channel_i.launch_power_per_span[0]
-    p_k = channel_k.launch_power_per_span[0]
-    return float(n * (p_k / p_i) ** 2
-                 * _xpm_eta(span, phi_ik, channel_i.bandwidth,
-                            channel_k.bandwidth, terms.contracted))
+    return float(_xpm_eta(span, phi_ik, channel_i.bandwidth,
+                          channel_k.bandwidth, terms.contracted))
 
 
 def eta_spm(
     channel_i: Channel,
     terms: ClosedFormTerms,
     span: FiberSpan,
-    n: int,
-    epsilon: float = 0.0,
     *,
     f_ref: float,
 ) -> float:
-    """Closed-form SPM contribution of channel i onto itself (1/W^2).
+    """Closed-form SPM eta of channel i onto itself (1/W^2): one span,
+    ``_kernel``'s entry i.
 
     ``terms`` is channel i's tilt decomposition over ``span.length`` and
     ``f_ref`` the absolute frequency at which beta2/beta3 are quoted.
-    Includes the n^{1+epsilon} coherent accumulation factor; the launch
-    power is divided out (NLI power = return value times P_i^3).
     """
     _check_pair_records(span, channel_i)
     phi_i = _phi_self(span, channel_i.center_frequency - f_ref)
@@ -344,9 +335,7 @@ def eta_spm(
             "self-channel phase factor phi_i is zero (dispersion-free); "
             "the SPM closed form is undefined"
         )
-    return float(n ** (1.0 + epsilon)
-                 * _spm_eta(span, phi_i, channel_i.bandwidth,
-                            terms.contracted))
+    return float(_spm_eta(span, phi_i, channel_i.bandwidth, terms.contracted))
 
 
 @dataclass(frozen=True)
@@ -358,7 +347,6 @@ class NliReport:
     eta_spm: np.ndarray
     eta_xpm: np.ndarray
     eta_total: np.ndarray
-    degenerate_pairs: Tuple[Tuple[int, int], ...] = ()
     snr_nli: Optional[np.ndarray] = None
     snr_total: Optional[np.ndarray] = None
     snr_total_db: Optional[np.ndarray] = None
@@ -367,8 +355,6 @@ class NliReport:
         freeze_arrays(self, ("frequencies", "launch_powers", "eta_spm",
                              "eta_xpm", "eta_total", "snr_nli", "snr_total",
                              "snr_total_db"))
-        object.__setattr__(self, "degenerate_pairs",
-                           tuple(tuple(p) for p in self.degenerate_pairs))
 
     @property
     def n_channels(self) -> int:
@@ -405,7 +391,6 @@ class NliReport:
                 }
                 for i in range(self.n_channels)
             ],
-            "degenerate_pairs": [list(p) for p in self.degenerate_pairs],
         }
         return write_json(payload, path_or_buf)
 
@@ -413,10 +398,11 @@ class NliReport:
 def _kernel(config: LinkConfig, fit):
     """Launch-power-free single-span eta of the whole grid.
 
-    Returns (spm, xpm, degenerate_pairs): ``spm[i]`` is channel i's SPM
-    eta and ``xpm[i, k]`` interferer k's XPM eta onto channel i, both for
-    one span and equal powers P_k = P_i; degenerate pairs hold 0.  It
-    re-checks nothing that ``LinkConfig`` checks when built.
+    Returns (spm, xpm): ``spm[i]`` is channel i's SPM eta and ``xpm[i, k]``
+    interferer k's XPM eta onto channel i (0 on the diagonal), both for
+    one span and equal powers P_k = P_i.  A vanishing phase factor, of a
+    channel or of a pair, raises DegenerateDispersionError naming every
+    one.  It re-checks nothing that ``LinkConfig`` checks when built.
     """
     span = config.span
     grid = config.grid
@@ -439,35 +425,46 @@ def _kernel(config: LinkConfig, fit):
     # interferer's, since the spectral integrand collapses to channel k's
     # power profile
     phi_ik = _phi_pair(span, f_off[:, None], f_off[None, :])
-    # skipped: the diagonal (phi_ii is exactly 0) and the degenerate pairs
-    skip = np.abs(phi_ik) < _PHI_EPS
-    phi_ik[skip] = 1.0
+    np.fill_diagonal(phi_ik, 1.0)  # phi_ii is exactly 0: no XPM term
+    matched = np.flatnonzero(np.abs(phi_ik) < _PHI_EPS)
+    if matched.size:
+        i, k = np.divmod(matched, f.size)
+        raise DegenerateDispersionError(
+            f"phi_ik vanishes for pair(s) (i, k) "
+            f"{list(zip(i.tolist(), k.tolist()))}")
     xpm = _xpm_eta(span, phi_ik, b[:, None], b[None, :], contracted)
-    xpm[skip] = 0.0
-    i, k = np.divmod(np.flatnonzero(skip), skip.shape[1])
-    off_diag = i != k
-    pairs = tuple(zip(i[off_diag].tolist(), k[off_diag].tolist()))
-    return spm, xpm, pairs
+    np.fill_diagonal(xpm, 0.0)
+    return spm, xpm
+
+
+def _span_sum(config: LinkConfig, spm, xpm):
+    """The link's (eta_SPM, eta_XPM) (1/W^2) from one span's terms at equal
+    powers, S_i = ``spm[i]`` and K_ik = ``xpm[i, k]``: the kernel's, the
+    oracle's or their error estimates.  Span j adds (P_{i,j}/P_{i,0})^2
+    [n^epsilon S_i + sum_k K_ik (P_{k,j}/P_{i,j})^2] over n spans, so
+
+        eta_SPM = n^epsilon S_i sum_j P_{i,j}^2 / P_{i,0}^2,
+        eta_XPM = sum_k K_ik sum_j P_{k,j}^2 / P_{i,0}^2.
+    """
+    # (spans, channels), C-contiguous: the span sum runs in span order
+    powers = config.grid._power_matrix
+    p2 = np.sum(powers ** 2, axis=0)
+    p_ref = powers[0]
+    return (spm * config.span_count ** config.coherence_epsilon * p2
+            / p_ref ** 2,
+            xpm @ p2 / p_ref ** 2)
 
 
 def eta_total(config: LinkConfig, fit) -> NliReport:
-    """Accumulate per-channel eta over all spans (1/W^2).
-
-    eta_n(f_i) = sum_j (P_{i,j}/P_{i,0})^2 [eta_SPM,j n^epsilon
-    + eta_XPM,j], where span j's XPM terms carry (P_{k,j}/P_{i,j})^2.  With
-    the power-free single-span kernels S_i (SPM) and K_ik (XPM) this is
-
-        eta_SPM = n^epsilon S_i sum_j P_{i,j}^2 / P_{i,0}^2,
-        eta_XPM = sum_k K_ik sum_j P_{k,j}^2 / P_{i,0}^2,
-
-    so the kernels are evaluated once whatever the per-span powers.  Equal
-    powers in every span give n^{1+epsilon} S_i and n sum_k K_ik
-    (P_k/P_i)^2.
+    """Accumulate per-channel eta over all spans (1/W^2): ``_span_sum`` of
+    the single-span kernels S_i and K_ik, evaluated once whatever the
+    per-span powers.  Equal powers in every span give n^{1+epsilon} S_i
+    and n sum_k K_ik (P_k/P_i)^2.
 
     The link was checked when built.  Like the fit's convergence, its
     domain (``profile.profile_margin``) is checked once per command by the
-    CLI's fit gate, not here.  A zero phi_i (beta2 = beta3 = 0, say) raises
-    DegenerateDispersionError naming the channels.
+    CLI's fit gate, not here.  A zero phi_i (beta2 = beta3 = 0, say) or
+    phi_ik raises DegenerateDispersionError naming the channels or pairs.
     """
     if fit.n_channels != config.grid.n_channels:
         raise ValidationError(
@@ -475,21 +472,13 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
             f"{config.grid.n_channels}"
         )
     grid = config.grid
-    n = config.span_count
-    spm, xpm, pairs = _kernel(config, fit)
-    # (spans, channels), C-contiguous: the span sum runs in span order
-    powers = grid._power_matrix
-    p2 = np.sum(powers ** 2, axis=0)
-    p_ref = powers[0]
-    e_spm = spm * n ** config.coherence_epsilon * p2 / p_ref ** 2
-    e_xpm = xpm @ p2 / p_ref ** 2
+    e_spm, e_xpm = _span_sum(config, *_kernel(config, fit))
     return NliReport(
         frequencies=grid.frequencies,
-        launch_powers=p_ref,
+        launch_powers=grid.launch_powers(0),
         eta_spm=e_spm,
         eta_xpm=e_xpm,
         eta_total=e_spm + e_xpm,
-        degenerate_pairs=pairs,
     )
 
 

@@ -861,10 +861,7 @@ def _eta_pair_numeric(channel_i: Channel, channel_k: Channel,
         )
     spec = spec or QuadratureSpec()
     engine = _PairEngine(rho, span, channel_i, channel_k, f_ref)
-    p_i = channel_i.launch_power_per_span[0]
-    p_k = channel_k.launch_power_per_span[0]
-    pref = (32.0 / 27.0 * span.gamma ** 2 / channel_k.bandwidth ** 2
-            * (p_k / p_i) ** 2)
+    pref = 32.0 / 27.0 * span.gamma ** 2 / channel_k.bandwidth ** 2
     prev = None
     value = err = math.inf
     converged = False
@@ -883,7 +880,8 @@ def eta_xpm_numeric(channel_i: Channel, channel_k: Channel,
                     rho: TaylorProfile, span: FiberSpan,
                     spec: Optional[QuadratureSpec] = None, *,
                     f_ref: float) -> EtaEstimate:
-    """2D quadrature of the XPM spectral integral with the exact phase.
+    """2D quadrature of the XPM spectral integral with the exact phase, of
+    one span at equal powers.
 
     ``f_ref`` is the absolute frequency at which beta2/beta3 are quoted,
     the grid's band center (``FiberSpan``).
@@ -1078,6 +1076,8 @@ def verify_identities(n_draws: int = 120, seed: int = 20260823
 class ComparisonReport:
     """Per-channel closed-form vs quadrature-oracle NLI comparison.
 
+    ``spm_*[i]`` and ``xpm_*[i, k]`` are one span's terms at equal powers;
+    ``eta_*`` and ``error_estimates`` their sums over the link.
     ``converged[i]`` is False when any oracle estimate (SPM or XPM) of
     row i stopped refining before meeting its tolerance; rows left out
     of the comparison read True.
@@ -1119,19 +1119,19 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
                              ) -> ComparisonReport:
     """Closed-form per-channel NLI vs the 2D quadrature oracle.
 
-    Both sides use the same fitted profile and the same span-count and
-    coherence bookkeeping; frequency offsets are taken from the grid's
-    band center.  Rows left out through ``channels`` read 0 dB; rows
-    outside the grid or named twice raise ValidationError, rows that are
-    not integers TypeError, and a compared row whose ratio is not finite
-    raises NumericalError.
+    Both sides take single-span terms on the same fitted profile, with
+    frequency offsets from the grid's band center, and sum them over the
+    link as ``eta_total`` does (``closedform._span_sum``), so the closed
+    side's eta is ``eta_total``'s.  Rows left out through ``channels``
+    read 0 dB; rows outside the grid or named twice raise ValidationError,
+    rows that are not integers TypeError, and a compared row whose ratio
+    is not finite raises NumericalError.
     """
-    from .closedform import closed_form_terms, eta_spm, eta_xpm_pair
+    from .closedform import (_span_sum, closed_form_terms, eta_spm,
+                             eta_xpm_pair)
 
     grid = config.grid
     span = config.span
-    n = config.span_count
-    eps = config.coherence_epsilon
     f_ref = grid.band_center
     n_ch = grid.n_channels
     # operator.index: a bool row is its int, not a numpy mask over every row
@@ -1144,11 +1144,8 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
         raise ValidationError(f"rows of the {n_ch}-channel grid to compare: "
                               + "; ".join(problems))
 
-    spm_c = np.zeros(n_ch)
-    spm_n = np.zeros(n_ch)
-    xpm_c = np.zeros((n_ch, n_ch))
-    xpm_n = np.zeros((n_ch, n_ch))
-    errs = np.zeros(n_ch)
+    spm_c, spm_n, spm_err = np.zeros((3, n_ch))
+    xpm_c, xpm_n, xpm_err = np.zeros((3, n_ch, n_ch))
     converged = np.ones(n_ch, dtype=bool)
 
     # Per-channel tilt decompositions and integrable profiles; an XPM pair
@@ -1166,25 +1163,24 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
 
     for i in idxs:
         ch_i = grid.channels[i]
-        spm_c[i] = eta_spm(ch_i, all_terms[i], span, n, eps, f_ref=f_ref)
+        spm_c[i] = eta_spm(ch_i, all_terms[i], span, f_ref=f_ref)
         est = eta_spm_numeric(ch_i, all_rho[i], span, spec, f_ref=f_ref)
-        spm_n[i] = est.value * n ** (1.0 + eps)
-        errs[i] += est.error_estimate
+        spm_n[i], spm_err[i] = est.value, est.error_estimate
         converged[i] &= est.converged
         for k in range(n_ch):
             if k == i:
                 continue
             ch_k = grid.channels[k]
-            xpm_c[i, k] = eta_xpm_pair(ch_i, ch_k, all_terms[k], span, n,
+            xpm_c[i, k] = eta_xpm_pair(ch_i, ch_k, all_terms[k], span,
                                        f_ref=f_ref)
             est = eta_xpm_numeric(ch_i, ch_k, all_rho[k], span, spec,
                                   f_ref=f_ref)
-            xpm_n[i, k] = n * est.value
-            errs[i] += n * est.error_estimate
+            xpm_n[i, k], xpm_err[i, k] = est.value, est.error_estimate
             converged[i] &= est.converged
 
-    eta_c = spm_c + xpm_c.sum(axis=1)
-    eta_n_arr = spm_n + xpm_n.sum(axis=1)
+    eta_c, eta_n_arr, errs = (np.add(*_span_sum(config, spm, xpm))
+                              for spm, xpm in ((spm_c, xpm_c), (spm_n, xpm_n),
+                                               (spm_err, xpm_err)))
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 10.0 * np.log10(eta_c / eta_n_arr)
     # equal sides agree exactly: rows left out (both 0) and gamma = 0 spans

@@ -57,8 +57,8 @@ def test_nli_writes_reports(data_dir, tmp_path):
                             "eta_total_per_w2,snr_nli_db,snr_db")
     assert len(csv_lines) == 1 + 9
     payload = json.loads((tmp_path / "nli_report.json").read_text())
+    assert list(payload) == ["channels"]
     assert len(payload["channels"]) == 9
-    assert payload["degenerate_pairs"] == []
 
 
 def test_sweep_slope_is_minus_two(data_dir, tmp_path):
@@ -145,6 +145,58 @@ def test_sweep_stops_at_hi(data_dir, tmp_path):
                  "--sweep=0:1:0.6"]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert sorted({float(line.split(",")[0]) for line in lines}) == [0.0, 0.6]
+
+
+def test_sweep_refuses_powers_scaled_to_zero_or_infinity(
+        data_dir, tmp_path, capsys, monkeypatch):
+    """An offset that takes a launch power to 0 or infinity, which no link
+    holds, exits 3 before the link is solved, with no traceback."""
+    from ramangn import cli
+
+    monkeypatch.setattr(cli, "solve_power_evolution",
+                        lambda *a, **kw: pytest.fail("the link was solved"))
+    scenario = os.path.join(data_dir, "lumped_9ch.json")
+    for sweep in ("-4000:-4000:1", "0:4000:4000"):
+        assert _run(["sweep", "--scenario", scenario, "--out", str(tmp_path),
+                     f"--sweep={sweep}"]) == 3
+        err = capsys.readouterr().err
+        assert "they must stay positive and finite" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_nli_refuses_a_phase_matched_pair(data_dir, tmp_path, capsys):
+    """beta2 = 0 and offsets +-0.1 THz zero the pair phase factor: a
+    phase-matched pair is the largest XPM term, so nli exits 4 naming the
+    pair instead of holding it at 0."""
+    with open(os.path.join(data_dir, "lumped_9ch.json")) as fh:
+        payload = json.load(fh)
+    payload["span"]["beta2"]["value"] = 0.0
+    payload["grid"].update(count=2, spacing={"value": 0.2, "unit": "THz"})
+    path = tmp_path / "matched.json"
+    path.write_text(json.dumps(payload))
+    assert _run(["nli", "--scenario", str(path), "--out", str(tmp_path)]) == 4
+    assert ("phi_ik vanishes for pair(s) (i, k) [(0, 1), (1, 0)]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "nli_report.csv").exists()
+
+
+def test_compare_closed_column_is_the_nli_eta(data_dir, tmp_path):
+    """On three spans at 0, 3 and -3 dBm with epsilon = 0.05, compare's
+    closed column and nli's eta print the same bytes."""
+    scenario = os.path.join(data_dir, "lumped_9ch_3span.json")
+    for command in ("nli", "compare"):
+        assert _run([command, "--scenario", scenario,
+                     "--out", str(tmp_path)]) == 0
+
+    def column(name, header):
+        lines = (tmp_path / name).read_text().splitlines()
+        j = lines[0].split(",").index(header)
+        return [line.split(",")[j] for line in lines[1:]]
+
+    closed = column("comparison.csv", "eta_closed_per_w2")
+    assert len(closed) == 9
+    assert closed == column("nli_report.csv", "eta_total_per_w2")
 
 
 def test_missing_scenario_exits_2(tmp_path):

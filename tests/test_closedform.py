@@ -195,7 +195,7 @@ def test_phase_mismatch_degenerate_pair_raises():
     ch_k = Channel(193.9e12, 100e9, (1e-3,))
     terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
     with pytest.raises(DegenerateDispersionError, match="pair phase factor"):
-        eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12)
+        eta_xpm_pair(ch_i, ch_k, terms_k, span, f_ref=193.4e12)
 
 
 def test_spm_degenerate_dispersion_raises():
@@ -203,7 +203,7 @@ def test_spm_degenerate_dispersion_raises():
     ch = Channel(193.4e12, 100e9, (1e-3,))
     terms = closed_form_terms(_params(), ch.center_frequency, _L)
     with pytest.raises(DegenerateDispersionError):
-        eta_spm(ch, terms, span, 1, f_ref=193.4e12)
+        eta_spm(ch, terms, span, f_ref=193.4e12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,39 +211,54 @@ def test_spm_degenerate_dispersion_raises():
 # ---------------------------------------------------------------------------
 
 def test_xpm_power_ratio_scaling():
+    """The per-pair XPM eta reads no launch power; eta_total's XPM of
+    channel i carries (P_k/P_i)^2: doubling channel 1's power multiplies
+    channel 0's XPM by 4 and its own by 1/4."""
     span = _span()
     ch_i = Channel(193.0e12, 100e9, (1e-3,))
     ch_k = Channel(193.5e12, 100e9, (1e-3,))
-    terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
-    base = eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12)
     doubled_k = Channel(193.5e12, 100e9, (2e-3,))
-    assert eta_xpm_pair(ch_i, doubled_k, terms_k, span, 1,
-                        f_ref=193.4e12) == pytest.approx(4.0 * base, rel=1e-14)
-    doubled_i = Channel(193.0e12, 100e9, (2e-3,))
-    assert eta_xpm_pair(doubled_i, ch_k, terms_k, span, 1,
-                        f_ref=193.4e12) == pytest.approx(0.25 * base,
-                                                         rel=1e-14)
+    terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
+    assert eta_xpm_pair(ch_i, doubled_k, terms_k, span, f_ref=193.4e12) == \
+        eta_xpm_pair(ch_i, ch_k, terms_k, span, f_ref=193.4e12)
+    fit = _fit_report(_per_channel_params(2))
+    cfg = LinkConfig(span=span, span_count=1, grid=WdmGrid((ch_i, ch_k)))
+    base = eta_total(cfg, fit).eta_xpm
+    doubled = eta_total(_relinked(cfg, [[1e-3, 2e-3]]), fit).eta_xpm
+    assert doubled == pytest.approx([4.0 * base[0], 0.25 * base[1]],
+                                    rel=1e-14)
 
 
 def test_xpm_span_count_is_linear():
-    span = _span()
-    ch_i = Channel(193.0e12, 100e9, (1e-3, 1e-3, 1e-3))
-    ch_k = Channel(193.5e12, 100e9, (1e-3, 1e-3, 1e-3))
-    terms_k = closed_form_terms(_params(), ch_k.center_frequency, _L)
-    assert eta_xpm_pair(ch_i, ch_k, terms_k, span, 3,
-                        f_ref=193.4e12) == pytest.approx(
-        3.0 * eta_xpm_pair(ch_i, ch_k, terms_k, span, 1, f_ref=193.4e12),
-        rel=1e-14
-    )
+    """Three spans at equal powers carry three times one span's XPM, and
+    one span's is the per-pair eta_xpm_pair."""
+    cfg = _pumped_link(2)
+    fit = _fit_report(_per_channel_params(2))
+    one = eta_total(cfg, fit).eta_xpm
+    three = eta_total(_pumped_link(2, spans=3), fit).eta_xpm
+    assert three == pytest.approx(3.0 * one, rel=1e-14)
+    ch_i, ch_k = cfg.grid.channels
+    terms_k = closed_form_terms(fit.channel_fits[1].params,
+                                ch_k.center_frequency, _L)
+    assert one[0] == pytest.approx(
+        eta_xpm_pair(ch_i, ch_k, terms_k, cfg.span,
+                     f_ref=cfg.grid.band_center), rel=1e-14)
 
 
 def test_spm_coherent_accumulation_exponent():
-    span = _span()
-    ch = Channel(193.4e12, 100e9, (1e-3,))
-    terms = closed_form_terms(_params(), ch.center_frequency, _L)
-    one = eta_spm(ch, terms, span, 1, epsilon=0.1, f_ref=193.4e12)
-    four = eta_spm(ch, terms, span, 4, epsilon=0.1, f_ref=193.4e12)
+    """n spans at equal powers carry n^{1+epsilon} times one span's SPM,
+    and one span's is the per-pair eta_spm."""
+    cfg = _pumped_link(2)
+    fit = _fit_report(_per_channel_params(2))
+    p = cfg.grid.launch_powers(0)
+    one = eta_total(_relinked(cfg, [p], epsilon=0.1), fit).eta_spm
+    four = eta_total(_relinked(cfg, [p] * 4, epsilon=0.1), fit).eta_spm
     assert four == pytest.approx(4.0 ** 1.1 * one, rel=1e-14)
+    ch = cfg.grid.channels[0]
+    terms = closed_form_terms(fit.channel_fits[0].params,
+                              ch.center_frequency, _L)
+    assert one[0] == pytest.approx(
+        eta_spm(ch, terms, cfg.span, f_ref=cfg.grid.band_center), rel=1e-14)
 
 
 def test_xpm_requires_distinct_channels():
@@ -251,7 +266,7 @@ def test_xpm_requires_distinct_channels():
     ch = Channel(193.4e12, 100e9, (1e-3,))
     terms = closed_form_terms(_params(), ch.center_frequency, _L)
     with pytest.raises(ValidationError):
-        eta_xpm_pair(ch, ch, terms, span, 1, f_ref=193.4e12)
+        eta_xpm_pair(ch, ch, terms, span, f_ref=193.4e12)
 
 
 @pytest.mark.parametrize("value", [0.0, math.nan, -50e9])
@@ -274,9 +289,9 @@ def test_per_pair_eta_refuses_bad_records(kind, field, value):
         ch_k = replace(ch_k, bandwidth=value)
     with pytest.raises(ValidationError, match="positive bandwidths and span"):
         if kind == "spm":
-            eta_spm(ch_i, terms, span, 1, f_ref=193.4e12)
+            eta_spm(ch_i, terms, span, f_ref=193.4e12)
         else:
-            eta_xpm_pair(ch_i, ch_k, terms, span, 1, f_ref=193.4e12)
+            eta_xpm_pair(ch_i, ch_k, terms, span, f_ref=193.4e12)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +325,8 @@ def _relinked(cfg, powers, span=None, epsilon=0.0):
 def _per_pair_reference(cfg, fit):
     """eta per channel from the public per-pair functions, span by span.
 
-    Span j contributes (P_ij/P_i0)^2 [eta_spm n^eps + sum_k eta_xpm_pair],
-    each evaluated on one span at span j's powers; degenerate pairs are
-    skipped and collected.
+    Span j contributes (P_ij/P_i0)^2 [eta_spm n^eps + sum_k eta_xpm_pair
+    (P_kj/P_ij)^2], the per-pair terms being one span's at equal powers.
     """
     span, grid = cfg.span, cfg.grid
     n, f_ref = cfg.span_count, grid.band_center
@@ -320,26 +334,18 @@ def _per_pair_reference(cfg, fit):
                                ch.center_frequency, span.length)
              for i, ch in enumerate(grid.channels)]
     eta = np.zeros(grid.n_channels)
-    pairs = set()
     for j in range(n):
-        chans = [Channel(c.center_frequency, c.bandwidth,
-                         (c.launch_power_per_span[j],))
-                 for c in grid.channels]
-        for i, ch_i in enumerate(chans):
-            total = eta_spm(ch_i, terms[i], span, 1, 0.0,
+        p = [c.launch_power_per_span[j] for c in grid.channels]
+        for i, ch_i in enumerate(grid.channels):
+            total = eta_spm(ch_i, terms[i], span,
                             f_ref=f_ref) * n ** cfg.coherence_epsilon
-            for k, ch_k in enumerate(chans):
-                if k == i:
-                    continue
-                try:
-                    total += eta_xpm_pair(ch_i, ch_k, terms[k], span, 1,
-                                          f_ref=f_ref)
-                except DegenerateDispersionError:
-                    pairs.add((i, k))
-            ratio = (grid.channels[i].launch_power_per_span[j]
-                     / grid.channels[i].launch_power_per_span[0])
-            eta[i] += ratio ** 2 * total
-    return eta, pairs
+            for k, ch_k in enumerate(grid.channels):
+                if k != i:
+                    total += (eta_xpm_pair(ch_i, ch_k, terms[k], span,
+                                           f_ref=f_ref)
+                              * (p[k] / p[i]) ** 2)
+            eta[i] += (p[i] / ch_i.launch_power_per_span[0]) ** 2 * total
+    return eta
 
 
 def _reference_case(name):
@@ -356,7 +362,7 @@ def _reference_case(name):
     if name == "per_span":
         return _relinked(cfg, powers, epsilon=0.05), fit
     if name == "degenerate":
-        # beta2 = 0: the pairs whose offsets sum to zero are degenerate
+        # beta2 = 0: the pairs whose offsets sum to zero are phase-matched
         return _relinked(cfg, powers[:2], span=_span(beta2=0.0)), fit
     # pump-free fit: zero-weight terms with alpha_l = alpha - alpha_b = 0
     a = ALPHA_02_DB_KM
@@ -368,15 +374,22 @@ def _reference_case(name):
 @pytest.mark.parametrize("case", ["uniform", "per_span", "degenerate",
                                   "pump_free"])
 def test_eta_total_matches_per_pair_reference(case):
+    """eta_total's span sum equals the per-pair terms summed by hand; a
+    phase-matched pair is refused by both, every such pair named."""
     cfg, fit = _reference_case(case)
-    report = eta_total(cfg, fit)
-    expected, pairs = _per_pair_reference(cfg, fit)
-    assert set(report.degenerate_pairs) == pairs
     if case == "degenerate":
-        assert pairs == {(0, 3), (3, 0), (1, 2), (2, 1)}
-    else:
-        assert not pairs
-    assert np.allclose(report.eta_total, expected, rtol=1e-12, atol=0.0)
+        with pytest.raises(DegenerateDispersionError,
+                           match=r"phi_ik vanishes for pair\(s\) \(i, k\) "
+                                 r"\[\(0, 3\), \(1, 2\), \(2, 1\), "
+                                 r"\(3, 0\)\]$"):
+            eta_total(cfg, fit)
+        with pytest.raises(DegenerateDispersionError,
+                           match="pair phase factor"):
+            _per_pair_reference(cfg, fit)
+        return
+    report = eta_total(cfg, fit)
+    assert np.allclose(report.eta_total, _per_pair_reference(cfg, fit),
+                       rtol=1e-12, atol=0.0)
     assert np.all(report.eta_spm > 0.0)
 
 
@@ -432,14 +445,19 @@ def _double_sum_bracket(terms, phi, b_i, spm):
 
 @pytest.mark.parametrize("pumped", [True, False], ids=["pumped", "pump_free"])
 def test_contracted_bracket_matches_double_sum(pumped):
+    """The per-pair terms equal the bracket's (l, l') double sum, and
+    eta_total's terms of the two-channel link equal them, the XPM times
+    (P_k/P_i)^2."""
     span = _span()
     a = ALPHA_02_DB_KM
     params = (_params() if pumped else
               _params(c_f=0.0, c_b=0.0, alpha_f=a, alpha_b=a, p_b=0.0))
-    f_ref = 193.4e12
     chans = (Channel(192.5e12, 100e9, (1e-3,)),
              Channel(194.0e12, 50e9, (2e-3,)))
-    for ch_i, ch_k in (chans, chans[::-1]):
+    link = LinkConfig(span=span, span_count=1, grid=WdmGrid(chans))
+    f_ref = link.grid.band_center
+    report = eta_total(link, _fit_report([params, params]))
+    for i, (ch_i, ch_k) in enumerate((chans, chans[::-1])):
         fi = ch_i.center_frequency - f_ref
         fk = ch_k.center_frequency - f_ref
         # the phase factors written out from beta2, beta3
@@ -448,21 +466,24 @@ def test_contracted_bracket_matches_double_sum(pumped):
         phi_i = -4.0 * math.pi ** 2 * (span.beta2
                                        + 2.0 * math.pi * span.beta3 * fi)
         terms_k = closed_form_terms(params, ch_k.center_frequency, _L)
-        ratio = ch_k.launch_power_per_span[0] / ch_i.launch_power_per_span[0]
-        expected = (32.0 / 27.0 * span.gamma ** 2 * ratio ** 2
+        expected = (32.0 / 27.0 * span.gamma ** 2
                     / (phi_ik * ch_k.bandwidth)
                     * _double_sum_bracket(terms_k, phi_ik, ch_i.bandwidth,
                                           spm=False))
-        assert eta_xpm_pair(ch_i, ch_k, terms_k, span, 1,
+        assert eta_xpm_pair(ch_i, ch_k, terms_k, span,
                             f_ref=f_ref) == pytest.approx(expected, rel=1e-12)
+        ratio = ch_k.launch_power_per_span[0] / ch_i.launch_power_per_span[0]
+        assert report.eta_xpm[i] == pytest.approx(ratio ** 2 * expected,
+                                                  rel=1e-12)
 
         terms_i = closed_form_terms(params, ch_i.center_frequency, _L)
         expected = (16.0 / 27.0 * math.pi * span.gamma ** 2
                     / (ch_i.bandwidth ** 2 * phi_i)
                     * _double_sum_bracket(terms_i, phi_i, ch_i.bandwidth,
                                           spm=True))
-        assert eta_spm(ch_i, terms_i, span, 1, f_ref=f_ref) == \
+        assert eta_spm(ch_i, terms_i, span, f_ref=f_ref) == \
             pytest.approx(expected, rel=1e-12)
+        assert report.eta_spm[i] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +673,7 @@ def test_rate_sum_guard_uses_each_channels_alpha():
     terms = closed_form_terms(params[1], ch.center_frequency, _L)
     assert 2.0 * terms.alpha_l[2] == pytest.approx(5e-7 * a, rel=1e-6)
     with pytest.raises(NumericalError):
-        eta_spm(ch, terms, cfg.span, 1, f_ref=ch.center_frequency)
+        eta_spm(ch, terms, cfg.span, f_ref=ch.center_frequency)
 
 
 def test_eta_total_uniform_fast_path_matches_general():
@@ -701,17 +722,18 @@ def test_eta_total_rejects_dispersion_free_span():
 
 
 def test_degenerate_pair_bookkeeping():
-    """beta2 = 0 with offsets summing to zero makes one pair degenerate;
-    it is skipped and reported rather than poisoning the totals."""
+    """beta2 = 0 with offsets summing to zero makes the pair phase-matched,
+    its XPM the largest term rather than the least: eta_total refuses it,
+    naming both orders of the pair."""
     span = _span(beta2=0.0, beta3=0.14e-39)
     grid = WdmGrid((Channel(193.0e12, 100e9, (1e-3,)),
                     Channel(194.0e12, 100e9, (1e-3,))))
     cfg = LinkConfig(span=span, span_count=1, grid=grid)
     fit = _fit_report(_per_channel_params(2))
-    report = eta_total(cfg, fit)
-    assert set(report.degenerate_pairs) == {(0, 1), (1, 0)}
-    assert np.all(report.eta_xpm == 0.0)
-    assert np.all(report.eta_spm > 0.0)
+    with pytest.raises(DegenerateDispersionError,
+                       match=r"phi_ik vanishes for pair\(s\) \(i, k\) "
+                             r"\[\(0, 1\), \(1, 0\)\]$"):
+        eta_total(cfg, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ramangn import (
     eta_spm_numeric,
     eta_xpm_numeric,
     eta_spm,
+    eta_total,
     eta_xpm_pair,
     fit_profile,
     mu_closed,
@@ -28,6 +29,7 @@ from ramangn import (
     parse_scenario,
     solve_power_evolution,
     verify_identities,
+    WdmGrid,
 )
 from ramangn import closedform, oracle
 from ramangn.errors import (NumericalError, ProfileDomainError,
@@ -594,7 +596,7 @@ def test_closed_form_tracks_oracle_per_pair(fixed_params, reference_span):
                             ((19, 20), 0.5)):
         ch_i, ch_k = _channel(i), _channel(k)
         terms_k = closed_form_terms(fixed_params, ch_k.center_frequency, _L)
-        closed = eta_xpm_pair(ch_i, ch_k, terms_k, reference_span, 1,
+        closed = eta_xpm_pair(ch_i, ch_k, terms_k, reference_span,
                               f_ref=_F_REF)
         numeric = eta_xpm_numeric(ch_i, ch_k, rho, reference_span, spec,
                                   f_ref=_F_REF).value
@@ -605,7 +607,7 @@ def test_closed_form_tracks_oracle_spm(fixed_params, reference_span):
     rho = TaylorProfile(fixed_params, _L)
     ch = _channel(19)
     terms = closed_form_terms(fixed_params, ch.center_frequency, _L)
-    closed = eta_spm(ch, terms, reference_span, 1, f_ref=_F_REF)
+    closed = eta_spm(ch, terms, reference_span, f_ref=_F_REF)
     numeric = eta_spm_numeric(ch, rho, reference_span, QuadratureSpec(),
                               f_ref=_F_REF).value
     assert abs(10.0 * math.log10(closed / numeric)) <= 0.1
@@ -723,11 +725,11 @@ def test_compare_rows_are_integer_indices(lumped_scenario, monkeypatch):
 def test_compare_contracts_each_channel_once(lumped_scenario,
                                             fixed_params, monkeypatch):
     """compare contracts each channel's tilt terms once for all the pairs
-    they serve, and its closed columns equal per-pair evaluations on fresh
-    terms bit for bit."""
+    they serve; its closed columns equal per-pair evaluations on fresh
+    terms, and its closed eta equals eta_total's, bit for bit."""
     link = lumped_scenario.link
     span, grid = link.span, link.grid
-    n, f_ref = link.span_count, grid.band_center
+    f_ref = grid.band_center
     fit = FitReport(tuple(
         ChannelFit(params=fixed_params, rms_db=0.0, n_eval=1, converged=True)
         for _ in range(grid.n_channels)))
@@ -737,16 +739,15 @@ def test_compare_contracts_each_channel_once(lumped_scenario,
                                  grid.channels[j].center_frequency,
                                  span.length)
 
-    spm = np.array([
-        eta_spm(ch, fresh_terms(i), span, n, link.coherence_epsilon,
-                f_ref=f_ref)
-        for i, ch in enumerate(grid.channels)])
+    spm = np.array([eta_spm(ch, fresh_terms(i), span, f_ref=f_ref)
+                    for i, ch in enumerate(grid.channels)])
     xpm = np.zeros((grid.n_channels, grid.n_channels))
     for i, ch_i in enumerate(grid.channels):
         for k, ch_k in enumerate(grid.channels):
             if k != i:
-                xpm[i, k] = eta_xpm_pair(ch_i, ch_k, fresh_terms(k), span, n,
+                xpm[i, k] = eta_xpm_pair(ch_i, ch_k, fresh_terms(k), span,
                                          f_ref=f_ref)
+    total = eta_total(link, fit).eta_total
 
     _stub_oracle(monkeypatch, link, lambda i, k: EtaEstimate(0.5, 0.0, True))
     calls = []
@@ -757,7 +758,34 @@ def test_compare_contracts_each_channel_once(lumped_scenario,
     assert len(calls) == grid.n_channels
     np.testing.assert_array_equal(report.spm_closed, spm)
     np.testing.assert_array_equal(report.xpm_closed, xpm)
-    np.testing.assert_array_equal(report.eta_closed, spm + xpm.sum(axis=1))
+    np.testing.assert_array_equal(report.eta_closed, total)
+
+
+def _three_span_lumped(scenario):
+    """``lumped_9ch.json`` over three spans at per-span powers (1,
+    2 (1 + 0.1 i), 0.5) mW on channel i, epsilon = 0.05, and its fit."""
+    base = scenario.link
+    grid = WdmGrid(tuple(
+        Channel(c.center_frequency, c.bandwidth,
+                (1e-3, 2e-3 * (1.0 + 0.1 * i), 0.5e-3))
+        for i, c in enumerate(base.grid.channels)))
+    link = replace(base, span_count=3, grid=grid, coherence_epsilon=0.05)
+    evolution = solve_power_evolution(link, steps=scenario.solver_steps)
+    return link, fit_profile(evolution, link, **scenario.fit_overrides)
+
+
+def test_compare_sums_spans_as_eta_total(lumped_scenario):
+    """With per-span powers and epsilon > 0, compare's closed eta is
+    eta_total's bit for bit, and every row converges within 0.5 dB of the
+    oracle.  Both sides used to take the span count and the first span's
+    powers per pair, 3.3-6.3 dB below eta_total."""
+    link, fit = _three_span_lumped(lumped_scenario)
+    report = oracle.compare_closed_vs_oracle(
+        link, fit, spec=lumped_scenario.quadrature)
+    np.testing.assert_array_equal(report.eta_closed,
+                                  eta_total(link, fit).eta_total)
+    assert report.converged.all()
+    assert report.max_abs_delta_db <= 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Arguments go to pytest unchanged (default ``-q``; the test paths come
 from ``pyproject.toml``).  With ``--commands``, no test runs:
 ``ramangn.cli.main`` runs ``solve``, ``fit``, ``nli`` and ``sweep
 --sweep=-2:2:1`` on every scenario in ``tests/data`` (each JSON file with
-a ``span``) and ``compare`` on ``minimal.json`` and ``lumped_9ch.json``.
+a ``span``) and ``compare`` on ``minimal.json``, ``lumped_9ch.json`` and
+``lumped_9ch_3span.json`` (per-span powers and a coherence exponent).
 Each command writes into its own directory ``<scenario>/<command>/``,
 under ``DIR`` if given, which keeps the files, else under a temporary
 directory.  ``diff -r`` of two such ``DIR`` trees, made from two versions
@@ -134,7 +135,8 @@ def commands() -> list:
                         ["sweep", "--sweep=-2:2:1"])]
     return runs + [["compare", "--scenario",
                     os.path.join("tests", "data", name)]
-                   for name in ("minimal.json", "lumped_9ch.json")]
+                   for name in ("minimal.json", "lumped_9ch.json",
+                                "lumped_9ch_3span.json")]
 
 
 def run_commands(trace: LineTrace, keep=None) -> None:
