@@ -10,8 +10,9 @@ fit      Fit the semi-analytical tilted-exponential profile to the ODE
 nli      Closed-form per-channel NLI and SNR; write CSV and JSON reports.
 compare  Closed form vs the 2D quadrature oracle; write the per-channel
          comparison CSV and verdict against ``--gate-db``, which also fails
-         when any oracle row did not converge.  Both sides are summed over
-         the spans as ``nli`` sums its eta.
+         when any oracle row did not converge.  The closed side is
+         ``nli``'s own kernel, and both sides are summed over the spans as
+         ``nli`` sums its eta.
 sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
          The amplification profile is fitted once at the nominal powers and
          held fixed across offsets, and so is eta, which a uniform offset
@@ -22,9 +23,12 @@ sweep    Uniform launch-power offsets; per-channel SNR vs offset as CSV.
 ``_converged_fit``: it exits 4 naming every channel whose fit did not
 converge and every channel whose profile leaves its domain.
 
-Exit codes: 0 success, 2 scenario/parse error, 3 validation error (a
-``--sweep`` taking a launch power to 0 or infinity included), 4 numerical
-failure (a vanishing channel or pair phase included), 5 gate failure.
+Exit codes: 0 success, 2 scenario/parse error (a value that overflows
+when converted to SI included), 3 validation error (a gamma or launch
+power whose square overflows, and a ``--sweep`` taking a launch power to
+0 or to such a square, included), 4 numerical failure (a vanishing
+channel or pair phase, and an eta that is negative or not finite,
+included), 5 gate failure.
 
 All floating-point output uses 9 significant digits in scientific
 notation, so identical inputs produce byte-identical files.
@@ -200,11 +204,12 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     with np.errstate(over="ignore"):
         low, high = (np.float64(10.0) ** (off / 10.0) * p for off, p in (
             (offsets[0], powers.min()), (offsets[-1], powers.max())))
-    if not (low > 0.0 and high < math.inf):
+        sound = low > 0.0 and high * high < math.inf  # LinkConfig's rule
+    if not sound:
         raise ValidationError(
             f"--sweep {args.sweep} scales the launch powers to "
             f"{format_float(low)} .. {format_float(high)} W; they must stay "
-            f"positive and finite")
+            f"positive and finite, and so must their squares")
     fit = _converged_fit(scenario, args)
     # eta is launch-power free for a uniform offset: only the SNR moves
     eta = eta_total(scenario.link, fit)

@@ -10,15 +10,16 @@ endpoint products are symmetric in (l, l') (the kappa_f kappa_b difference
 antisymmetric), so the double sum contracts, per channel, to three weights
 on the arctan/arcsinh terms plus one tail constant (``_contract``) before
 any channel pair is formed.  ``_spm_eta`` and ``_xpm_eta`` hold the only
-copy of each efficiency expression.  The whole-grid kernel (``_kernel``,
-behind ``eta_total``) calls them on every channel and pair at once; the
-public per-pair functions ``eta_spm`` and ``eta_xpm_pair``, which the
-closed-vs-oracle comparison calls, call them on one channel or pair, from
-a ``ClosedFormTerms`` that contracts itself once, on first use.  Both take
-frequency offsets from ``f_ref``, the frequency at which beta2/beta3 are
-quoted, and give one span's terms at equal powers.  Span count, epsilon
-and per-span powers enter only in ``_span_sum``, which ``eta_total`` and
-``oracle.compare_closed_vs_oracle`` share.
+copy of each efficiency expression.  The whole-grid kernel (``_kernel``)
+calls them on every channel and pair at once; it is the closed side of
+both ``eta_total`` and ``oracle.compare_closed_vs_oracle``, so the oracle
+checks the terms that ``nli`` ships.  The public per-pair functions
+``eta_spm`` and ``eta_xpm_pair`` call them on one channel or pair, from a
+``ClosedFormTerms``: a library view of the kernel's entries, which no
+command runs.  Both take frequency offsets from ``f_ref``, the frequency
+at which beta2/beta3 are quoted, and give one span's terms at equal
+powers.  Span count, epsilon and per-span powers enter only in
+``_span_sum``, which ``eta_total`` and the comparison share.
 
 Every sum over the three tilt terms runs one channel (or channel-pair)
 plane at a time, in numpy's own order for a length-3 reduction, ((t0 + t1)
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,10 +76,10 @@ class ClosedFormTerms:
     def __post_init__(self):
         freeze_arrays(self, ("upsilon", "alpha_l", "kappa_f", "kappa_b"))
 
-    @cached_property
+    @property
     def contracted(self):
-        """The SPM/XPM bracket contraction (``_contract``), computed on
-        first use; raises NumericalError on a cancelling rate sum."""
+        """The SPM/XPM bracket contraction (``_contract``); raises
+        NumericalError on a cancelling rate sum."""
         return _contract(self.upsilon, self.alpha_l, self.kappa_f,
                          self.kappa_b, self.alpha, self.length)
 
@@ -400,12 +400,18 @@ def _kernel(config: LinkConfig, fit):
 
     Returns (spm, xpm): ``spm[i]`` is channel i's SPM eta and ``xpm[i, k]``
     interferer k's XPM eta onto channel i (0 on the diagonal), both for
-    one span and equal powers P_k = P_i.  A vanishing phase factor, of a
-    channel or of a pair, raises DegenerateDispersionError naming every
-    one.  It re-checks nothing that ``LinkConfig`` checks when built.
+    one span and equal powers P_k = P_i.  A fit that does not cover the
+    grid raises ValidationError, and a vanishing phase factor, of a
+    channel or of a pair, DegenerateDispersionError naming every one.  It
+    re-checks nothing that ``LinkConfig`` checks when built.
     """
     span = config.span
     grid = config.grid
+    if fit.n_channels != grid.n_channels:
+        raise ValidationError(
+            f"fit covers {fit.n_channels} channels but the grid has "
+            f"{grid.n_channels}"
+        )
     length = span.length
     f = grid.frequencies
     f_off = f - grid.band_center
@@ -463,22 +469,29 @@ def eta_total(config: LinkConfig, fit) -> NliReport:
 
     The link was checked when built.  Like the fit's convergence, its
     domain (``profile.profile_margin``) is checked once per command by the
-    CLI's fit gate, not here.  A zero phi_i (beta2 = beta3 = 0, say) or
-    phi_ik raises DegenerateDispersionError naming the channels or pairs.
+    CLI's fit gate, not here.  A fit of another grid raises
+    ValidationError, and a zero phi_i (beta2 = beta3 = 0, say) or phi_ik
+    DegenerateDispersionError naming the channels or pairs (``_kernel``).
+    A summed eta_SPM or eta_XPM that is NaN, infinite or negative raises
+    NumericalError naming every such channel; 0 (gamma = 0) passes.
     """
-    if fit.n_channels != config.grid.n_channels:
-        raise ValidationError(
-            f"fit covers {fit.n_channels} channels but the grid has "
-            f"{config.grid.n_channels}"
-        )
     grid = config.grid
     e_spm, e_xpm = _span_sum(config, *_kernel(config, fit))
+    total = e_spm + e_xpm
+    # both terms >= 0 (NaN fails) and a finite sum: both finite
+    sound = (np.minimum(e_spm, e_xpm) >= 0.0) & (total < math.inf)
+    if not sound.all():
+        bad = np.flatnonzero(~sound).tolist()
+        raise NumericalError(
+            f"eta_spm or eta_xpm is negative or not finite for channel(s) "
+            f"{bad}: eta_spm {e_spm[bad].tolist()}, "
+            f"eta_xpm {e_xpm[bad].tolist()}")
     return NliReport(
         frequencies=grid.frequencies,
         launch_powers=grid.launch_powers(0),
         eta_spm=e_spm,
         eta_xpm=e_xpm,
-        eta_total=e_spm + e_xpm,
+        eta_total=total,
     )
 
 

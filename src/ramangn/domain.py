@@ -148,7 +148,8 @@ class FiberSpan:
 class LinkConfig:
     """A transmission link: one span type repeated ``span_count`` times,
     refused when built (``ValidationError`` listing every diagnostic) if it
-    breaks an invariant or holds a NaN or infinite number."""
+    breaks an invariant, holds a NaN or infinite number, or has a gamma or
+    a launch power whose square overflows."""
 
     span: FiberSpan
     span_count: int
@@ -204,6 +205,13 @@ def _non_finite(label: str, record, names) -> list:
             for name in names if not math.isfinite(getattr(record, name))]
 
 
+def _square_overflows(x: float) -> bool:
+    """True if finite ``x`` has an infinite square (x * x overflows to inf
+    where x ** 2 would raise), as a gamma or a launch power of about 1e154
+    in SI does: eta takes both squared."""
+    return math.isfinite(x) and not math.isfinite(x * x)
+
+
 def _link_diagnostics(config: LinkConfig) -> list:
     """Violated invariants (empty when valid).  A non-finite field has its
     own diagnostic, so the sign, order, overlap and band tests let NaN pass
@@ -225,6 +233,9 @@ def _link_diagnostics(config: LinkConfig) -> list:
         diags.append(f"span length must be positive, got {span.length}")
     if span.gamma < 0:
         diags.append(f"nonlinear coefficient must be >= 0, got {span.gamma}")
+    if _square_overflows(span.gamma):
+        diags.append(f"nonlinear coefficient {span.gamma} overflows when "
+                     f"squared")
     if span.attenuation <= 0:
         diags.append(f"span attenuation must be positive, got "
                      f"{span.attenuation}")
@@ -245,6 +256,9 @@ def _link_diagnostics(config: LinkConfig) -> list:
             diags.append(f"channel {i}: non-positive launch power")
         if not all(map(math.isfinite, ch.launch_power_per_span)):
             diags.append(f"channel {i}: non-finite launch power")
+        if any(map(_square_overflows, ch.launch_power_per_span)):
+            diags.append(f"channel {i}: a launch power overflows when "
+                         f"squared")
 
     chans = grid.channels
     for i in range(len(chans) - 1):

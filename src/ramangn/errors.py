@@ -11,7 +11,8 @@ class RamanGnError(Exception):
 
 
 class UnitError(RamanGnError, ValueError):
-    """Unknown or unsupported engineering-unit tag."""
+    """Unknown or unsupported engineering-unit tag, or a value whose
+    conversion overflows a float."""
 
 
 class ScenarioError(RamanGnError):

@@ -25,6 +25,10 @@ as the error estimate; an estimate refines until that change meets
 ``_REL_TOL_ETA``, which every SPM and XPM estimate of the reference grid
 does at the first refinement.
 
+``compare_closed_vs_oracle`` sets these estimates beside the closed form
+that ``nli`` ships: the whole-grid kernel of ``closedform.eta_total``
+(``_kernel``), summed over the link by the same ``_span_sum``.
+
 Only ``mu_numeric`` and the identity checks call scipy's adaptive ``quad``;
 they import ``scipy.integrate`` when they run, so importing the package
 and running the eta oracle never load scipy.
@@ -1121,14 +1125,17 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
 
     Both sides take single-span terms on the same fitted profile, with
     frequency offsets from the grid's band center, and sum them over the
-    link as ``eta_total`` does (``closedform._span_sum``), so the closed
-    side's eta is ``eta_total``'s.  Rows left out through ``channels``
-    read 0 dB; rows outside the grid or named twice raise ValidationError,
-    rows that are not integers TypeError, and a compared row whose ratio
-    is not finite raises NumericalError.
+    link as ``eta_total`` does (``closedform._span_sum``).  The closed
+    side is ``eta_total``'s own kernel (``closedform._kernel``), so its
+    eta is ``eta_total``'s, and it refuses what ``eta_total`` refuses
+    before any oracle estimate: a fit of another grid (ValidationError)
+    and a vanishing channel or pair phase (DegenerateDispersionError).
+    Rows left out through ``channels`` read 0, in the closed and numeric
+    terms and in dB; rows outside the grid or named twice raise
+    ValidationError, rows that are not integers TypeError, and a compared
+    row whose ratio is not finite raises NumericalError.
     """
-    from .closedform import (_span_sum, closed_form_terms, eta_spm,
-                             eta_xpm_pair)
+    from .closedform import _kernel, _span_sum
 
     grid = config.grid
     span = config.span
@@ -1144,18 +1151,15 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
         raise ValidationError(f"rows of the {n_ch}-channel grid to compare: "
                               + "; ".join(problems))
 
-    spm_c, spm_n, spm_err = np.zeros((3, n_ch))
-    xpm_c, xpm_n, xpm_err = np.zeros((3, n_ch, n_ch))
+    spm_c, xpm_c = _kernel(config, fit)
+    left_out = np.ones(n_ch, dtype=bool)
+    left_out[list(idxs)] = False
+    spm_c[left_out] = xpm_c[left_out] = 0.0
+    spm_n, spm_err = np.zeros((2, n_ch))
+    xpm_n, xpm_err = np.zeros((2, n_ch, n_ch))
     converged = np.ones(n_ch, dtype=bool)
 
-    # Per-channel tilt decompositions and integrable profiles; an XPM pair
-    # (i, k) uses the interferer's (channel k's) profile on both sides.  A
-    # decomposition contracts itself once, for all the pairs it serves.
-    all_terms = [
-        closed_form_terms(fit.channel_fits[j].params,
-                          grid.channels[j].center_frequency, span.length)
-        for j in range(n_ch)
-    ]
+    # an XPM pair (i, k) integrates the interferer's (channel k's) profile
     all_rho = [
         TaylorProfile(fit.channel_fits[j].params, span.length)
         for j in range(n_ch)
@@ -1163,18 +1167,14 @@ def compare_closed_vs_oracle(config, fit, spec: Optional[QuadratureSpec] = None,
 
     for i in idxs:
         ch_i = grid.channels[i]
-        spm_c[i] = eta_spm(ch_i, all_terms[i], span, f_ref=f_ref)
         est = eta_spm_numeric(ch_i, all_rho[i], span, spec, f_ref=f_ref)
         spm_n[i], spm_err[i] = est.value, est.error_estimate
         converged[i] &= est.converged
         for k in range(n_ch):
             if k == i:
                 continue
-            ch_k = grid.channels[k]
-            xpm_c[i, k] = eta_xpm_pair(ch_i, ch_k, all_terms[k], span,
-                                       f_ref=f_ref)
-            est = eta_xpm_numeric(ch_i, ch_k, all_rho[k], span, spec,
-                                  f_ref=f_ref)
+            est = eta_xpm_numeric(ch_i, grid.channels[k], all_rho[k], span,
+                                  spec, f_ref=f_ref)
             xpm_n[i, k], xpm_err[i, k] = est.value, est.error_estimate
             converged[i] &= est.converged
 

@@ -632,9 +632,16 @@ def _fit_samples(n_steps):
                      n_steps)
 
 
-def _fit_exponential(z, target_db):
-    """Closed-form fit when there is no Raman coupling at all."""
-    coeffs = np.polyfit(z, target_db, 1)  # dB per metre, dB
+def _fit_exponential(z, target_db, channel: int):
+    """Closed-form fit when there is no Raman coupling at all;
+    NumericalError naming ``channel`` if the least-squares solve fails, as
+    on a span of 1e-300 m."""
+    try:
+        coeffs = np.polyfit(z, target_db, 1)  # dB per metre, dB
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"channel {channel}: the exponential fit failed ({exc}); the "
+            f"span is too short to resolve") from None
     alpha = -coeffs[0] / _K_DB
     rms = float(np.sqrt(np.mean((target_db - np.polyval(coeffs, z)) ** 2)))
     return alpha, rms
@@ -741,7 +748,7 @@ def fit_profile(
         delta = f_i - f_hat
         if c_r == 0.0 or delta == 0.0:
             full = base.copy()
-            full[0], rms = _fit_exponential(z_full, full_target)
+            full[0], rms = _fit_exponential(z_full, full_target, ch_idx)
             params = ProfileParams(*full.tolist(), p_f, p_b, f_hat)
             fits[ch_idx] = ChannelFit(params, rms, 1, True)
             continue

@@ -65,7 +65,7 @@ from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
 from .errors import ScenarioError, UnitError, ValidationError
 from .oracle import QuadratureSpec
 from .raman import _MIN_STEPS
-from .units import convert_units, db_to_linear
+from .units import UNIT_TAGS, convert_units, db_to_linear
 
 # Count bounds, each refused while parsing; the README's bounds list derives
 # them.  The closed-form kernel's channel-pair planes take about
@@ -143,7 +143,9 @@ def _quantity(value: Any, path: str) -> float:
     try:
         return convert_units(raw, unit)
     except UnitError as exc:
-        raise ScenarioError(f"{path}.unit: {exc}") from exc
+        # a known tag fails only on a value that overflows
+        key = "value" if unit in UNIT_TAGS else "unit"
+        raise ScenarioError(f"{path}.{key}: {exc}") from exc
 
 
 def _int_at_least(value: Any, path: str, minimum: int = 1) -> int:
@@ -260,6 +262,14 @@ def _parse_pumps(node: Any, path: str) -> Tuple[Pump, ...]:
     return tuple(pumps)
 
 
+def _linear(value: Any, path: str) -> float:
+    """A finite JSON number of dB as a linear ratio."""
+    try:
+        return db_to_linear(_number(value, path))
+    except UnitError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _parse_budget_entry(value: Any, path: str, n_channels: int):
     if value == "infinite":
         return math.inf
@@ -267,9 +277,8 @@ def _parse_budget_entry(value: Any, path: str, n_channels: int):
         if len(value) != n_channels:
             raise ScenarioError(
                 f"{path}: {len(value)} entries for {n_channels} channel(s)")
-        return tuple(db_to_linear(_number(v, f"{path}[{j}]"))
-                     for j, v in enumerate(value))
-    return db_to_linear(_number(value, path))
+        return tuple(_linear(v, f"{path}[{j}]") for j, v in enumerate(value))
+    return _linear(value, path)
 
 
 def _parse_budget(node: Any, path: str, n_channels: int) -> SnrBudget:

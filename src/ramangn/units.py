@@ -48,15 +48,18 @@ def convert_units(value: float, unit: str) -> float:
     Raises
     ------
     UnitError
-        If the tag is not supported.
+        If the tag is not supported, or a dBm value overflows a float.
     """
     if unit in _SCALE:
         return value * _SCALE[unit]
     if unit == "dBm":
-        return 1e-3 * 10.0 ** (value / 10.0)
+        return 1e-3 * db_to_linear(value)
     raise UnitError(f"unknown unit tag {unit!r}; supported: {sorted(UNIT_TAGS)}")
 
 
 def db_to_linear(value_db: float) -> float:
-    """Plain dB ratio to linear scale."""
-    return 10.0 ** (value_db / 10.0)
+    """Plain dB ratio to linear scale; UnitError if it overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise UnitError(f"{value_db} dB overflows a float") from None

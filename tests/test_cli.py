@@ -149,14 +149,15 @@ def test_sweep_stops_at_hi(data_dir, tmp_path):
 
 def test_sweep_refuses_powers_scaled_to_zero_or_infinity(
         data_dir, tmp_path, capsys, monkeypatch):
-    """An offset that takes a launch power to 0 or infinity, which no link
-    holds, exits 3 before the link is solved, with no traceback."""
+    """An offset that takes a launch power to 0, to infinity or to a power
+    whose square overflows, which no link holds, exits 3 before the link
+    is solved, with no traceback; 1580 dB used to write -inf rows."""
     from ramangn import cli
 
     monkeypatch.setattr(cli, "solve_power_evolution",
                         lambda *a, **kw: pytest.fail("the link was solved"))
     scenario = os.path.join(data_dir, "lumped_9ch.json")
-    for sweep in ("-4000:-4000:1", "0:4000:4000"):
+    for sweep in ("-4000:-4000:1", "0:4000:4000", "1580:1580:1"):
         assert _run(["sweep", "--scenario", scenario, "--out", str(tmp_path),
                      f"--sweep={sweep}"]) == 3
         err = capsys.readouterr().err
@@ -179,6 +180,47 @@ def test_nli_refuses_a_phase_matched_pair(data_dir, tmp_path, capsys):
     assert ("phi_ik vanishes for pair(s) (i, k) [(0, 1), (1, 0)]"
             in capsys.readouterr().err)
     assert not (tmp_path / "nli_report.csv").exists()
+
+
+@pytest.mark.parametrize("name, keys, value, code, message", [
+    ("lumped_9ch", ("grid", "launch_power", "value"), 3100.0, 2,
+     "scenario error: grid.launch_power.value: 3100.0 dB overflows a float"),
+    ("lumped_9ch", ("span", "gamma", "value"), 1e160, 3,
+     "validation error: nonlinear coefficient 1e+157 overflows when "
+     "squared"),
+    ("lumped_9ch", ("grid", "launch_power", "value"), 1580.0, 3,
+     "channel 8: a launch power overflows when squared"),
+    ("lumped_9ch", ("span", "length_km"), 1e-300, 4,
+     "numerical error: channel 0: the exponential fit failed"),
+    ("lumped_9ch", ("span", "length_km"), 1e-12, 4,
+     "numerical error: eta_spm or eta_xpm is negative or not finite for "
+     "channel(s) [0, 1, 2, 3, 4, 5, 6, 7, 8]: eta_spm [nan,"),
+    ("reference_pumped", ("span", "beta2", "value"), -1.0, 4,
+     "numerical error: eta_spm or eta_xpm is negative or not finite for "
+     "channel(s) [31]: eta_spm [-6968."),
+], ids=["power-3100-dBm", "gamma-1e160", "power-1580-dBm",
+        "length-1e-300-km", "length-1e-12-km", "reference-beta2-minus-1"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nli_refuses_what_it_cannot_answer(data_dir, tmp_path, capsys, name,
+                                           keys, value, code, message):
+    """Inputs that used to end in a traceback (an OverflowError or numpy's
+    LinAlgError) or in NaN or negative eta with exit 0 get a typed refusal,
+    and nli writes no report."""
+    with open(os.path.join(data_dir, f"{name}.json")) as fh:
+        payload = json.load(fh)
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert _run(["nli", "--scenario", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "nli_report.csv").exists()
+    assert not (out / "nli_report.json").exists()
 
 
 def test_compare_closed_column_is_the_nli_eta(data_dir, tmp_path):

@@ -699,6 +699,25 @@ def test_eta_total_rejects_mismatched_fit():
         eta_total(cfg, fit)
 
 
+def test_eta_total_refuses_negative_and_non_finite_eta(monkeypatch):
+    """A summed eta_SPM or eta_XPM that is negative, NaN or infinite is
+    refused, naming every such channel; an eta of 0 (gamma = 0) passes."""
+    cfg = _pumped_link(5)
+    fit = _fit_report(_per_channel_params(5))
+    spm, xpm = closedform._kernel(cfg, fit)
+    spm[1] = -spm[1]
+    xpm[3, 0] = math.nan
+    xpm[4, 2] = math.inf
+    monkeypatch.setattr(closedform, "_kernel", lambda *a: (spm, xpm))
+    with pytest.raises(NumericalError,
+                       match=r"is negative or not finite for channel\(s\) "
+                             r"\[1, 3, 4\]: eta_spm \[-"):
+        eta_total(cfg, fit)
+    monkeypatch.undo()
+    report = eta_total(replace(cfg, span=replace(cfg.span, gamma=0.0)), fit)
+    assert np.all(report.eta_total == 0.0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -50e9, math.inf, math.nan])
 def test_eta_total_rejects_bad_bandwidth(bad):
     """A channel without a positive, finite bandwidth used to give eta_spm =

@@ -200,6 +200,23 @@ def test_non_finite_field_refused_when_built(record, name, named, value):
 
 
 @pytest.mark.parametrize("name, value, expected", [
+    ("span.gamma", 1e155,
+     ["nonlinear coefficient 1e+155 overflows when squared"]),
+    ("launch_power_per_span", 1e155,
+     ["channel 1: a launch power overflows when squared"]),
+])
+def test_gamma_or_power_whose_square_overflows_is_refused(name, value,
+                                                          expected):
+    """eta takes gamma and the launch powers squared: a finite value whose
+    square overflows used to end in an OverflowError (gamma) or in NaN eta
+    with exit 0 (a power).  1e154, whose square is finite, passes."""
+    record, _, name = name.rpartition(".")
+    record = record or "channel"
+    assert _diagnostics(**_link_with(record, name, value)) == expected
+    assert LinkConfig(**_link_with(record, name, 1e154))
+
+
+@pytest.mark.parametrize("name, value, expected", [
     ("center_frequency", math.nan,
      ["channel 1: center_frequency must be finite, got nan"]),
     ("center_frequency", math.inf,

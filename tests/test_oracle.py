@@ -8,6 +8,7 @@ regressions.
 
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +33,8 @@ from ramangn import (
     WdmGrid,
 )
 from ramangn import closedform, oracle
-from ramangn.errors import (NumericalError, ProfileDomainError,
-                            ValidationError)
+from ramangn.errors import (DegenerateDispersionError, NumericalError,
+                            ProfileDomainError, ValidationError)
 from ramangn.oracle import (_N_ZETA_DEG, EtaEstimate, _PairEngine,
                             _filon_rule, _fit_nodes, _gl_rule)
 from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
@@ -724,9 +725,10 @@ def test_compare_rows_are_integer_indices(lumped_scenario, monkeypatch):
 
 def test_compare_contracts_each_channel_once(lumped_scenario,
                                             fixed_params, monkeypatch):
-    """compare contracts each channel's tilt terms once for all the pairs
-    they serve; its closed columns equal per-pair evaluations on fresh
-    terms, and its closed eta equals eta_total's, bit for bit."""
+    """compare contracts every channel's tilt terms in one call, the
+    kernel's; its closed columns equal per-pair evaluations on fresh
+    terms, and its closed eta equals eta_total's, bit for bit.  Rows left
+    out read 0 in both closed columns."""
     link = lumped_scenario.link
     span, grid = link.span, link.grid
     f_ref = grid.band_center
@@ -755,10 +757,56 @@ def test_compare_contracts_each_channel_once(lumped_scenario,
     monkeypatch.setattr(closedform, "_contract",
                         lambda *a: calls.append(a) or contract(*a))
     report = oracle.compare_closed_vs_oracle(link, fit)
-    assert len(calls) == grid.n_channels
+    assert len(calls) == 1
     np.testing.assert_array_equal(report.spm_closed, spm)
     np.testing.assert_array_equal(report.xpm_closed, xpm)
     np.testing.assert_array_equal(report.eta_closed, total)
+
+    rows = [0, 4]
+    part = oracle.compare_closed_vs_oracle(link, fit, channels=rows)
+    assert len(calls) == 2
+    left_out = np.ones(grid.n_channels, dtype=bool)
+    left_out[rows] = False
+    np.testing.assert_array_equal(part.spm_closed[rows], spm[rows])
+    np.testing.assert_array_equal(part.xpm_closed[rows], xpm[rows])
+    np.testing.assert_array_equal(part.eta_closed[rows], total[rows])
+    assert np.all(part.spm_closed[left_out] == 0.0)
+    assert np.all(part.xpm_closed[left_out] == 0.0)
+    assert np.all(part.eta_closed[left_out] == 0.0)
+
+
+def test_compare_refuses_a_fit_of_another_grid(lumped_scenario,
+                                               monkeypatch):
+    """An 8-channel fit on the 9-channel grid is refused as eta_total
+    refuses it, before any oracle call; it used to end in an IndexError."""
+    link = lumped_scenario.link
+    calls = []
+    _stub_oracle(monkeypatch, link, lambda i, k: calls.append((i, k)))
+    fit = _flat_fit(link)
+    short = FitReport(fit.channel_fits[:8])
+    with pytest.raises(ValidationError,
+                       match=r"^fit covers 8 channels but the grid has 9$"):
+        oracle.compare_closed_vs_oracle(link, short)
+    assert calls == []
+
+
+def test_compare_refuses_a_phase_matched_pair(lumped_scenario, monkeypatch):
+    """beta2 = 0 and offsets +-0.1 THz zero the pair phase factor: compare
+    refuses the link with the kernel's error, as nli does, and makes no
+    oracle call."""
+    base = lumped_scenario.link
+    grid = WdmGrid(tuple(Channel(f, 1e11, (1e-3,))
+                         for f in (193.0e12, 193.2e12)))
+    link = replace(base, span=replace(base.span, beta2=0.0), grid=grid)
+    calls = []
+    _stub_oracle(monkeypatch, link, lambda i, k: calls.append((i, k)))
+    monkeypatch.setattr(oracle, "eta_spm_numeric",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(DegenerateDispersionError,
+                       match=re.escape("phi_ik vanishes for pair(s) (i, k) "
+                                       "[(0, 1), (1, 0)]")):
+        oracle.compare_closed_vs_oracle(link, _flat_fit(link))
+    assert calls == []
 
 
 def _three_span_lumped(scenario):

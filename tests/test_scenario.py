@@ -433,8 +433,14 @@ def _pump(**kwargs):
      "pumps[0].direction: expected 'forward' or 'backward', "
      "got 'sideways'"),
     (("grid",), {"channels": []}, "grid.channels: expected a non-empty list"),
+    (("grid", "launch_power", "value"), 3100,
+     "grid.launch_power.value: 3100.0 dB overflows a float"),
+    (("budget",), {"snr_ase_db": 4000},
+     "budget.snr_ase_db: 4000.0 dB overflows a float"),
+    (("budget",), {"snr_trx_db": [20, 4000]},
+     "budget.snr_trx_db[1]: 4000.0 dB overflows a float"),
 ], ids=["string-number", "number-unit", "pumps-object", "sideways",
-        "no-channels"])
+        "no-channels", "dbm-overflow", "db-overflow", "db-list-overflow"])
 def test_malformed_value_exits_2_naming_its_key(tmp_path, capsys, keys,
                                                  value, message):
     from ramangn import cli

@@ -66,3 +66,11 @@ def test_db_anchor_points():
 def test_unknown_tag_rejected():
     with pytest.raises(UnitError):
         convert_units(1.0, "furlongs/fortnight")
+
+
+def test_overflowing_db_is_a_unit_error():
+    """10^(dB / 10) past the float range used to raise OverflowError."""
+    with pytest.raises(UnitError, match=r"^3100.0 dB overflows a float$"):
+        db_to_linear(3100.0)
+    with pytest.raises(UnitError, match=r"^3100.0 dB overflows a float$"):
+        convert_units(3100.0, "dBm")
