@@ -7,6 +7,7 @@ Run from the repository root:
     python tools/linetrace.py tests/test_domain.py -x
     python tools/linetrace.py --commands
     python tools/linetrace.py --commands DIR
+    python tools/linetrace.py --commands --manifest tests/data/commands.json
 
 Arguments go to pytest unchanged (default ``-q``; the test paths come
 from ``pyproject.toml``).  With ``--commands``, no test runs:
@@ -18,8 +19,11 @@ Each command writes into its own directory ``<scenario>/<command>/``,
 under ``DIR`` if given, which keeps the files, else under a temporary
 directory.  ``diff -r`` of two such ``DIR`` trees, made from two versions
 of the code, compares every output byte for byte.  Each command's exit
-status is printed in place of its output.  What these leave unrun is the
-code that only tests, library calls and refusals reach.  Either way the
+status is printed in place of its output.  With ``--manifest PATH``,
+the digests of every command's output (``command_digests``) are written
+to ``PATH`` as JSON; ``tests/test_commands.py`` checks the stored
+``tests/data/commands.json`` against an untraced run.  What these leave
+unrun is the code that only tests, library calls and refusals reach.  Either way the
 code runs in this process under ``sys.settrace``; only frames of code in
 ``src/ramangn`` are traced line by line.  A line is executable when some
 code object compiled from the file lists it in ``co_lines()``.  Every
@@ -33,10 +37,13 @@ else 0.  The traced suite takes about 1.5 times as long.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -139,26 +146,78 @@ def commands() -> list:
                                 "lumped_9ch_3span.json")]
 
 
-def run_commands(trace: LineTrace, keep=None) -> None:
+def _digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+# compare prints its oracle's wall time, "(0.3 s)"
+_ELAPSED = re.compile(r"\(\d+\.\d s\)")
+
+
+def run_command(argv, out: str) -> dict:
+    """Run one argument list of ``commands()`` through ``ramangn.cli.main``
+    into the directory ``out``, from ``ROOT``.  Returns its exit status and
+    the SHA-256 digests of its stdout and stderr, with ``out`` replaced by
+    ``<out>`` and compare's elapsed seconds by ``(<elapsed> s)``, and of
+    every file it wrote, by its name relative to ``out``."""
+    from ramangn.cli import main as cli_main
+
+    os.makedirs(out, exist_ok=True)
+    streams = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(streams[0]), \
+            contextlib.redirect_stderr(streams[1]):
+        status = cli_main(list(argv) + ["--out", out])
+    stdout, stderr = (_ELAPSED.sub("(<elapsed> s)",
+                                   s.getvalue().replace(out, "<out>"))
+                      for s in streams)
+    files = {}
+    for top, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(top, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = _digest(fh.read())
+    return {"exit": status, "stdout": _digest(stdout),
+            "stderr": _digest(stderr), "files": dict(sorted(files.items()))}
+
+
+def command_digests(root: str, report=None) -> dict:
+    """``run_command`` of every argument list of ``commands()``, each into
+    ``<root>/<scenario>/<command>/``, keyed by the argument list joined
+    with spaces; ``report(argv, status)`` is called after each.  The
+    scenario paths are relative to ``ROOT``, which must be the working
+    directory."""
+    digests = {}
+    for argv in commands():
+        scenario = os.path.splitext(os.path.basename(argv[-1]))[0]
+        entry = run_command(argv, os.path.join(root, scenario, argv[0]))
+        digests[" ".join(argv)] = entry
+        if report:
+            report(argv, entry["exit"])
+    return digests
+
+
+def run_commands(trace: LineTrace, keep=None, manifest=None) -> None:
     """Run ``commands()`` through ``ramangn.cli.main`` under the trace, each
     into ``<scenario>/<command>/`` under the directory ``keep``, or under a
-    temporary one if ``keep`` is None."""
+    temporary one if ``keep`` is None, and write their digests as JSON to
+    ``manifest`` if given."""
     keep = keep and os.path.abspath(keep)
+    manifest = manifest and os.path.abspath(manifest)
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as scratch:
         trace.start()
         try:
-            from ramangn.cli import main as cli_main
-            for argv in commands():
-                scenario = os.path.splitext(os.path.basename(argv[-1]))[0]
-                out = os.path.join(keep or scratch, scenario, argv[0])
-                os.makedirs(out, exist_ok=True)
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    status = cli_main(argv + ["--out", out])
-                print(f"exit {status}: ramangn {' '.join(argv)}")
+            digests = command_digests(keep or scratch, lambda argv, status:
+                                      print(f"exit {status}: ramangn "
+                                            f"{' '.join(argv)}"))
         finally:
             trace.stop()
+    if manifest:
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(digests, fh, indent=1)
+            fh.write("\n")
 
 
 def main(argv) -> int:
@@ -166,8 +225,12 @@ def main(argv) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     trace = LineTrace()
-    if list(argv[:1]) == ["--commands"] and len(argv) <= 2:
-        run_commands(trace, *argv[1:])
+    if list(argv[:1]) == ["--commands"]:
+        parser = argparse.ArgumentParser(prog="linetrace.py --commands")
+        parser.add_argument("dir", nargs="?")
+        parser.add_argument("--manifest")
+        opts = parser.parse_args(argv[1:])
+        run_commands(trace, opts.dir, opts.manifest)
         status = 0
     else:
         trace.start()
