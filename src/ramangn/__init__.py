@@ -24,10 +24,9 @@ from .domain import (Channel, Direction, FiberSpan, LinkConfig, Pump,
 from .errors import (DegenerateDispersionError, DivergenceError,
                      GateFailure, NumericalError, ProfileDomainError,
                      RamanGnError, ScenarioError, UnitError, ValidationError)
-from .oracle import (ComparisonReport, EtaEstimate, IdentityReport,
-                     QuadratureSpec, TaylorProfile, compare_closed_vs_oracle,
-                     eta_spm_numeric, eta_xpm_numeric, mu_numeric,
-                     verify_identities)
+from .oracle import (ComparisonReport, EtaEstimate, QuadratureSpec,
+                     TaylorProfile, compare_closed_vs_oracle, eta_spm_numeric,
+                     eta_xpm_numeric)
 from .profile import (ChannelFit, FitReport, ProfileParams,
                       backward_effective_length, effective_length,
                       eval_profile_taylor, fit_profile, tilt_derivative,

@@ -4,21 +4,23 @@ Builds the per-channel tilt decomposition of the linearized power profile,
 evaluates the closed-form link function (``mu_closed``) and the XPM/SPM
 efficiencies, and assembles per-channel eta and SNR.
 
-The SPM and XPM brackets are double sums over the three tilt terms (l, l').
-The rate weights Upsilon_l Upsilon_l' / (alpha_l + alpha_l') and the
-endpoint products are symmetric in (l, l') (the kappa_f kappa_b difference
-antisymmetric), so the double sum contracts, per channel, to three weights
-on the arctan/arcsinh terms plus one tail constant (``_contract``) before
-any channel pair is formed.  ``_spm_eta`` and ``_xpm_eta`` hold the only
-copy of each efficiency expression.  The whole-grid kernel (``_kernel``)
-calls them on every channel and pair at once; it is the closed side of
-both ``eta_total`` and ``oracle.compare_closed_vs_oracle``, so the oracle
-checks the terms that ``nli`` ships.  The public per-pair functions
-``eta_spm`` and ``eta_xpm_pair`` call them on one channel or pair, from a
-``ClosedFormTerms``: a library view of the kernel's entries, which no
-command runs.  Both take frequency offsets from ``f_ref``, the frequency
-at which beta2/beta3 are quoted, and give one span's terms at equal
-powers.  Span count, epsilon and per-span powers enter only in
+The link function and the SPM and XPM brackets are double sums over the
+three tilt terms (l, l').  The rate weights Upsilon_l Upsilon_l' /
+(alpha_l + alpha_l') and the endpoint products are symmetric in (l, l')
+(the kappa_f kappa_b difference antisymmetric), so each double sum folds
+onto three per-term sums (``_term_sums``).  ``mu_closed`` reads them
+through partial fractions in phi^2; ``_contract`` folds them, per
+channel, into three weights on the arctan/arcsinh terms plus one tail
+constant before any channel pair is formed.  ``_spm_eta`` and ``_xpm_eta``
+hold the only copy of each efficiency expression.  The whole-grid kernel
+(``_kernel``) calls them on every channel and pair at once; it is the
+closed side of both ``eta_total`` and ``oracle.compare_closed_vs_oracle``,
+so the oracle checks the terms that ``nli`` ships.  The public per-pair
+functions ``eta_spm`` and ``eta_xpm_pair`` call them on one channel or
+pair, from a ``ClosedFormTerms``: a library view of the kernel's entries,
+which no command runs.  Both take frequency offsets from ``f_ref``, the
+frequency at which beta2/beta3 are quoted, and give one span's terms at
+equal powers.  Span count, epsilon and per-span powers enter only in
 ``_span_sum``, which ``eta_total`` and the comparison share.
 
 Every sum over the three tilt terms runs one channel (or channel-pair)
@@ -32,8 +34,9 @@ with an inconsistent sign.  The implementation below uses the sign that
 reproduces the unambiguous complex-modulus form of the link function
 |sum Upsilon (kappa_f e^{j phi L} - kappa_b)/(-alpha_l + j phi)|^2, the
 modulus of the defining integral.  Acceptance criterion 1 checks
-``mu_closed`` against adaptive quadrature of that integral to 1e-9, on
-pumped and pump-free profiles and for both signs of phi.
+``mu_closed``, and with it the per-term sums that every eta is built
+from, against the tests' adaptive quadrature of that integral to 1e-9,
+on pumped and pump-free profiles and for both signs of phi.
 """
 
 from __future__ import annotations
@@ -164,43 +167,63 @@ def _check_rate_sums(upsilon, alpha_l, alpha) -> np.ndarray:
     return np.where(active, ab, 1.0)
 
 
-def mu_closed(phi, terms: ClosedFormTerms):
-    """Closed-form link function mu(phi) (m^2) for one channel's terms.
-
-    ``phi`` (1/m) may be a scalar or an array.  All tilt factors are
-    evaluated at the channel under test (single-profile substitution).
-    """
-    _check_rate_sums(terms.upsilon, terms.alpha_l, terms.alpha)
-    phi_arr = np.asarray(phi, dtype=float)
-    p = phi_arr[..., None, None]
-    a = terms.alpha_l
-    up = terms.upsilon
-    kf, kb = terms.kappa_f, terms.kappa_b
-    length = terms.length
-
-    aa = a[:, None] * a[None, :]
-    uu = up[:, None] * up[None, :]
-    kff = kf[:, None] * kf[None, :] + kb[:, None] * kb[None, :]
-    kfb_p = kf[:, None] * kb[None, :] + kb[:, None] * kf[None, :]
-    kfb_m = kf[:, None] * kb[None, :] - kb[:, None] * kf[None, :]
-    adiff = a[:, None] - a[None, :]
-
-    p2 = p * p
-    active = uu != 0.0
-    denom = (a[:, None] ** 2 + p2) * (a[None, :] ** 2 + p2)
-    denom = np.where(active, denom, 1.0)
-    num = (kff * (aa + p2)
-           - kfb_p * (aa + p2) * np.cos(p * length)
-           - kfb_m * adiff * p * np.sin(p * length))
-    out = np.sum(np.where(active, uu * num / denom, 0.0), axis=(-2, -1))
-    return out if out.ndim else float(out)
-
-
 def _sum3(x):
     """Sum over the last axis, of length 3 (the tilt terms), as
     ``np.sum(x, axis=-1)`` adds it, ((x0 + x1) + x2), without numpy's slow
     reduction over a short trailing axis."""
     return x[..., 0] + x[..., 1] + x[..., 2]
+
+
+def _term_sums(upsilon, alpha_l, kappa_f, kappa_b, alpha):
+    """The per-term sums behind both the link function and the SPM/XPM
+    brackets.
+
+    Arguments carry the three terms on their last axis, with optional
+    leading channel axes that ``alpha`` matches.  With w = Upsilon_l
+    Upsilon_l' / (alpha_l + alpha_l') (``_check_rate_sums``), returns
+    (weight, sym, anti), each summed over l':
+
+        weight_l = 4 sum w (kf kf' + kb kb'),
+        sym_l = sum w (kf kb' + kb kf'),
+        anti_l = sum w (kf kb' - kb kf').
+
+    w (kf kf' + kb kb') and w (kf kb' + kb kf') are symmetric in (l, l'),
+    w (kf kb' - kb kf') antisymmetric, so every pairwise double sum folds
+    onto l.
+    """
+    ab = _check_rate_sums(upsilon, alpha_l, alpha)
+    w = upsilon[..., :, None] * upsilon[..., None, :] / ab
+    kf, kf_t = kappa_f[..., :, None], kappa_f[..., None, :]
+    kb, kb_t = kappa_b[..., :, None], kappa_b[..., None, :]
+    return (4.0 * _sum3(w * (kf * kf_t + kb * kb_t)),
+            _sum3(w * (kf * kb_t + kb * kf_t)),
+            _sum3(w * (kf * kb_t - kb * kf_t)))
+
+
+def mu_closed(phi, terms: ClosedFormTerms):
+    """Closed-form link function mu(phi) (m^2) for one channel's terms.
+
+    ``phi`` (1/m) may be a scalar or an array.  All tilt factors are
+    evaluated at the channel under test (single-profile substitution).
+    Partial fractions in phi^2 write the modulus of the defining integral
+    from ``_term_sums``, the sums every eta is built from:
+
+        mu = sum_l 2 [alpha_l (weight_l / 4 - sym_l cos(phi L))
+                      + anti_l phi sin(phi L)] / (alpha_l^2 + phi^2).
+
+    A term whose three sums are 0 drops out, so a zero rate (alpha_l =
+    alpha - alpha_b = 0 in the pump-free reduction) gives no 0/0 at phi = 0.
+    """
+    weight, sym, anti = _term_sums(terms.upsilon, terms.alpha_l,
+                                   terms.kappa_f, terms.kappa_b, terms.alpha)
+    a = terms.alpha_l
+    p = np.asarray(phi, dtype=float)[..., None]
+    arg = p * terms.length
+    num = a * (0.25 * weight - sym * np.cos(arg)) + anti * p * np.sin(arg)
+    active = (weight != 0.0) | (sym != 0.0) | (anti != 0.0)
+    den = np.where(active, a * a + p * p, 1.0)
+    out = 2.0 * _sum3(np.where(active, num / den, 0.0))
+    return out if out.ndim else float(out)
 
 
 def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
@@ -214,19 +237,12 @@ def _contract(upsilon, alpha_l, kappa_f, kappa_b, alpha, length):
         sum_l g_l weight_l - c sign(phi) tail,
 
     where g_l is the arcsinh (SPM) or arctan (XPM) term of rate alpha_l
-    and c is 4 log_w (SPM) or pi (XPM).  Returns (weight, tail, rate);
-    ``rate`` is alpha_l with a subnormal stand-in for zero rates.
+    and c is 4 log_w (SPM) or pi (XPM).  ``tail`` folds ``_term_sums``'s
+    sym and anti.  Returns (weight, tail, rate); ``rate`` is alpha_l with
+    a subnormal stand-in for zero rates.
     """
-    ab = _check_rate_sums(upsilon, alpha_l, alpha)
-    w = upsilon[..., :, None] * upsilon[..., None, :] / ab
-    kf, kf_t = kappa_f[..., :, None], kappa_f[..., None, :]
-    kb, kb_t = kappa_b[..., :, None], kappa_b[..., None, :]
+    weight, sym, anti = _term_sums(upsilon, alpha_l, kappa_f, kappa_b, alpha)
     e_al = np.exp(-np.abs(alpha_l * length))
-    # w (kf kf' + kb kb') and w (kf kb' + kb kf') are symmetric in (l, l'),
-    # w (kf kb' - kb kf') antisymmetric: each pairwise sum folds onto l.
-    weight = 4.0 * _sum3(w * (kf * kf_t + kb * kb_t))
-    sym = _sum3(w * (kf * kb_t + kb * kf_t))
-    anti = _sum3(w * (kf * kb_t - kb * kf_t))
     tail = 2.0 * _sum3(e_al * (np.sign(alpha_l) * sym - anti))
     # A vanishing rate only occurs in zero-weight terms or at the atan/asinh
     # limit points; a subnormal stand-in saturates those arguments to +-inf,

@@ -247,6 +247,10 @@ def _link_diagnostics(config: LinkConfig) -> list:
                              ("center_frequency", "bandwidth"))
         if ch.bandwidth <= 0:
             diags.append(f"channel {i}: bandwidth must be positive")
+        edge = ch.center_frequency - 0.5 * ch.bandwidth
+        if math.isfinite(edge) and edge <= 0:
+            diags.append(f"channel {i}: lower band edge {edge:.6e} Hz is "
+                         f"at or below 0 Hz")
         if len(ch.launch_power_per_span) != n_spans:
             diags.append(
                 f"channel {i}: {len(ch.launch_power_per_span)} launch powers "

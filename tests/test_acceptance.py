@@ -24,15 +24,14 @@ from ramangn import (
     closed_form_terms,
     eta_total,
     mu_closed,
-    mu_numeric,
     solve_power_evolution,
-    verify_identities,
 )
 from ramangn.oracle import compare_closed_vs_oracle
 from ramangn.profile import (ProfileParams, effective_length,
                              backward_effective_length, fit_profile)
 
 from conftest import ALPHA_02_DB_KM
+from reference import mu_numeric, verify_identities
 
 _L = 80e3
 

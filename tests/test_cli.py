@@ -198,14 +198,19 @@ def test_nli_refuses_a_phase_matched_pair(data_dir, tmp_path, capsys):
     ("reference_pumped", ("span", "beta2", "value"), -1.0, 4,
      "numerical error: eta_spm or eta_xpm is negative or not finite for "
      "channel(s) [31]: eta_spm [-6968."),
+    ("lumped_9ch", ("grid", "first_center", "value"), -1.0, 3,
+     "validation error: channel 0: lower band edge -1.050000e+12 Hz is at "
+     "or below 0 Hz; channel 1: lower band edge -9.500000e+11 Hz"),
 ], ids=["power-3100-dBm", "gamma-1e160", "power-1580-dBm",
-        "length-1e-300-km", "length-1e-12-km", "reference-beta2-minus-1"])
+        "length-1e-300-km", "length-1e-12-km", "reference-beta2-minus-1",
+        "first-center-minus-1-THz"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nli_refuses_what_it_cannot_answer(data_dir, tmp_path, capsys, name,
                                            keys, value, code, message):
     """Inputs that used to end in a traceback (an OverflowError or numpy's
-    LinAlgError) or in NaN or negative eta with exit 0 get a typed refusal,
-    and nli writes no report."""
+    LinAlgError) or in NaN or positive or negative eta with exit 0 (a grid
+    below 0 Hz) get a typed refusal, nli prints nothing else and writes no
+    report."""
     with open(os.path.join(data_dir, f"{name}.json")) as fh:
         payload = json.load(fh)
     node = payload
@@ -216,9 +221,11 @@ def test_nli_refuses_what_it_cannot_answer(data_dir, tmp_path, capsys, name,
     path.write_text(json.dumps(payload))
     out = tmp_path / "out"
     assert _run(["nli", "--scenario", str(path), "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1  # the refusal alone
+    assert captured.out == ""
     assert not (out / "nli_report.csv").exists()
     assert not (out / "nli_report.json").exists()
 
@@ -429,17 +436,22 @@ def test_output_is_byte_identical_to_the_stored_file(
 
 
 def test_import_and_nli_do_not_load_scipy(minimal_scenario_path, tmp_path):
-    """Only the adaptive-quadrature paths of the oracle need scipy: neither
-    ``nli`` nor ``compare``, whose eta oracle is scipy-free, loads it."""
+    """The package needs numpy alone: with scipy unimportable, it imports
+    and every command runs, and none loads scipy."""
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy raises\n"
+        "def loaded():\n"
+        "    return any(mod is not None for name, mod in sys.modules.items()\n"
+        "               if name.split('.')[0] == 'scipy')\n"
         "import ramangn\n"
-        "print('scipy' in sys.modules)\n"
+        "print(loaded())\n"
         "from ramangn.cli import main\n"
-        "for command in ('nli', 'compare'):\n"
-        f"    rc = main([command, '--scenario', {minimal_scenario_path!r}, "
+        "for argv in (['solve'], ['fit'], ['nli'],\n"
+        "             ['sweep', '--sweep=0:0:1'], ['compare']):\n"
+        f"    rc = main(argv + ['--scenario', {minimal_scenario_path!r}, "
         f"'--out', {str(tmp_path)!r}])\n"
-        "    print(command, rc, 'scipy' in sys.modules)\n")
+        "    print(argv[0], rc, loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
@@ -447,6 +459,9 @@ def test_import_and_nli_do_not_load_scipy(minimal_scenario_path, tmp_path):
     assert lines[0] == "False"
     assert [line for line in lines if line.startswith(("nli ", "compare "))
             ] == ["nli 0 False", "compare 0 False"]
+    assert [line for line in lines
+            if line.startswith(("solve ", "fit ", "sweep "))
+            ] == ["solve 0 False", "fit 0 False", "sweep 0 False"]
 
 
 @pytest.fixture(scope="module")

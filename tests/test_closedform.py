@@ -28,10 +28,11 @@ from ramangn.closedform import (_check_rate_sums, _contract, _phi_pair,
                                 _phi_self, _spm_eta, _terms_arrays, _xpm_eta)
 from ramangn.errors import (DegenerateDispersionError, NumericalError,
                             ValidationError)
-from ramangn.oracle import TaylorProfile, mu_numeric
+from ramangn.oracle import TaylorProfile
 from ramangn.profile import ProfileParams, profile_margin, tilt_integral
 
 from conftest import ALPHA_02_DB_KM
+from reference import mu_numeric
 
 _L = 80e3
 
@@ -163,10 +164,15 @@ def test_mu_lumped_analytic():
 
 
 def test_mu_at_zero_phase_is_squared_area():
-    terms = closed_form_terms(_params(c_f=0.0, c_b=0.0), 193.4e12, _L)
+    """Pump-free profiles; with alpha_b = alpha the backward term has
+    weight 0 and rate 0, and drops out instead of giving 0/0 at phi = 0."""
     a = ALPHA_02_DB_KM
     area = (1.0 - math.exp(-a * _L)) / a
-    assert float(mu_closed(0.0, terms)) == pytest.approx(area ** 2, rel=1e-12)
+    for alpha_b in (0.9 * a, a):
+        terms = closed_form_terms(_params(c_f=0.0, c_b=0.0, alpha_b=alpha_b),
+                                  193.4e12, _L)
+        assert float(mu_closed(0.0, terms)) == pytest.approx(area ** 2,
+                                                             rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ def test_overlapping_channels_diagnosed():
     assert any("overlap" in d for d in diags)
 
 
+def test_channel_at_or_below_zero_hz_diagnosed():
+    """A channel's lower band edge must lie above 0 Hz; one just above
+    passes."""
+    diags = _diagnostics(span=_span(), span_count=1,
+                         grid=_grid(n=2, first=50e9, spacing=1e12))
+    assert diags == ["channel 0: lower band edge 0.000000e+00 Hz is at or "
+                     "below 0 Hz"]
+    LinkConfig(span=_span(), span_count=1,
+               grid=_grid(n=1, first=np.nextafter(50e9, math.inf)))
+
+
 def test_unordered_channels_diagnosed():
     channels = (Channel(193.2e12, 100e9, (1e-3,)),
                 Channel(193.0e12, 100e9, (1e-3,)))

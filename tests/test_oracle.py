@@ -26,10 +26,8 @@ from ramangn import (
     eta_xpm_pair,
     fit_profile,
     mu_closed,
-    mu_numeric,
     parse_scenario,
     solve_power_evolution,
-    verify_identities,
     WdmGrid,
 )
 from ramangn import closedform, oracle
@@ -41,6 +39,7 @@ from ramangn.profile import (ChannelFit, FitReport, ProfileParams,
                              pair_offsets, profile_margin)
 
 from conftest import ALPHA_02_DB_KM
+from reference import mu_numeric, verify_identities
 
 _L = 80e3
 _EPS = np.finfo(float).eps

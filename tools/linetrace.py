@@ -23,13 +23,14 @@ status is printed in place of its output.  With ``--manifest PATH``,
 the digests of every command's output (``command_digests``) are written
 to ``PATH`` as JSON; ``tests/test_commands.py`` checks the stored
 ``tests/data/commands.json`` against an untraced run.  What these leave
-unrun is the code that only tests, library calls and refusals reach.  Either way the
-code runs in this process under ``sys.settrace``; only frames of code in
-``src/ramangn`` are traced line by line.  A line is executable when some
-code object compiled from the file lists it in ``co_lines()``.  Every
-executable line that never ran is printed as ``path:line: source``, then
-a count.  Child processes get ``src`` on their ``PYTHONPATH`` but are not
-traced: code they alone run counts as not run.
+unrun is the code that only tests, library calls and refusals reach.
+Either way the code runs in this process under ``sys.settrace``; only
+frames of code in ``src/ramangn`` are traced line by line.  A line is
+executable when some code object compiled from the file lists it in
+``co_lines()``.  Every executable line that never ran is printed as
+``path:line: source``, then a count.  Child processes get ``src`` on
+their ``PYTHONPATH`` but are not traced: code they alone run counts as
+not run.
 
 Exit status: pytest's, if it is not 0; else 1 if some line never ran;
 else 0.  The traced suite takes about 1.5 times as long.
@@ -146,9 +147,7 @@ def commands() -> list:
                                 "lumped_9ch_3span.json")]
 
 
-def _digest(data) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -158,10 +157,10 @@ _ELAPSED = re.compile(r"\(\d+\.\d s\)")
 
 def run_command(argv, out: str) -> dict:
     """Run one argument list of ``commands()`` through ``ramangn.cli.main``
-    into the directory ``out``, from ``ROOT``.  Returns its exit status and
-    the SHA-256 digests of its stdout and stderr, with ``out`` replaced by
-    ``<out>`` and compare's elapsed seconds by ``(<elapsed> s)``, and of
-    every file it wrote, by its name relative to ``out``."""
+    into the directory ``out``.  Returns its exit status and the SHA-256
+    digests of its stdout and stderr, with ``out`` replaced by ``<out>``
+    and compare's elapsed seconds by ``(<elapsed> s)``, and of every file
+    it wrote, by its name relative to ``out``."""
     from ramangn.cli import main as cli_main
 
     os.makedirs(out, exist_ok=True)
@@ -169,9 +168,8 @@ def run_command(argv, out: str) -> dict:
     with contextlib.redirect_stdout(streams[0]), \
             contextlib.redirect_stderr(streams[1]):
         status = cli_main(list(argv) + ["--out", out])
-    stdout, stderr = (_ELAPSED.sub("(<elapsed> s)",
-                                   s.getvalue().replace(out, "<out>"))
-                      for s in streams)
+    stdout, stderr = (_ELAPSED.sub("(<elapsed> s)", s.getvalue().replace(
+        out, "<out>")).encode("utf-8") for s in streams)
     files = {}
     for top, _, names in os.walk(out):
         for name in names:
@@ -182,19 +180,16 @@ def run_command(argv, out: str) -> dict:
             "stderr": _digest(stderr), "files": dict(sorted(files.items()))}
 
 
-def command_digests(root: str, report=None) -> dict:
+def command_digests(root: str) -> dict:
     """``run_command`` of every argument list of ``commands()``, each into
     ``<root>/<scenario>/<command>/``, keyed by the argument list joined
-    with spaces; ``report(argv, status)`` is called after each.  The
-    scenario paths are relative to ``ROOT``, which must be the working
-    directory."""
+    with spaces.  The scenario paths are relative to ``ROOT``, which must
+    be the working directory."""
     digests = {}
     for argv in commands():
         scenario = os.path.splitext(os.path.basename(argv[-1]))[0]
-        entry = run_command(argv, os.path.join(root, scenario, argv[0]))
-        digests[" ".join(argv)] = entry
-        if report:
-            report(argv, entry["exit"])
+        digests[" ".join(argv)] = run_command(
+            argv, os.path.join(root, scenario, argv[0]))
     return digests
 
 
@@ -209,11 +204,11 @@ def run_commands(trace: LineTrace, keep=None, manifest=None) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         trace.start()
         try:
-            digests = command_digests(keep or scratch, lambda argv, status:
-                                      print(f"exit {status}: ramangn "
-                                            f"{' '.join(argv)}"))
+            digests = command_digests(keep or scratch)
         finally:
             trace.stop()
+    for command, entry in digests.items():
+        print(f"exit {entry['exit']}: ramangn {command}")
     if manifest:
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump(digests, fh, indent=1)
