@@ -29,7 +29,7 @@ that ``nli`` ships: the whole-grid kernel of ``closedform.eta_total``
 
 The oracle needs numpy alone.  The adaptive-quadrature references, the
 link function's defining integral and the supporting identities, are the
-tests' (``tests/reference.py``), and only they use scipy.
+tests' own (``tests/reference.py``).
 """
 
 from __future__ import annotations

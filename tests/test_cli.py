@@ -208,8 +208,8 @@ def test_nli_refuses_a_phase_matched_pair(data_dir, tmp_path, capsys):
 def test_nli_refuses_what_it_cannot_answer(data_dir, tmp_path, capsys, name,
                                            keys, value, code, message):
     """Inputs that used to end in a traceback (an OverflowError or numpy's
-    LinAlgError) or in NaN or positive or negative eta with exit 0 (a grid
-    below 0 Hz) get a typed refusal, nli prints nothing else and writes no
+    LinAlgError), in NaN or negative eta, or, for a grid below 0 Hz, in
+    exit 0 get a typed refusal; nli prints nothing else and writes no
     report."""
     with open(os.path.join(data_dir, f"{name}.json")) as fh:
         payload = json.load(fh)
